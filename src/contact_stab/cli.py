@@ -5,10 +5,10 @@
 
 Subcommands are the scenario kinds (validate-state, spectrum, energy-test,
 neutral-mode, rt-run, eps-sweep, adjoint-check, mms).  Exit codes: 0
-success, 1 check failure, 2 config error, 3 numerical blow-up.  Each run
-writes a report, CSV tables, gnuplot-ready .dat copies, binary snapshot
-dumps with sidecar headers, and an execution manifest into the output
-directory.
+success, 1 check failure, 2 config error or inadmissible background, 3
+numerical blow-up (non-finite state or energy).  Each run writes a report,
+CSV tables, gnuplot-ready .dat copies, binary snapshot dumps with sidecar
+headers, and an execution manifest into the output directory.
 """
 
 from __future__ import annotations
@@ -22,8 +22,16 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, SCENARIO_KINDS, parse_config
+from .geometry import AdmissibilityError
+from .linearization import GeometryError
+from .mhd import InadmissibleStateError
 from .scenarios import RUNNERS, ScenarioResult
 from .solver import Snapshot
+
+try:
+    from threadpoolctl import threadpool_limits
+except ImportError:  # --threads is then recorded but not applied
+    threadpool_limits = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,19 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="path to a section.key = value config file")
     p.add_argument("--out", default=None, help="output directory (overrides run.out)")
     p.add_argument("--threads", type=int, default=1,
-                   help="BLAS thread cap (recorded in the manifest)")
+                   help="BLAS thread cap, applied when threadpoolctl is installed "
+                        "(the manifest records whether it was)")
     p.add_argument("--override", action="append", default=[],
                    metavar="section.key=value", help="config override (repeatable)")
     return p
-
-
-def _limit_threads(n: int):
-    try:
-        from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=n)
-    except ImportError:
-        return None
 
 
 def write_snapshot(path_base: Path, snap: Snapshot, grid) -> None:
@@ -113,6 +113,7 @@ def write_artifacts(outdir: Path, cfg, result: ScenarioResult,
         f"tool = contact-stab {__version__}",
         f"wall_time_seconds = {wall_time:.3f}",
         f"threads = {threads}",
+        f"threads_applied = {'no' if threadpool_limits is None else 'yes'}",
         f"exit_code = {result.exit_code}",
         "",
         "# resolved configuration",
@@ -132,13 +133,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.out) if args.out else Path(cfg.get("run.out", "out"))
-    limiter = _limit_threads(args.threads)
+    limiter = threadpool_limits(limits=args.threads) if threadpool_limits else None
     t0 = time.perf_counter()
     try:
         result = RUNNERS[args.subcommand](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (InadmissibleStateError, AdmissibilityError, GeometryError) as exc:
+        result = ScenarioResult(ok=False, exit_code=2, report=[
+            f"inadmissible background ({type(exc).__name__}): {exc}"])
     finally:
         if limiter is not None:
             limiter.unregister()

@@ -192,6 +192,7 @@ class Expression:
 def read_raw_config(path: str) -> dict[str, str]:
     """section.key -> raw value string, with syntax errors by line number."""
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -206,6 +207,11 @@ def read_raw_config(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: malformed key {key!r}")
             if not value:
                 raise ConfigError(f"{path}:{lineno}: empty value for {key}")
+            if key in first_line:
+                raise ConfigError(
+                    f"{path}:{lineno}: duplicate key {key} (first set on line {first_line[key]})"
+                )
+            first_line[key] = lineno
             raw[key] = value
     return raw
 

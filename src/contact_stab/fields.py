@@ -6,7 +6,7 @@ as (component, i1, i2) with i1 = 0 on the interface x1 = 0 and x2 periodic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,6 @@ class TwoSidedField:
         if side not in (+1, -1):
             raise ValueError("side must be +1 or -1")
         return self.plus if side == +1 else self.minus
-
-    @property
-    def trace_plus(self) -> np.ndarray:
-        """Values on the interface x1 = 0."""
-        return self.plus[..., 0, :]
-
-    @property
-    def trace_minus(self) -> np.ndarray:
-        return self.minus[..., 0, :]
 
     def copy(self) -> "TwoSidedField":
         return TwoSidedField(self.plus.copy(), self.minus.copy())

@@ -24,7 +24,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .fields import FrontState
-from .grid import Grid, d2_line
+from .grid import Grid, d2_line, one_sided_d1_at_wall
 
 
 class AdmissibilityError(ValueError):
@@ -206,19 +206,6 @@ def build_lifted_geometry(
     )
 
 
-def normal_tangential(state, geometry: LiftedGeometry, side: int, point):
-    """(v_N, H_N, H_tau) at a grid point (i1, i2) on the given side.
-
-    v_N = v1 - v2 d2Psi, H_N = H1 - H2 d2Psi, H_tau = H1 d2Psi + H2.
-    """
-    i1, i2 = point
-    slope = geometry.side("d2_psi", side)[i1, i2]
-    vN = state.v1 - state.v2 * slope
-    HN = state.H1 - state.H2 * slope
-    Htau = state.H1 * slope + state.H2
-    return vN, HN, Htau
-
-
 def normal_component(a1, a2, d2psi):
     return a1 - a2 * d2psi
 
@@ -234,8 +221,4 @@ def normal_jump(field_plus: np.ndarray, field_minus: np.ndarray, h1: float) -> n
     of a normal derivative is the SUM of the two one-sided derivatives,
     [d1 a] = d1 a^+|_0 + d1 a^-|_0, not their difference.
     """
-    def one_sided(a):
-        a = np.asarray(a, dtype=float)
-        return (-3.0 * a[..., 0, :] + 4.0 * a[..., 1, :] - a[..., 2, :]) / (2.0 * h1)
-
-    return one_sided(field_plus) + one_sided(field_minus)
+    return one_sided_d1_at_wall(field_plus, h1) + one_sided_d1_at_wall(field_minus, h1)

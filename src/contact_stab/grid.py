@@ -8,7 +8,7 @@ trapezoid weights satisfies exact discrete integration by parts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

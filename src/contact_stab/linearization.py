@@ -86,17 +86,6 @@ def boundary_A1_exact(trace: BoundaryTrace, side: int) -> np.ndarray:
     return float(side) * M
 
 
-def w_transform_matrix(trace: BoundaryTrace) -> np.ndarray:
-    """T with W = T U, W = (q, v_N, v2, H_N, H2, S), q = p + (H_hat, H)."""
-    fp = trace.d2phi
-    T = np.eye(6)
-    T[0, 3] = trace.H1
-    T[0, 4] = trace.H2
-    T[1, 2] = -fp
-    T[3, 4] = -fp
-    return T
-
-
 def j_matrix(trace: BoundaryTrace) -> np.ndarray:
     """J with U = J W; unit determinant, written out from the definitions."""
     fp = trace.d2phi
@@ -106,11 +95,6 @@ def j_matrix(trace: BoundaryTrace) -> np.ndarray:
     J[1, 2] = fp
     J[3, 4] = fp
     return J
-
-
-def w_transform(U, trace: BoundaryTrace) -> np.ndarray:
-    """Map a perturbation 6-vector to the secondary variables W."""
-    return w_transform_matrix(trace) @ np.asarray(U, dtype=float)
 
 
 def b1_structure(trace: BoundaryTrace, side: int) -> np.ndarray:
@@ -164,11 +148,9 @@ def two_sided_signature(trace: BoundaryTrace) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class StateBounds:
-    K: float = 100.0
     rho_bar0: float = 1e-2
     p_bar0: float = 1e-2
     kappa_bar0: float = 1e-2
-    epsilon_RT: float = 0.0
 
 
 @dataclass
@@ -476,15 +458,6 @@ def a1_tilde_grid(basic: BasicState, side: int) -> np.ndarray:
     return (A1 - A0 * basic.dtpsi(side) - A2 * basic.d2psi(side)) / d1phi
 
 
-def assemble_A1_tilde(basic: BasicState, side: int, point=None) -> np.ndarray:
-    """A1_tilde at one grid point, or the whole grid when point is None."""
-    At = a1_tilde_grid(basic, side)
-    if point is None:
-        return At
-    i1, i2 = point
-    return At[:, :, i1, i2]
-
-
 def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
     """Pointwise matrix of the zero-order operator C, shape (6,6,N1,N2).
 
@@ -518,13 +491,54 @@ def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
     return C
 
 
-def zero_order_C_apply(basic: BasicState, Y_field: np.ndarray, side: int, point=None):
-    """Apply C to a state-space field (6, N1, N2) or 6-vector at a point."""
-    C = zero_order_matrix(basic, side)
-    if point is not None:
-        i1, i2 = point
-        return C[:, :, i1, i2] @ np.asarray(Y_field, dtype=float)
-    return np.einsum("ij...,j...->i...", C, Y_field)
+@dataclass
+class SideCoefficients:
+    """The interior operator of one side, assembled on the grid."""
+
+    A0_diag: np.ndarray      # (6, N1, N2)
+    A0_inv_diag: np.ndarray
+    At1: np.ndarray          # (6, 6, N1, N2)
+    A2: np.ndarray
+    C: np.ndarray
+    d1phi: np.ndarray        # (N1, N2)
+    d11phi: np.ndarray
+    w1: np.ndarray           # background transport field components
+    w2: np.ndarray
+    div_u: np.ndarray
+    d2psi: np.ndarray
+
+    def apply(self, U: np.ndarray, d1U: np.ndarray, d2U: np.ndarray) -> np.ndarray:
+        """A1_tilde d1U + A2 d2U + C U, the spatial part of the operator."""
+        return (
+            np.einsum("ijkl,jkl->ikl", self.At1, d1U)
+            + np.einsum("ijkl,jkl->ikl", self.A2, d2U)
+            + np.einsum("ijkl,jkl->ikl", self.C, U)
+        )
+
+
+def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:
+    """Assemble the interior operator of one side on the background's grid."""
+    g = basic.grid
+    U = basic.u.side(side)
+    rho = basic.rho(side)
+    A0 = np.stack([1.0 / (basic.gamma * U[0]), rho, rho,
+                   np.ones_like(rho), np.ones_like(rho), np.ones_like(rho)])
+    u1, u2 = basic.u_vec(side)
+    w1, w2 = basic.w_vec(side)
+    div_u = d1_field(u1[None], g.h1)[0] + d2_field(u2[None], g.h2)[0]
+    return SideCoefficients(
+        A0_diag=A0,
+        A0_inv_diag=1.0 / A0,
+        At1=a1_tilde_grid(basic, side),
+        A2=mhd.a2_matrix(U[0], U[2], U[3], U[4], rho, basic.gamma),
+        C=zero_order_matrix(basic, side),
+        d1phi=basic.d1phi_map(side),
+        d11phi=basic.geometry.side("d11_phi", side),
+        w1=w1,
+        w2=w2,
+        div_u=div_u,
+        d2psi=basic.d2psi(side),
+    )
 
 
 # --- good unknown -----------------------------------------------------------
@@ -543,13 +557,6 @@ def good_unknown_inverse(U_dot: np.ndarray, psi_field: np.ndarray, basic: BasicS
     return U_dot + (psi_field / d1phi) * basic.d1_u.side(side)
 
 
-def lift_front_perturbation(dphi: np.ndarray, grid: Grid, side: int) -> np.ndarray:
-    """Psi-perturbation field chi(side * x1) * dphi on the (N1, N2) grid."""
-    from .geometry import cutoff_chi
-
-    return cutoff_chi(float(side) * grid.x1)[:, None] * np.asarray(dphi, dtype=float)[None, :]
-
-
 # --- linearized operator ----------------------------------------------------
 
 
@@ -566,19 +573,10 @@ def apply_linearized_operator(
     perturbations); derivatives use the module's grid stencils.
     """
     g = basic.grid
-    U = basic.u.side(side)
-    rho = basic.rho(side)
-    A0 = mhd.a0_matrix(U[0], rho, basic.gamma)
-    A2 = mhd.a2_matrix(U[0], U[2], U[3], U[4], rho, basic.gamma)
-    At1 = a1_tilde_grid(basic, side)
-    C = zero_order_matrix(basic, side)
-    res = (
-        np.einsum("ij...,j...->i...", At1, d1_field(U_dot, g.h1))
-        + np.einsum("ij...,j...->i...", A2, d2_field(U_dot, g.h2))
-        + np.einsum("ij...,j...->i...", C, U_dot)
-    )
+    sc = side_coefficients(basic, side)
+    res = sc.apply(U_dot, d1_field(U_dot, g.h1), d2_field(U_dot, g.h2))
     if Ut is not None:
-        res += np.einsum("ij...,j...->i...", A0, Ut)
+        res += sc.A0_diag * Ut
     if f is not None:
         res -= f
     return res
@@ -599,18 +597,12 @@ def first_variation(
     which the production form absorbs into the good unknown.  The front
     perturbation dphi is lifted exactly like the background front (the lift
     is linear in phi), so the derivative fields of dPsi reuse the analytic
-    cutoff slope and the boundary-line stencil.
+    cutoff slope and the boundary-line stencil.  Both parts go through one
+    SideCoefficients.apply: the transport term shifts its derivative
+    arguments by dPsi's derivatives times d1U_hat / d1Phi_hat.
     """
     g = basic.grid
-    U = basic.u.side(side)
-    rho = basic.rho(side)
-    A0 = mhd.a0_matrix(U[0], rho, basic.gamma)
-    A2 = mhd.a2_matrix(U[0], U[2], U[3], U[4], rho, basic.gamma)
-    At1 = a1_tilde_grid(basic, side)
-    d1phi = basic.d1phi_map(side)
-
-    res = apply_linearized_operator(dU, basic, side, Ut=dUt)
-
+    sc = side_coefficients(basic, side)
     dgeo = build_lifted_geometry(
         FrontState(np.asarray(dphi, dtype=float)), g, dt_phi=dphi_t,
         skip_admissibility=True,
@@ -618,10 +610,13 @@ def first_variation(
     sgn = 1.0 if side == +1 else -1.0
     d1psi = dgeo.side("d1_phi", side) - sgn  # d1 of the lift alone
     d2psi = dgeo.side("d2_psi", side)
-    lpsi = At1 * d1psi + A2 * d2psi
+    transport = basic.d1_u.side(side) / sc.d1phi
+    res = sc.apply(dU, d1_field(dU, g.h1) - d1psi * transport,
+                   d2_field(dU, g.h2) - d2psi * transport)
+    if dUt is not None:
+        res += sc.A0_diag * dUt
     if dphi_t is not None:
-        lpsi = lpsi + A0 * dgeo.side("dt_psi", side)
-    res -= np.einsum("ij...,j...->i...", lpsi, basic.d1_u.side(side) / d1phi)
+        res -= sc.A0_diag * dgeo.side("dt_psi", side) * transport
     return res
 
 

@@ -15,14 +15,14 @@ import numpy as np
 from . import mhd, solver, spectral
 from .config import ConfigError, ScenarioConfig
 from .fields import FrontState, TwoSidedField
-from .grid import Grid
+from .grid import Grid, d1_field, d2_field
 from .linearization import (
     BasicState,
     basic_state_from_arrays,
     constant_basic_state,
     validate_basic_state,
 )
-from .solver import Snapshot, Sources
+from .solver import Snapshot, Sources, source_h1_norm
 
 
 @dataclass
@@ -175,28 +175,6 @@ def make_forcing(grid: Grid, seed: int, amplitude: float, t_ramp: float,
     return Sources(f=f, g=g)
 
 
-def source_h1_norm(f_func, grid: Grid, times: np.ndarray) -> float:
-    """Discrete space-time H1 norm of a two-sided interior source."""
-    from .grid import d1_field, d2_field
-
-    levels = [f_func(t) for t in times]
-    dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
-    total = 0.0
-    for n, pair in enumerate(levels):
-        for k in range(2):
-            A = np.asarray(pair[k], dtype=float)
-            sq = (
-                solver._weighted_l2(A, grid) ** 2
-                + solver._weighted_l2(d1_field(A, grid.h1), grid) ** 2
-                + solver._weighted_l2(d2_field(A, grid.h2), grid) ** 2
-            )
-            if 0 < n < len(levels) - 1:
-                dA = (np.asarray(levels[n + 1][k]) - np.asarray(levels[n - 1][k])) / (2 * dt)
-                sq += solver._weighted_l2(dA, grid) ** 2
-            total += sq * dt
-    return float(np.sqrt(total))
-
-
 # --- manufactured solution --------------------------------------------------
 
 
@@ -280,8 +258,6 @@ class ManufacturedProblem:
         return Sources(f=f, g=g)
 
     def initial(self, grid: Grid) -> Snapshot:
-        from .grid import d1_field, d2_field
-
         X1g, X2g = grid.mesh()
         Up = self.exact(+1, 0.0, X1g, X2g)
         Um = self.exact(-1, 0.0, X1g, X2g)
@@ -416,34 +392,21 @@ def run_energy_test(cfg: ScenarioConfig) -> ScenarioResult:
     eps = cfg["run.epsilon"]
     grid = grid_from_config(cfg, constant_state_from_config, epsilon=eps)
     basic = constant_state_from_config(cfg, grid)
-    coeffs = solver.assemble_coefficients(basic)
     init = solver.divergence_free_pulse(
         grid, center=cfg["pulse.center"], width=cfg["pulse.width"],
         k2=cfg["pulse.k2"], amplitude=cfg["pulse.amplitude"], seed=cfg["run.seed"],
     )
-    snap = init.copy()
-    solver.apply_interface_conditions(snap.U, snap.phi.phi, coeffs, None)
-    E0 = solver.symmetrizer_energy(snap, basic, coeffs)
-    energies = [E0]
-    reports = [solver.energy_report(snap, basic, coeffs=coeffs)]
-    prev = snap
-    every = cfg["run.report_every"]
-    try:
-        for n in range(1, grid.n_steps + 1):
-            new = solver.step(prev, basic, eps, coeffs=coeffs)
-            energies.append(solver.symmetrizer_energy(new, basic, coeffs))
-            if n % every == 0 or n == grid.n_steps:
-                reports.append(solver.energy_report(new, basic, prev=prev, coeffs=coeffs))
-            prev = new
-    except solver.BlowUpError as exc:
+    res = solver.run(basic, eps, initial=init, report_every=cfg["run.report_every"])
+    if res.blew_up:
         return ScenarioResult(ok=False, exit_code=3,
-                              report=[f"blow-up at t = {exc.t:.6g}"])
-    energies = np.array(energies)
+                              report=[f"blow-up at t = {res.blowup_time:.6g}"])
+    energies = np.array(res.energies)
+    E0 = energies[0]
     drift = float(np.max(np.abs(energies - E0)) / E0)
     increase = float(max(np.max(energies) - E0, 0.0) / E0)
     tol = cfg["tolerance.drift"]
     ok = drift <= tol and increase <= tol
-    csv = {"energy.csv": [solver.EnergyReport.CSV_HEADER] + [r.csv_row() for r in reports]}
+    csv = {"energy.csv": res.csv_lines()}
     elines = ["step,E_symmetrizer"] + [f"{i},{e:.16e}" for i, e in enumerate(energies)]
     csv["symmetrizer_energy.csv"] = elines
     report = [
@@ -532,7 +495,7 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     f_norm = source_h1_norm(sources.f, grid, times)
     lift = solver.lift_boundary_data(sources.g, grid, basic, epsilon=eps)
     lift.front_lift(times)
-    F_norm = lift.source_h1_norm(times)
+    F_norm = source_h1_norm(lift.interior_source, grid, times)
     total = f_norm + F_norm
     ratio = res.J_max / total ** 2 if total > 0 else float("inf")
     report = [

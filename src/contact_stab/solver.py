@@ -34,13 +34,13 @@ import numpy as np
 
 from . import mhd
 from .fields import FrontState, TwoSidedField
-from .geometry import normal_component, tangential_component
-from .grid import Grid, d1_field, d2_field, d2_line, one_sided_d1_at_wall
+from .grid import Grid, d1_field, d2_field, d2_line
 from .linearization import (
     BasicState,
-    a1_tilde_grid,
+    BoundaryTrace,
+    SideCoefficients,
     boundary_A1_exact,
-    zero_order_matrix,
+    side_coefficients,
 )
 
 
@@ -100,21 +100,6 @@ def build_grid(
 
 
 @dataclass
-class SideCoefficients:
-    A0_diag: np.ndarray      # (6, N1, N2)
-    A0_inv_diag: np.ndarray
-    At1: np.ndarray          # (6, 6, N1, N2)
-    A2: np.ndarray
-    C: np.ndarray
-    d1phi: np.ndarray        # (N1, N2)
-    d11phi: np.ndarray
-    w1: np.ndarray           # background transport field components
-    w2: np.ndarray
-    div_u: np.ndarray
-    d2psi: np.ndarray
-
-
-@dataclass
 class Coefficients:
     plus: SideCoefficients
     minus: SideCoefficients
@@ -136,40 +121,15 @@ def _boundary_exact_grid(basic: BasicState, side: int) -> np.ndarray:
     U = basic.u.side(side)[:, 0, :]
     out = np.zeros((6, 6, d2phi.size))
     for i2 in range(d2phi.size):
-        from .linearization import BoundaryTrace
-
         tr = BoundaryTrace(H1=float(U[3, i2]), H2=float(U[4, i2]), d2phi=float(d2phi[i2]))
         out[:, :, i2] = boundary_A1_exact(tr, side)
     return out
 
 
 def assemble_coefficients(basic: BasicState) -> Coefficients:
-    g = basic.grid
-    sides = {}
-    for side in (+1, -1):
-        U = basic.u.side(side)
-        rho = basic.rho(side)
-        A0 = np.stack([1.0 / (basic.gamma * U[0]), rho, rho,
-                       np.ones_like(rho), np.ones_like(rho), np.ones_like(rho)])
-        u1, u2 = basic.u_vec(side)
-        w1, w2 = basic.w_vec(side)
-        div_u = d1_field(u1[None], g.h1)[0] + d2_field(u2[None], g.h2)[0]
-        sides[side] = SideCoefficients(
-            A0_diag=A0,
-            A0_inv_diag=1.0 / A0,
-            At1=a1_tilde_grid(basic, side),
-            A2=mhd.a2_matrix(U[0], U[2], U[3], U[4], rho, basic.gamma),
-            C=zero_order_matrix(basic, side),
-            d1phi=basic.d1phi_map(side),
-            d11phi=basic.geometry.side("d11_phi", side),
-            w1=w1,
-            w2=w2,
-            div_u=div_u,
-            d2psi=basic.d2psi(side),
-        )
     return Coefficients(
-        plus=sides[+1],
-        minus=sides[-1],
+        plus=side_coefficients(basic, +1),
+        minus=side_coefficients(basic, -1),
         tau1=basic.geometry.d2_phi_boundary,
         jump_d1_p=basic.jump_d1_p(),
         jump_d1_Htau=basic.jump_d1_Htau(),
@@ -227,12 +187,12 @@ class Sources:
     f: object = None
     g: object = None
 
-    def f_eval(self, t: float, grid: Grid):
+    def f_eval(self, t: float):
         if self.f is None:
             return None
         return self.f(t)
 
-    def g_eval(self, t: float, grid: Grid):
+    def g_eval(self, t: float):
         if self.g is None:
             return None
         return np.asarray(self.g(t), dtype=float)
@@ -256,11 +216,7 @@ def _interior_rhs(U: np.ndarray, sc: SideCoefficients, epsilon: float,
                   f: np.ndarray | None, grid: Grid) -> np.ndarray:
     d1U = d1_field(U, grid.h1)
     d2U = d2_field(U, grid.h2)
-    rhs = -(
-        np.einsum("ijkl,jkl->ikl", sc.At1, d1U)
-        + np.einsum("ijkl,jkl->ikl", sc.A2, d2U)
-        + np.einsum("ijkl,jkl->ikl", sc.C, U)
-    )
+    rhs = -sc.apply(U, d1U, d2U)
     if epsilon:
         rhs += epsilon * d1U
     if f is not None:
@@ -331,8 +287,8 @@ def apply_interface_conditions(
 
 def _stage_rhs(snap: Snapshot, coeffs: Coefficients, epsilon: float,
                sources: Sources, grid: Grid, t: float):
-    fpm = sources.f_eval(t, grid)
-    g_rows = sources.g_eval(t, grid)
+    fpm = sources.f_eval(t)
+    g_rows = sources.g_eval(t)
     fp, fm = (fpm if fpm is not None else (None, None))
     return (
         _interior_rhs(snap.U.plus, coeffs.plus, epsilon, fp, grid),
@@ -344,7 +300,7 @@ def _stage_rhs(snap: Snapshot, coeffs: Coefficients, epsilon: float,
 
 
 def _advance(snap: Snapshot, k, dt: float, coeffs: Coefficients,
-             sources: Sources, grid: Grid, t_new: float) -> Snapshot:
+             sources: Sources, t_new: float) -> Snapshot:
     out = Snapshot(
         U=TwoSidedField(snap.U.plus + dt * k[0], snap.U.minus + dt * k[1]),
         phi=FrontState(snap.phi.phi + dt * k[2], t_new),
@@ -352,7 +308,7 @@ def _advance(snap: Snapshot, k, dt: float, coeffs: Coefficients,
         a_plus=snap.a_plus + dt * k[3],
         a_minus=snap.a_minus + dt * k[4],
     )
-    g_rows = sources.g_eval(t_new, grid)
+    g_rows = sources.g_eval(t_new)
     apply_interface_conditions(out.U, out.phi.phi, coeffs, g_rows)
     out.a_plus[-1, :] = out.a_plus[-2, :]
     out.a_minus[-1, :] = out.a_minus[-2, :]
@@ -373,16 +329,16 @@ def step(snapshot: Snapshot, basic: BasicState, epsilon: float,
     t = snapshot.t
 
     k1 = _stage_rhs(snapshot, coeffs, epsilon, sources, grid, t)
-    y2 = _advance(snapshot, k1, 0.5 * dt, coeffs, sources, grid, t + 0.5 * dt)
+    y2 = _advance(snapshot, k1, 0.5 * dt, coeffs, sources, t + 0.5 * dt)
     k2 = _stage_rhs(y2, coeffs, epsilon, sources, grid, t + 0.5 * dt)
-    y3 = _advance(snapshot, k2, 0.5 * dt, coeffs, sources, grid, t + 0.5 * dt)
+    y3 = _advance(snapshot, k2, 0.5 * dt, coeffs, sources, t + 0.5 * dt)
     k3 = _stage_rhs(y3, coeffs, epsilon, sources, grid, t + 0.5 * dt)
-    y4 = _advance(snapshot, k3, dt, coeffs, sources, grid, t + dt)
+    y4 = _advance(snapshot, k3, dt, coeffs, sources, t + dt)
     k4 = _stage_rhs(y4, coeffs, epsilon, sources, grid, t + dt)
     ksum = tuple(
         (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0 for i in range(5)
     )
-    out = _advance(snapshot, ksum, dt, coeffs, sources, grid, t + dt)
+    out = _advance(snapshot, ksum, dt, coeffs, sources, t + dt)
     out.check_finite()
     return out
 
@@ -501,6 +457,7 @@ class RunResult:
     blew_up: bool = False
     blowup_time: float | None = None
     snapshots: list[Snapshot] = field(default_factory=list)
+    energies: list[float] = field(default_factory=list)  # symmetrizer energy per step
 
     @property
     def J_max(self) -> float:
@@ -510,18 +467,29 @@ class RunResult:
         return [EnergyReport.CSV_HEADER] + [r.csv_row() for r in self.reports]
 
 
+def _finite_energy(snap: Snapshot, basic: BasicState, coeffs: Coefficients) -> float:
+    energy = symmetrizer_energy(snap, basic, coeffs)
+    if not np.isfinite(energy):
+        raise BlowUpError(snap.t, f"non-finite symmetrizer energy at t = {snap.t:.6g}")
+    return energy
+
+
 def run(basic: BasicState, epsilon: float, sources: Sources | None = None,
         initial: Snapshot | None = None, report_every: int = 1,
         store_snapshots_every: int = 0, n_steps: int | None = None,
         dt: float | None = None) -> RunResult:
-    """Integrate to T_final, collecting energy reports along the way."""
+    """Integrate to T_final, collecting energy reports along the way.
+
+    The symmetrizer energy is recorded after every step; a non-finite
+    energy ends the run as a blow-up, like a non-finite state.
+    """
     grid = basic.grid
     coeffs = assemble_coefficients(basic)
     if sources is None:
         sources = Sources()
     snap = initial.copy() if initial is not None else Snapshot.zeros(grid)
     if initial is not None:
-        g_rows = sources.g_eval(snap.t, grid)
+        g_rows = sources.g_eval(snap.t)
         apply_interface_conditions(snap.U, snap.phi.phi, coeffs, g_rows)
     if n_steps is None:
         n_steps = grid.n_steps
@@ -529,10 +497,13 @@ def run(basic: BasicState, epsilon: float, sources: Sources | None = None,
         dt = grid.dt
     reports = [energy_report(snap, basic, coeffs=coeffs)]
     stored = [snap.copy()] if store_snapshots_every else []
+    energies: list[float] = []
     prev = snap
     try:
+        energies.append(_finite_energy(snap, basic, coeffs))
         for n in range(1, n_steps + 1):
             new = step(prev, basic, epsilon, sources, coeffs, dt)
+            energies.append(_finite_energy(new, basic, coeffs))
             if n % report_every == 0 or n == n_steps:
                 reports.append(energy_report(new, basic, prev=prev, coeffs=coeffs))
             if store_snapshots_every and (n % store_snapshots_every == 0 or n == n_steps):
@@ -540,8 +511,8 @@ def run(basic: BasicState, epsilon: float, sources: Sources | None = None,
             prev = new
     except BlowUpError as exc:
         return RunResult(reports=reports, final=prev, blew_up=True,
-                         blowup_time=exc.t, snapshots=stored)
-    return RunResult(reports=reports, final=prev, snapshots=stored)
+                         blowup_time=exc.t, snapshots=stored, energies=energies)
+    return RunResult(reports=reports, final=prev, snapshots=stored, energies=energies)
 
 
 # --- homogenization lift ----------------------------------------------------
@@ -613,49 +584,24 @@ class BoundaryLift:
         plus = tr[:, None, :] * self._profile[None, :, :]
         return TwoSidedField(plus, np.zeros_like(plus))
 
-    def interior_source(self, t: float, dt_probe: float = 1e-5) -> TwoSidedField:
-        """F = -L U_tilde: the source the lifted field feeds the interior."""
+    def interior_source(self, t: float, dt_probe: float = 1e-5):
+        """F = -L U_tilde: the (plus, minus) source the lifted field feeds
+        the interior, in the pair layout of Sources.f."""
         g = self.basic.grid
-        c = self._coeffs
         Ut = self.u_tilde(t)
         Up = self.u_tilde(t + dt_probe)
         Um = self.u_tilde(t - dt_probe)
         out = []
         for side in (+1, -1):
-            sc = c.side(side)
+            sc = self._coeffs.side(side)
             U = Ut.side(side)
             dUdt = (Up.side(side) - Um.side(side)) / (2.0 * dt_probe)
             d1U = d1_field(U, g.h1)
-            F = -(
-                sc.A0_diag * dUdt
-                + np.einsum("ijkl,jkl->ikl", sc.At1, d1U)
-                + np.einsum("ijkl,jkl->ikl", sc.A2, d2_field(U, g.h2))
-                + np.einsum("ijkl,jkl->ikl", sc.C, U)
-            )
+            F = -(sc.A0_diag * dUdt + sc.apply(U, d1U, d2_field(U, g.h2)))
             if self.epsilon:
                 F += self.epsilon * d1U
             out.append(F)
-        return TwoSidedField(out[0], out[1])
-
-    def source_h1_norm(self, times: np.ndarray) -> float:
-        """Discrete space-time H1 norm of the induced interior source."""
-        g = self.basic.grid
-        levels = [self.interior_source(t) for t in times]
-        total = 0.0
-        dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
-        for n, F in enumerate(levels):
-            for side in (+1, -1):
-                A = F.side(side)
-                sq = (
-                    _weighted_l2(A, g) ** 2
-                    + _weighted_l2(d1_field(A, g.h1), g) ** 2
-                    + _weighted_l2(d2_field(A, g.h2), g) ** 2
-                )
-                if 0 < n < len(levels) - 1:
-                    dA = (levels[n + 1].side(side) - levels[n - 1].side(side)) / (2 * dt)
-                    sq += _weighted_l2(dA, g) ** 2
-                total += sq * dt
-        return float(np.sqrt(total))
+        return tuple(out)
 
 
 def lift_boundary_data(g_func, grid: Grid, basic: BasicState,
@@ -665,7 +611,31 @@ def lift_boundary_data(g_func, grid: Grid, basic: BasicState,
     return BoundaryLift(basic=basic, g_func=g_func, epsilon=epsilon, ell=ell)
 
 
-# --- boundary-data norm surrogate ------------------------------------------
+# --- source and boundary-data norms -----------------------------------------
+
+
+def source_h1_norm(f_func, grid: Grid, times: np.ndarray) -> float:
+    """Discrete space-time H1 norm of a two-sided interior source.
+
+    f_func(t) returns a (plus, minus) pair of (6, N1, N2) arrays, as
+    Sources.f and BoundaryLift.interior_source do.
+    """
+    levels = [f_func(t) for t in times]
+    dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
+    total = 0.0
+    for n, pair in enumerate(levels):
+        for k in range(2):
+            A = np.asarray(pair[k], dtype=float)
+            sq = (
+                _weighted_l2(A, grid) ** 2
+                + _weighted_l2(d1_field(A, grid.h1), grid) ** 2
+                + _weighted_l2(d2_field(A, grid.h2), grid) ** 2
+            )
+            if 0 < n < len(levels) - 1:
+                dA = (np.asarray(levels[n + 1][k]) - np.asarray(levels[n - 1][k])) / (2 * dt)
+                sq += _weighted_l2(dA, grid) ** 2
+            total += sq * dt
+    return float(np.sqrt(total))
 
 
 def g_norm_h32(g_samples: np.ndarray, dt: float, h2: float) -> float:

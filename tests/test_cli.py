@@ -1,3 +1,5 @@
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,29 @@ class TestExitCodes:
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
 
+    def test_inadmissible_background_exits_two_with_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        overrides = ("grid.N1=16", "grid.N2=16", "state.p0=0.1", "state.rt_jump=-0.5")
+        code = run_cli("rt-run", "configs/rt_stable.cfg", out,
+                       extra=[a for ov in overrides for a in ("--override", ov)])
+        assert code == 2
+        assert "InadmissibleStateError" in (out / "report.txt").read_text()
+        assert "exit_code = 2" in (out / "manifest.txt").read_text()
+        assert "FAILED (exit 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        # the state itself overflows
+        ("grid.N1=16", "grid.N2=16", "grid.cfl_max=3", "run.T_final=400"),
+        # the state stays finite while its symmetrizer energy overflows
+        ("grid.N1=12", "grid.N2=12", "grid.cfl_max=4", "run.T_final=200"),
+    ])
+    def test_energy_test_blow_up_exits_three(self, tmp_path, capsys, overrides):
+        out = tmp_path / "o"
+        code = run_cli("energy-test", "configs/energy_test.cfg", out,
+                       extra=[a for ov in overrides for a in ("--override", ov)])
+        assert code == 3
+        assert "blow-up at t =" in (out / "report.txt").read_text()
+
 
 class TestEndToEnd:
     def test_adjoint_check_artifacts(self, tmp_path, capsys):
@@ -75,6 +100,8 @@ class TestEndToEnd:
         manifest = (out / "manifest.txt").read_text()
         assert "exit_code = 0" in manifest
         assert "grid.N1 = 12" in manifest
+        applied = "yes" if importlib.util.find_spec("threadpoolctl") else "no"
+        assert f"threads_applied = {applied}" in manifest.splitlines()
 
     def test_spectrum_artifacts_and_dat_copies(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"

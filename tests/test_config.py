@@ -91,6 +91,13 @@ class TestRawConfig:
         with pytest.raises(ConfigError, match="empty value"):
             read_raw_config(str(p))
 
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        p = tmp_path / "dup.cfg"
+        p.write_text("grid.N1 = 32\nstate.p = 1.5\ngrid.N1 = 64\n")
+        with pytest.raises(ConfigError,
+                           match=r"dup\.cfg:3: duplicate key grid\.N1 \(first set on line 1\)"):
+            read_raw_config(str(p))
+
 
 class TestOverrides:
     def test_override_replaces_and_adds(self):

@@ -8,8 +8,8 @@ from contact_stab.geometry import build_lifted_geometry
 from contact_stab.grid import Grid, d1_field, d2_field
 from contact_stab.linearization import (
     BoundaryTrace,
+    a1_tilde_grid,
     apply_linearized_operator,
-    assemble_A1_tilde,
     basic_state_from_arrays,
     bc_residual,
     boundary_A1_exact,
@@ -73,7 +73,7 @@ class TestBoundaryAlgebra:
         d2phi = basic.geometry.d2_phi_boundary
         worst = 0.0
         for side in (+1, -1):
-            At = assemble_A1_tilde(basic, side)
+            At = a1_tilde_grid(basic, side)
             for i2 in range(0, grid.N2, 5):
                 tr = BoundaryTrace(
                     H1=basic.u.plus[3, 0, i2], H2=basic.u.plus[4, 0, i2],
