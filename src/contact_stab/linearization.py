@@ -463,37 +463,64 @@ def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
 
     Column k is the directional derivative of the coefficient matrices in
     the k-th unit state direction, contracted with the background
-    gradients: dA0 dtU_hat + dA1_tilde d1U_hat + dA2 d2U_hat.
+    gradients: dA0 dtU_hat + dA1_tilde d1U_hat + dA2 d2U_hat.  A gradient
+    that vanishes identically contributes nothing and is skipped, so a
+    constant background returns zeros without differentiating anything.
     """
     U = basic.u.side(side)
-    rho = basic.rho(side)
-    g = basic.gamma
     d1phi = basic.d1phi_map(side)
     _require_geometry(d1phi)
-    dtpsi = basic.dtpsi(side)
-    d2psi = basic.d2psi(side)
+    C = np.zeros((6, 6) + U.shape[1:])
     dtU = basic.dt_u.side(side)
     d1U = basic.d1_u.side(side)
     d2U = basic.d2_u.side(side)
-    C = np.zeros((6, 6) + U.shape[1:])
+    use_t, use_1, use_2 = dtU.any(), d1U.any(), d2U.any()
+    if not (use_t or use_1 or use_2):
+        return C
+    rho = basic.rho(side)
+    g = basic.gamma
+    dtpsi = basic.dtpsi(side)
+    d2psi = basic.d2psi(side)
     eye = np.eye(6)
     for k in range(6):
         Y = eye[k]
         dA0 = mhd.da0_matrix(U[0], rho, Y, g)
-        dA1 = mhd.da1_matrix(U[0], U[1], rho, Y, g)
         dA2 = mhd.da2_matrix(U[0], U[2], rho, Y, g)
-        dA1t = (dA1 - dA0 * dtpsi - dA2 * d2psi) / d1phi
-        C[:, k] = (
-            np.einsum("ij...,j...->i...", dA0, dtU)
-            + np.einsum("ij...,j...->i...", dA1t, d1U)
-            + np.einsum("ij...,j...->i...", dA2, d2U)
-        )
+        terms = []
+        if use_t:
+            terms.append(np.einsum("ij...,j...->i...", dA0, dtU))
+        if use_1:
+            dA1 = mhd.da1_matrix(U[0], U[1], rho, Y, g)
+            dA1t = (dA1 - dA0 * dtpsi - dA2 * d2psi) / d1phi
+            terms.append(np.einsum("ij...,j...->i...", dA1t, d1U))
+        if use_2:
+            terms.append(np.einsum("ij...,j...->i...", dA2, d2U))
+        C[:, k] = sum(terms)
     return C
+
+
+def _nonzero_entries(M: np.ndarray) -> tuple:
+    """(i, j, c) for each entry of a (6, 6, N1, N2) field that is nonzero
+    somewhere: c is a float when the entry is the same at every grid point,
+    otherwise the (N1, N2) view M[i, j]."""
+    out = []
+    for i in range(M.shape[0]):
+        for j in range(M.shape[1]):
+            entry = M[i, j]
+            if not entry.any():
+                continue
+            first = entry.flat[0]
+            out.append((i, j, float(first) if np.all(entry == first) else entry))
+    return tuple(out)
 
 
 @dataclass
 class SideCoefficients:
-    """The interior operator of one side, assembled on the grid."""
+    """The interior operator of one side, assembled on the grid.
+
+    The dense At1/A2/C fields are kept; apply contracts with their nonzero
+    entries only, listed once at construction.
+    """
 
     A0_diag: np.ndarray      # (6, N1, N2)
     A0_inv_diag: np.ndarray
@@ -506,14 +533,22 @@ class SideCoefficients:
     w2: np.ndarray
     div_u: np.ndarray
     d2psi: np.ndarray
+    At1_nz: tuple = field(init=False, repr=False)   # nonzero (i, j, c) entries
+    A2_nz: tuple = field(init=False, repr=False)
+    C_nz: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.At1_nz = _nonzero_entries(self.At1)
+        self.A2_nz = _nonzero_entries(self.A2)
+        self.C_nz = _nonzero_entries(self.C)
 
     def apply(self, U: np.ndarray, d1U: np.ndarray, d2U: np.ndarray) -> np.ndarray:
         """A1_tilde d1U + A2 d2U + C U, the spatial part of the operator."""
-        return (
-            np.einsum("ijkl,jkl->ikl", self.At1, d1U)
-            + np.einsum("ijkl,jkl->ikl", self.A2, d2U)
-            + np.einsum("ijkl,jkl->ikl", self.C, U)
-        )
+        out = np.zeros(U.shape)
+        for entries, X in ((self.At1_nz, d1U), (self.A2_nz, d2U), (self.C_nz, U)):
+            for i, j, c in entries:
+                out[i] += c * X[j]
+        return out
 
 
 def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:

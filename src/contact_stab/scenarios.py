@@ -8,7 +8,7 @@ dumps, and the exit status (0 success, 1 check failure, 2 config error,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -116,18 +116,22 @@ def contact_pair_from_config(cfg: ScenarioConfig) -> spectral.ContactPair:
     return spectral.ContactPair(st(cfg["state.S_plus"]), st(cfg["state.S_minus"]))
 
 
-def grid_from_config(cfg: ScenarioConfig, basic_builder=None,
-                     epsilon: float | None = None, T_final: float | None = None) -> Grid:
+def grid_from_config(cfg: ScenarioConfig, basic_builder, epsilon: float | None = None,
+                     T_final: float | None = None) -> tuple[Grid, BasicState]:
+    """The run grid (dt from the background's CFL speed bound) and the
+    background on it.  The background does not depend on dt, so it is built
+    once on a proto grid and moved onto the final grid."""
     proto = Grid(cfg["grid.N1"], cfg["grid.N2"], cfg["grid.X1"], cfg["grid.X2"])
     if T_final is None:
         T_final = cfg.get("run.T_final", 0.0)
     if epsilon is None:
         epsilon = cfg.get("run.epsilon", 0.0)
-    basic = basic_builder(cfg, proto) if basic_builder is not None else None
-    return solver.build_grid(
+    basic = basic_builder(cfg, proto)
+    grid = solver.build_grid(
         cfg["grid.N1"], cfg["grid.N2"], cfg["grid.X1"], cfg["grid.X2"],
         T_final, basic=basic, epsilon=epsilon, cfl_max=cfg["grid.cfl_max"],
     )
+    return grid, replace(basic, grid=grid)
 
 
 # --- seeded interface/interior forcing --------------------------------------
@@ -390,8 +394,7 @@ def run_spectrum(cfg: ScenarioConfig) -> ScenarioResult:
 
 def run_energy_test(cfg: ScenarioConfig) -> ScenarioResult:
     eps = cfg["run.epsilon"]
-    grid = grid_from_config(cfg, constant_state_from_config, epsilon=eps)
-    basic = constant_state_from_config(cfg, grid)
+    grid, basic = grid_from_config(cfg, constant_state_from_config, epsilon=eps)
     init = solver.divergence_free_pulse(
         grid, center=cfg["pulse.center"], width=cfg["pulse.width"],
         k2=cfg["pulse.k2"], amplitude=cfg["pulse.amplitude"], seed=cfg["run.seed"],
@@ -426,8 +429,7 @@ def neutral_mode_discrete_error(N: int, cfg: ScenarioConfig) -> float:
     sub["grid.N1"], sub["grid.N2"] = N, N
     scfg = ScenarioConfig(kind=cfg.kind, values=sub, raw=cfg.raw)
     eps = cfg["run.epsilon"]
-    grid = grid_from_config(scfg, constant_state_from_config, epsilon=eps)
-    basic = constant_state_from_config(scfg, grid)
+    grid, basic = grid_from_config(scfg, constant_state_from_config, epsilon=eps)
     k = cfg["neutral.omega2"]
     v2 = cfg["state.v2"]
     snap = Snapshot.zeros(grid)
@@ -478,8 +480,7 @@ def run_neutral_mode(cfg: ScenarioConfig) -> ScenarioResult:
 
 def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     eps = cfg["run.epsilon"]
-    grid = grid_from_config(cfg, rt_state_from_config, epsilon=eps)
-    basic = rt_state_from_config(cfg, grid)
+    grid, basic = grid_from_config(cfg, rt_state_from_config, epsilon=eps)
     sources = make_forcing(grid, cfg["run.seed"], cfg["forcing.amplitude"],
                            cfg["forcing.t_ramp"], cfg["forcing.k2"])
     res = solver.run(basic, eps, sources=sources,
@@ -515,8 +516,7 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
 
 def run_eps_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     eps_list = cfg["sweep.eps_list"]
-    grid = grid_from_config(cfg, rt_state_from_config, epsilon=max(eps_list))
-    basic = rt_state_from_config(cfg, grid)
+    grid, basic = grid_from_config(cfg, rt_state_from_config, epsilon=max(eps_list))
     sources = make_forcing(grid, cfg["run.seed"], cfg["forcing.amplitude"],
                            cfg["forcing.t_ramp"], cfg["forcing.k2"])
     result = solver.eps_sweep(basic, eps_list, sources=sources)
@@ -569,9 +569,8 @@ def run_mms(cfg: ScenarioConfig) -> ScenarioResult:
             sub = dict(cfg.values)
             sub["grid.N1"], sub["grid.N2"] = N, N
             scfg = ScenarioConfig(kind=cfg.kind, values=sub, raw=cfg.raw)
-            grid = grid_from_config(scfg, constant_state_from_config,
-                                    epsilon=cfg["run.epsilon"])
-            basic = constant_state_from_config(scfg, grid)
+            grid, basic = grid_from_config(scfg, constant_state_from_config,
+                                           epsilon=cfg["run.epsilon"])
             err, div = problem.run_error(grid, basic)
             errs.append(err)
             divs.append(div)

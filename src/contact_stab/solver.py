@@ -181,21 +181,30 @@ class Sources:
     """Interior sources f_pm(t) and interface data g(t).
 
     f(t) must return a pair of (6, N1, N2) arrays, g(t) a (5, N2) array;
-    either may be None for homogeneous data.
+    either may be None for homogeneous data.  Each callback's last value is
+    kept and returned again for the same t, so an RK4 step evaluates each
+    callback once per distinct stage time; callers must not modify the
+    returned arrays.
     """
 
     f: object = None
     g: object = None
+    _f_last: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _g_last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def f_eval(self, t: float):
         if self.f is None:
             return None
-        return self.f(t)
+        if self._f_last is None or self._f_last[0] != t:
+            self._f_last = (t, self.f(t))
+        return self._f_last[1]
 
     def g_eval(self, t: float):
         if self.g is None:
             return None
-        return np.asarray(self.g(t), dtype=float)
+        if self._g_last is None or self._g_last[0] != t:
+            self._g_last = (t, np.asarray(self.g(t), dtype=float))
+        return self._g_last[1]
 
 
 def _upwind_d2(phi: np.ndarray, a: np.ndarray, h2: float) -> np.ndarray:
@@ -688,7 +697,7 @@ def eps_sweep(basic: BasicState, eps_list, sources: Sources | None = None,
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     grid = basic.grid
-    coeffs = assemble_coefficients(basic)
+    d1phi_wall = basic.d1phi_map(+1)[0, :]
     sols = []
     J_max = []
     trace_bound = []
@@ -708,7 +717,7 @@ def eps_sweep(basic: BasicState, eps_list, sources: Sources | None = None,
         J_max.append(res.J_max)
         tb = 0.0
         for snap in res.snapshots:
-            f7w = snap.f7(coeffs, +1)[0, :]
+            f7w = snap.a_plus[0, :] * d1phi_wall
             tb = max(tb, eps * _line_l2(f7w, grid))
         trace_bound.append(tb)
     diffs = []

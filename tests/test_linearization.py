@@ -19,9 +19,11 @@ from contact_stab.linearization import (
     first_variation,
     good_unknown,
     good_unknown_inverse,
+    side_coefficients,
     two_sided_signature,
     validate_basic_state,
     w_congruence_check,
+    zero_order_matrix,
 )
 
 from conftest import boundary_traces
@@ -250,3 +252,94 @@ class TestLinearizedOperator:
         ).copy()
         res = apply_linearized_operator(U, basic, +1)
         assert np.max(np.abs(res)) <= 1e-13
+
+
+def rt_background(grid):
+    from contact_stab.scenarios import rt_basic_state
+
+    return rt_basic_state(grid, rt_jump=0.5)
+
+
+def expression_background(grid, tmp_path):
+    """A config-driven background with every gradient nonzero and a curved
+    front, so all three coefficient fields vary over the grid."""
+    from contact_stab.config import parse_config
+    from contact_stab.scenarios import expression_state_from_config
+
+    lines = ["state.kind = expressions"]
+    for side in ("plus", "minus"):
+        lines += [
+            f"state.p_{side} = 1 + 0.2*exp(-x1)*cos(x2)",
+            f"state.v1_{side} = 0.1*exp(-x1)*sin(x2)",
+            f"state.v2_{side} = 0.2 + 0.1*exp(-x1)",
+            f"state.H1_{side} = 1",
+            f"state.H2_{side} = 0.3 + 0.1*exp(-x1)*cos(x2)",
+            f"state.S_{side} = 0.1*cos(x2)",
+        ]
+    lines.append("front.phi = 0.2*cos(x2)")
+    p = tmp_path / "expr.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    return expression_state_from_config(parse_config(str(p), "validate-state"), grid)
+
+
+class TestSparseApply:
+    @pytest.mark.parametrize("kind", ["constant", "rt", "expression"])
+    def test_matches_dense_contraction(self, kind, rng, tmp_path):
+        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
+        basic = {
+            "constant": lambda: constant_basic_state(grid, v2=0.3, H2=0.4),
+            "rt": lambda: rt_background(grid),
+            "expression": lambda: expression_background(grid, tmp_path),
+        }[kind]()
+        for side in (+1, -1):
+            sc = side_coefficients(basic, side)
+            U = rng.standard_normal((6, grid.N1, grid.N2))
+            d1U, d2U = d1_field(U, grid.h1), d2_field(U, grid.h2)
+            dense = (
+                np.einsum("ijkl,jkl->ikl", sc.At1, d1U)
+                + np.einsum("ijkl,jkl->ikl", sc.A2, d2U)
+                + np.einsum("ijkl,jkl->ikl", sc.C, U)
+            )
+            np.testing.assert_allclose(sc.apply(U, d1U, d2U), dense, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(dense)))
+
+    def test_entries_are_the_nonzero_ones_and_constant_ones_are_floats(self):
+        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
+        sc = side_coefficients(constant_basic_state(grid, v2=0.3, H2=0.4), +1)
+        for M, entries in ((sc.At1, sc.At1_nz), (sc.A2, sc.A2_nz), (sc.C, sc.C_nz)):
+            listed = {(i, j) for i, j, _ in entries}
+            assert listed == {(i, j) for i in range(6) for j in range(6) if M[i, j].any()}
+            assert all(isinstance(c, float) for _, _, c in entries)
+        rt = side_coefficients(rt_background(grid), +1)
+        fields = [c for _, _, c in rt.At1_nz + rt.C_nz if not isinstance(c, float)]
+        assert fields and all(c.base is not None for c in fields)  # views, not copies
+
+
+class TestZeroOrderMatrix:
+    def test_exactly_zero_on_constant_background(self):
+        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
+        basic = constant_basic_state(grid, v2=0.3, H2=0.4)
+        for side in (+1, -1):
+            assert not zero_order_matrix(basic, side).any()
+
+    @pytest.mark.parametrize("kind", ["rt", "expression"])
+    def test_skipping_zero_gradients_keeps_the_full_sum(self, kind, tmp_path):
+        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
+        basic = rt_background(grid) if kind == "rt" else expression_background(grid, tmp_path)
+        for side in (+1, -1):
+            U = basic.u.side(side)
+            rho = basic.rho(side)
+            d1phi = basic.d1phi_map(side)
+            full = np.zeros((6, 6) + U.shape[1:])
+            for k in range(6):
+                Y = np.eye(6)[k]
+                dA0 = mhd.da0_matrix(U[0], rho, Y, basic.gamma)
+                dA1 = mhd.da1_matrix(U[0], U[1], rho, Y, basic.gamma)
+                dA2 = mhd.da2_matrix(U[0], U[2], rho, Y, basic.gamma)
+                dA1t = (dA1 - dA0 * basic.dtpsi(side) - dA2 * basic.d2psi(side)) / d1phi
+                full[:, k] = (
+                    np.einsum("ij...,j...->i...", dA0, basic.dt_u.side(side))
+                    + np.einsum("ij...,j...->i...", dA1t, basic.d1_u.side(side))
+                    + np.einsum("ij...,j...->i...", dA2, basic.d2_u.side(side))
+                )
+            assert np.array_equal(zero_order_matrix(basic, side), full)

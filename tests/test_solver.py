@@ -276,3 +276,85 @@ class TestEpsSweep:
         lines = res.table_lines()
         assert lines[0].startswith("eps,")
         assert len(lines) == 3
+
+
+class _UnmemoizedSources(Sources):
+    """Calls the callbacks at every evaluation, as before the memo."""
+
+    def f_eval(self, t):
+        return self.f(t)
+
+    def g_eval(self, t):
+        return np.asarray(self.g(t), dtype=float)
+
+
+class TestSourceEvaluation:
+    def _forcing(self, grid, calls):
+        X1, X2 = grid.mesh()
+        bump = np.exp(-((X1 - 1.0) / 0.5) ** 2) * np.cos(X2)
+
+        def f(t):
+            calls["f"].append(t)
+            return (np.sin(3.0 * t) * np.stack([bump] * 6),
+                    np.cos(2.0 * t) * np.stack([bump] * 6))
+
+        def g(t):
+            calls["g"].append(t)
+            return 0.1 * np.sin(t) * np.stack([np.cos(grid.x2)] * 5)
+
+        return f, g
+
+    def test_each_callback_runs_once_per_distinct_stage_time(self):
+        basic, grid = small_basic()
+        calls = {"f": [], "g": []}
+        f, g = self._forcing(grid, calls)
+        snap = divergence_free_pulse(grid, seed=1)
+        snap = step(snap, basic, 1e-2, sources=Sources(f=f, g=g))
+        for name in ("f", "g"):
+            assert len(calls[name]) == len(set(calls[name])) <= 3
+
+    def test_step_outputs_unchanged_by_the_memo(self):
+        basic, grid = small_basic()
+        coeffs = assemble_coefficients(basic)
+        f, g = self._forcing(grid, {"f": [], "g": []})
+        memo, plain = divergence_free_pulse(grid, seed=1), divergence_free_pulse(grid, seed=1)
+        src_memo, src_plain = Sources(f=f, g=g), _UnmemoizedSources(f=f, g=g)
+        for _ in range(3):
+            memo = step(memo, basic, 1e-2, sources=src_memo, coeffs=coeffs)
+            plain = step(plain, basic, 1e-2, sources=src_plain, coeffs=coeffs)
+        assert np.array_equal(memo.U.plus, plain.U.plus)
+        assert np.array_equal(memo.U.minus, plain.U.minus)
+        assert np.array_equal(memo.phi.phi, plain.phi.phi)
+        assert np.array_equal(memo.a_plus, plain.a_plus)
+        assert np.array_equal(memo.a_minus, plain.a_minus)
+
+
+class TestAssemblyCounts:
+    def test_eps_sweep_assembles_once_per_eps(self, monkeypatch):
+        basic, _ = small_basic(T=0.05)
+        count = []
+        orig = solver.assemble_coefficients
+        monkeypatch.setattr(solver, "assemble_coefficients",
+                            lambda b: count.append(1) or orig(b))
+        eps_sweep(basic, [0.1, 0.05], sources=None)
+        assert len(count) == 2
+
+    def test_grid_from_config_builds_the_background_once(self, tmp_path):
+        from contact_stab.config import parse_config
+        from contact_stab.scenarios import constant_state_from_config, grid_from_config
+
+        p = tmp_path / "e.cfg"
+        p.write_text("grid.N1 = 16\ngrid.N2 = 16\nrun.T_final = 0.1\n")
+        cfg = parse_config(str(p), "energy-test")
+        built = []
+
+        def builder(c, g):
+            built.append(g)
+            return constant_state_from_config(c, g)
+
+        grid, basic = grid_from_config(cfg, builder)
+        assert len(built) == 1
+        assert basic.grid is grid and grid.n_steps > 0
+        fresh = constant_state_from_config(cfg, grid)
+        assert np.array_equal(basic.u.plus, fresh.u.plus)
+        assert np.array_equal(basic.d1phi_map(-1), fresh.d1phi_map(-1))
