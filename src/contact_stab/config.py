@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import MIN_NODES
+
 
 class ConfigError(ValueError):
     pass
@@ -267,6 +269,13 @@ def _as_posint(key, text):
     return v
 
 
+def _as_grid_size(key, text):
+    v = _as_posint(key, text)
+    if v < MIN_NODES:
+        raise ConfigError(f"{key} must be at least {MIN_NODES}, got {v}")
+    return v
+
+
 def _as_word(key, text):
     return text
 
@@ -285,6 +294,17 @@ def _as_int_list(key, text):
         raise ConfigError(f"{key} must be a comma-separated list of integers") from None
 
 
+def _as_refinements(key, text):
+    """Grid sizes of a convergence study: at least two, each a valid grid."""
+    sizes = _as_int_list(key, text)
+    if len(sizes) < 2:
+        raise ConfigError(f"{key} needs at least 2 grid sizes to fit an order, got {len(sizes)}")
+    small = [n for n in sizes if n < MIN_NODES]
+    if small:
+        raise ConfigError(f"{key} entries must be at least {MIN_NODES}, got {small[0]}")
+    return sizes
+
+
 def _as_expr(key, text):
     try:
         return Expression.compile(text)
@@ -295,8 +315,8 @@ def _as_expr(key, text):
 # schemas ---------------------------------------------------------------------
 
 _GRID_SCHEMA = {
-    "grid.N1": (_as_posint, 96),
-    "grid.N2": (_as_posint, 96),
+    "grid.N1": (_as_grid_size, 96),
+    "grid.N2": (_as_grid_size, 96),
     "grid.X1": (_as_posfloat, 6.0),
     "grid.X2": (_as_posfloat, 2.0 * math.pi),
     "grid.cfl_max": (_as_posfloat, 0.4),
@@ -368,7 +388,7 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
     "neutral-mode": {
         **_GRID_SCHEMA, **_RUN_SCHEMA, **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
         "neutral.omega2": (_as_posint, 2),
-        "neutral.refinements": (_as_int_list, [33, 65, 129]),
+        "neutral.refinements": (_as_refinements, [33, 65, 129]),
     },
     "rt-run": {
         **_GRID_SCHEMA, **_RUN_SCHEMA, **_PHYSICS_SCHEMA, **_RT_STATE_SCHEMA,
@@ -398,7 +418,7 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "mms.omega2": (_as_posfloat, 2.0),
         "mms.omega_t": (_as_posfloat, 1.5),
         "mms.amplitude": (_as_posfloat, 1.0),
-        "mms.refinements": (_as_int_list, [33, 65, 129]),
+        "mms.refinements": (_as_refinements, [33, 65, 129]),
     },
 }
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_NODES = 4   # per direction; the widest stencils reach two nodes away
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -21,11 +23,10 @@ class Grid:
     X2: float
     dt: float = 0.0
     T_final: float = 0.0
-    cfl_max: float = 0.4
 
     def __post_init__(self):
-        if self.N1 < 4 or self.N2 < 4:
-            raise ValueError("grid needs at least 4 nodes per direction")
+        if self.N1 < MIN_NODES or self.N2 < MIN_NODES:
+            raise ValueError(f"grid needs at least {MIN_NODES} nodes per direction")
         if self.X1 <= 0 or self.X2 <= 0:
             raise ValueError("grid extents must be positive")
 

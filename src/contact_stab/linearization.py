@@ -32,7 +32,6 @@ import numpy as np
 from . import mhd
 from .fields import FrontState, TwoSidedField
 from .geometry import (
-    AdmissibilityError,
     LiftedGeometry,
     build_lifted_geometry,
     normal_component,
@@ -43,6 +42,11 @@ from .grid import Grid, d1_field, d2_field, d2_line, one_sided_d1_at_wall
 
 ZERO_EIG_REL_TOL = 1e-9
 MIN_D1PHI = 0.25
+
+# admissibility floors of the background: rho_hat, p_hat and |H_N| on x1 = 0
+RHO_BAR0 = 1e-2
+P_BAR0 = 1e-2
+KAPPA_BAR0 = 1e-2
 
 
 class GeometryError(ValueError):
@@ -63,10 +67,6 @@ class BoundaryTrace:
     @property
     def HN(self) -> float:
         return self.H1 - self.H2 * self.d2phi
-
-    def require_admissible(self, kappa0: float = 1e-10) -> None:
-        if abs(self.HN) < kappa0:
-            raise AdmissibilityError(f"|H_N| = {abs(self.HN):.3g} below {kappa0}")
 
 
 def boundary_A1_exact(trace: BoundaryTrace, side: int) -> np.ndarray:
@@ -130,11 +130,6 @@ def _inertia(sym: np.ndarray) -> tuple[int, int, int]:
     return n_pos, n_neg, len(lam) - n_pos - n_neg
 
 
-def boundary_signature(trace: BoundaryTrace, side: int) -> tuple[int, int, int]:
-    """Inertia (n_pos, n_neg, n_zero) of B1 on the given side."""
-    return _inertia(b1_structure(trace, side))
-
-
 def two_sided_signature(trace: BoundaryTrace) -> tuple[int, int, int]:
     """Inertia of diag(A1_tilde^+, A1_tilde^-) at the interface."""
     M = np.zeros((12, 12))
@@ -144,13 +139,6 @@ def two_sided_signature(trace: BoundaryTrace) -> tuple[int, int, int]:
 
 
 # --- basic state ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StateBounds:
-    rho_bar0: float = 1e-2
-    p_bar0: float = 1e-2
-    kappa_bar0: float = 1e-2
 
 
 @dataclass
@@ -172,7 +160,6 @@ class BasicState:
     dt_phi: np.ndarray
     gamma: float = mhd.GAMMA_DEFAULT
     A_eos: float = mhd.A_EOS_DEFAULT
-    bounds: StateBounds = field(default_factory=StateBounds)
 
     # -- component access ----------------------------------------------------
 
@@ -222,12 +209,11 @@ class BasicState:
 
     # -- boundary data used by the linearized interface conditions -----------
 
-    def boundary_trace(self, i2=None) -> BoundaryTrace:
-        """Background boundary trace (uses the + side; valid states agree)."""
+    def boundary_trace(self, i2: int) -> BoundaryTrace:
+        """Background boundary trace at node i2 (uses the + side; valid
+        states agree)."""
         d2phi = self.geometry.d2_phi_boundary
         U = self.u.plus[:, 0, :]
-        if i2 is None:
-            i2 = 0
         return BoundaryTrace(H1=float(U[3, i2]), H2=float(U[4, i2]), d2phi=float(d2phi[i2]))
 
     def jump_d1_p(self) -> np.ndarray:
@@ -254,7 +240,6 @@ def basic_state_from_arrays(
     dt_u: TwoSidedField | None = None,
     gamma: float = mhd.GAMMA_DEFAULT,
     A_eos: float = mhd.A_EOS_DEFAULT,
-    bounds: StateBounds | None = None,
 ) -> BasicState:
     """Build a BasicState from gridded data; derivatives via grid stencils."""
     if phi_hat is None:
@@ -271,7 +256,7 @@ def basic_state_from_arrays(
     return BasicState(
         grid=grid, u=u, phi_hat=front, geometry=geometry,
         dt_u=dt_u, d1_u=d1, d2_u=d2, dt_phi=np.asarray(dt_phi, dtype=float),
-        gamma=gamma, A_eos=A_eos, bounds=bounds or StateBounds(),
+        gamma=gamma, A_eos=A_eos,
     )
 
 
@@ -348,16 +333,15 @@ def _argmax_loc(arr) -> str:
 def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationReport:
     """Check the background against the admissibility assumptions.
 
-    positivity        p_hat, rho_hat bounded below by the declared constants
+    positivity        p_hat, rho_hat bounded below by P_BAR0, RHO_BAR0
     interface_continuity   [p]=0, [v]=0, [H_tau]=0 and front speed = v_N^+ on x1=0
-    normal_field      |H_N| >= kappa_bar0 on the interface
+    normal_field      |H_N| >= KAPPA_BAR0 on the interface
     induction         background magnetic field solves its transport system
     solenoidal        div h_hat = 0 and [H_N] = 0
     normal_velocity_jump   one-sided-sum jump of d1 v_N vanishes
     front_bound       sup |phi_hat| < 1
     """
     checks: list[CheckResult] = []
-    b = basic.bounds
     g = basic.grid
 
     # positivity
@@ -366,7 +350,7 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
     for side in (+1, -1):
         p = basic.comp(side, 0)
         rho = basic.rho(side)
-        viol = np.maximum(b.p_bar0 - p, b.rho_bar0 - rho)
+        viol = np.maximum(P_BAR0 - p, RHO_BAR0 - rho)
         m = float(np.max(viol))
         if m > worst:
             worst, loc = m, _argmax_loc(viol)
@@ -385,8 +369,8 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
 
     # normal field bounded away from zero on the interface
     hn = np.minimum(np.abs(basic.HN(+1)[0, :]), np.abs(basic.HN(-1)[0, :]))
-    short = float(np.max(b.kappa_bar0 - hn))
-    checks.append(CheckResult("normal_field", short <= tol, max(short, 0.0), _argmax_loc(b.kappa_bar0 - hn)))
+    short = float(np.max(KAPPA_BAR0 - hn))
+    checks.append(CheckResult("normal_field", short <= tol, max(short, 0.0), _argmax_loc(KAPPA_BAR0 - hn)))
 
     # induction residual of the background
     worst = 0.0
@@ -576,45 +560,7 @@ def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:
     )
 
 
-# --- good unknown -----------------------------------------------------------
-
-
-def good_unknown(U_field: np.ndarray, psi_field: np.ndarray, basic: BasicState, side: int) -> np.ndarray:
-    """U_dot = U - (Psi / d1Phi_hat) d1U_hat."""
-    d1phi = basic.d1phi_map(side)
-    _require_geometry(d1phi)
-    return U_field - (psi_field / d1phi) * basic.d1_u.side(side)
-
-
-def good_unknown_inverse(U_dot: np.ndarray, psi_field: np.ndarray, basic: BasicState, side: int) -> np.ndarray:
-    d1phi = basic.d1phi_map(side)
-    _require_geometry(d1phi)
-    return U_dot + (psi_field / d1phi) * basic.d1_u.side(side)
-
-
-# --- linearized operator ----------------------------------------------------
-
-
-def apply_linearized_operator(
-    U_dot: np.ndarray,
-    basic: BasicState,
-    side: int,
-    Ut: np.ndarray | None = None,
-    f: np.ndarray | None = None,
-) -> np.ndarray:
-    """Residual A0 dtU + A1_tilde d1U + A2 d2U + C U - f on the grid.
-
-    Ut is the time derivative of U_dot (zero if omitted, for static
-    perturbations); derivatives use the module's grid stencils.
-    """
-    g = basic.grid
-    sc = side_coefficients(basic, side)
-    res = sc.apply(U_dot, d1_field(U_dot, g.h1), d2_field(U_dot, g.h2))
-    if Ut is not None:
-        res += sc.A0_diag * Ut
-    if f is not None:
-        res -= f
-    return res
+# --- first variation --------------------------------------------------------
 
 
 def first_variation(

@@ -76,19 +76,10 @@ class PlasmaState:
                 f"state p={self.p}, S={self.S} violates p, rho > {ADMISSIBLE_FLOOR}"
             )
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.p, self.v1, self.v2, self.H1, self.H2, self.S])
-
     @staticmethod
     def from_vector(u, gamma=GAMMA_DEFAULT, A_eos=A_EOS_DEFAULT) -> "PlasmaState":
         u = np.asarray(u, dtype=float)
         return PlasmaState(*[float(c) for c in u[:6]], gamma=gamma, A_eos=A_eos)
-
-
-def sound_speed_sq(state: PlasmaState) -> float:
-    """c^2 = gamma * p / rho for an admissible state."""
-    state.require_admissible()
-    return state.gamma * state.p / state.rho
 
 
 @dataclass(frozen=True)
@@ -241,14 +232,6 @@ class ContactJumpReport:
     front_kinematic_residual: float
     mass_flux: float
     HN_magnitude: float
-
-    def is_valid_contact(self, tol: float = 1e-10) -> bool:
-        jumps = (self.jump_p, self.jump_v1, self.jump_v2, self.jump_H1, self.jump_H2)
-        if any(abs(j) > tol for j in jumps):
-            return False
-        if abs(self.front_kinematic_residual) > tol:
-            return False
-        return self.HN_magnitude > tol
 
 
 def contact_jump_report(

@@ -116,20 +116,18 @@ def contact_pair_from_config(cfg: ScenarioConfig) -> spectral.ContactPair:
     return spectral.ContactPair(st(cfg["state.S_plus"]), st(cfg["state.S_minus"]))
 
 
-def grid_from_config(cfg: ScenarioConfig, basic_builder, epsilon: float | None = None,
-                     T_final: float | None = None) -> tuple[Grid, BasicState]:
+def grid_from_config(cfg: ScenarioConfig, basic_builder,
+                     epsilon: float | None = None) -> tuple[Grid, BasicState]:
     """The run grid (dt from the background's CFL speed bound) and the
     background on it.  The background does not depend on dt, so it is built
     once on a proto grid and moved onto the final grid."""
     proto = Grid(cfg["grid.N1"], cfg["grid.N2"], cfg["grid.X1"], cfg["grid.X2"])
-    if T_final is None:
-        T_final = cfg.get("run.T_final", 0.0)
     if epsilon is None:
         epsilon = cfg.get("run.epsilon", 0.0)
     basic = basic_builder(cfg, proto)
     grid = solver.build_grid(
         cfg["grid.N1"], cfg["grid.N2"], cfg["grid.X1"], cfg["grid.X2"],
-        T_final, basic=basic, epsilon=epsilon, cfl_max=cfg["grid.cfl_max"],
+        cfg["run.T_final"], basic=basic, epsilon=epsilon, cfl_max=cfg["grid.cfl_max"],
     )
     return grid, replace(basic, grid=grid)
 
@@ -282,13 +280,13 @@ class ManufacturedProblem:
             a_minus=a[-1],
         )
 
-    def run_error(self, grid: Grid, basic: BasicState, store_every: int | None = None):
-        """(relative space-time L2 error, max divergence defect) of a run."""
-        if store_every is None:
-            store_every = max(grid.n_steps // 8, 1)
+    def run_error(self, grid: Grid, basic: BasicState):
+        """(relative space-time L2 error, max divergence defect) of a run,
+        measured on the levels stored every n_steps // 8 steps."""
+        every = max(grid.n_steps // 8, 1)
         res = solver.run(basic, self.epsilon, sources=self.sources(grid),
-                         initial=self.initial(grid), store_snapshots_every=store_every,
-                         report_every=max(grid.n_steps // 8, 1))
+                         initial=self.initial(grid), store_snapshots_every=every,
+                         report_every=every)
         if res.blew_up:
             raise solver.BlowUpError(res.blowup_time or 0.0)
         X1g, X2g = grid.mesh()
@@ -494,7 +492,7 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     # interior source induced by lifting the interface data
     times = np.linspace(0.0, grid.T_final, min(grid.n_steps + 1, 33))
     f_norm = source_h1_norm(sources.f, grid, times)
-    lift = solver.lift_boundary_data(sources.g, grid, basic, epsilon=eps)
+    lift = solver.BoundaryLift(basic, sources.g, epsilon=eps)
     lift.front_lift(times)
     F_norm = source_h1_norm(lift.interior_source, grid, times)
     total = f_norm + F_norm

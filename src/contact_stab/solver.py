@@ -81,19 +81,17 @@ def build_grid(
     basic: BasicState | None = None,
     epsilon: float = 0.0,
     cfl_max: float = 0.4,
-    speed: float | None = None,
 ) -> Grid:
     """Grid with a CFL-satisfying dt that divides T_final evenly."""
     proto = Grid(N1, N2, X1, X2)
-    if speed is None:
-        speed = speed_bound(basic, epsilon) if basic is not None else 1.0
+    speed = speed_bound(basic, epsilon) if basic is not None else 1.0
     speed = max(speed, 1e-10)
     dt_max = cfl_max * min(proto.h1, proto.h2) / speed
     if dt_max <= 0:
         raise ValueError("CFL constraint cannot be met")
     n = max(int(np.ceil(T_final / dt_max)), 1) if T_final > 0 else 0
     dt = T_final / n if n else dt_max
-    return Grid(N1, N2, X1, X2, dt=dt, T_final=T_final, cfl_max=cfl_max)
+    return Grid(N1, N2, X1, X2, dt=dt, T_final=T_final)
 
 
 # --- assembled coefficients -------------------------------------------------
@@ -152,12 +150,12 @@ class Snapshot:
     a_minus: np.ndarray
 
     @staticmethod
-    def zeros(grid: Grid, t: float = 0.0) -> "Snapshot":
+    def zeros(grid: Grid) -> "Snapshot":
         shape = (6, grid.N1, grid.N2)
         return Snapshot(
             U=TwoSidedField.zeros(shape),
-            phi=FrontState(np.zeros(grid.N2), t),
-            t=t,
+            phi=FrontState(np.zeros(grid.N2)),
+            t=0.0,
             a_plus=np.zeros(shape[1:]),
             a_minus=np.zeros(shape[1:]),
         )
@@ -218,7 +216,7 @@ def _upwind_d2(phi: np.ndarray, a: np.ndarray, h2: float) -> np.ndarray:
     return np.where(a >= 0.0, dp, dm)
 
 
-# --- single step ------------------------------------------------------------
+# --- interior right-hand sides ----------------------------------------------
 
 
 def _interior_rhs(U: np.ndarray, sc: SideCoefficients, epsilon: float,
@@ -248,9 +246,31 @@ def _companion_rhs(a: np.ndarray, sc: SideCoefficients, epsilon: float,
     return rhs
 
 
-def _front_rhs(phi: np.ndarray, Up: np.ndarray, coeffs: Coefficients,
+# --- interface closure ------------------------------------------------------
+# Rows 0-3 of the interface conditions are _jump_residual, row 4 is
+# _front_rhs; the time step and the boundary-data lift both use them.
+
+
+def _jump_residual(tp: np.ndarray, tm: np.ndarray, phi: np.ndarray,
+                   coeffs: Coefficients, g_rows: np.ndarray | None) -> np.ndarray:
+    """Rows 0-3 of the interface conditions minus the data g, (4, N2),
+    for the (6, N2) traces tp, tm and the front phi."""
+    tau = coeffs.tau1
+    r = np.stack([
+        tp[0] - tm[0] + phi * coeffs.jump_d1_p,
+        tp[1] - tm[1],
+        tp[2] - tm[2],
+        (tp[3] * tau + tp[4]) - (tm[3] * tau + tm[4]) + phi * coeffs.jump_d1_Htau,
+    ])
+    if g_rows is not None:
+        r -= g_rows[:4]
+    return r
+
+
+def _front_rhs(phi: np.ndarray, trace_plus: np.ndarray, coeffs: Coefficients,
                g_rows: np.ndarray | None, grid: Grid) -> np.ndarray:
-    vN_plus = Up[1, 0, :] - Up[2, 0, :] * coeffs.tau1
+    """dphi/dt from the front equation, given the (6, N2) + side trace."""
+    vN_plus = trace_plus[1] - trace_plus[2] * coeffs.tau1
     rhs = vN_plus + phi * coeffs.d1_vN_plus - coeffs.v2_hat_wall * _upwind_d2(
         phi, coeffs.v2_hat_wall, grid.h2
     )
@@ -274,24 +294,18 @@ def apply_interface_conditions(
         arr[:, -1, :] = arr[:, -2, :]
     tp = U.plus[:, 0, :]
     tm = U.minus[:, 0, :]
-    g = g_rows if g_rows is not None else np.zeros((5, tp.shape[1]))
     tau = coeffs.tau1
-
-    r = tp[0] - tm[0] + phi * coeffs.jump_d1_p - g[0]
-    tp[0] -= 0.5 * r
-    tm[0] += 0.5 * r
-    for k, grow in ((1, g[1]), (2, g[2])):
-        r = tp[k] - tm[k] - grow
-        tp[k] -= 0.5 * r
-        tm[k] += 0.5 * r
-    htau_p = tp[3] * tau + tp[4]
-    htau_m = tm[3] * tau + tm[4]
-    r = htau_p - htau_m + phi * coeffs.jump_d1_Htau - g[3]
+    r = _jump_residual(tp, tm, phi, coeffs, g_rows)
+    tp[:3] -= 0.5 * r[:3]
+    tm[:3] += 0.5 * r[:3]
     wt = 0.5 / (1.0 + tau ** 2)
-    tp[3] -= r * wt * tau
-    tp[4] -= r * wt
-    tm[3] += r * wt * tau
-    tm[4] += r * wt
+    tp[3] -= r[3] * wt * tau
+    tp[4] -= r[3] * wt
+    tm[3] += r[3] * wt * tau
+    tm[4] += r[3] * wt
+
+
+# --- single step ------------------------------------------------------------
 
 
 def _stage_rhs(snap: Snapshot, coeffs: Coefficients, epsilon: float,
@@ -302,7 +316,7 @@ def _stage_rhs(snap: Snapshot, coeffs: Coefficients, epsilon: float,
     return (
         _interior_rhs(snap.U.plus, coeffs.plus, epsilon, fp, grid),
         _interior_rhs(snap.U.minus, coeffs.minus, epsilon, fm, grid),
-        _front_rhs(snap.phi.phi, snap.U.plus, coeffs, g_rows, grid),
+        _front_rhs(snap.phi.phi, snap.U.plus[:, 0, :], coeffs, g_rows, grid),
         _companion_rhs(snap.a_plus, coeffs.plus, epsilon, fp, grid),
         _companion_rhs(snap.a_minus, coeffs.minus, epsilon, fm, grid),
     )
@@ -325,16 +339,14 @@ def _advance(snap: Snapshot, k, dt: float, coeffs: Coefficients,
 
 
 def step(snapshot: Snapshot, basic: BasicState, epsilon: float,
-         sources: Sources | None = None, coeffs: Coefficients | None = None,
-         dt: float | None = None) -> Snapshot:
-    """One classical RK4 step with per-stage interface closure."""
+         sources: Sources | None = None, coeffs: Coefficients | None = None) -> Snapshot:
+    """One classical RK4 step of size grid.dt with per-stage interface closure."""
     grid = basic.grid
     if coeffs is None:
         coeffs = assemble_coefficients(basic)
     if sources is None:
         sources = Sources()
-    if dt is None:
-        dt = grid.dt
+    dt = grid.dt
     t = snapshot.t
 
     k1 = _stage_rhs(snapshot, coeffs, epsilon, sources, grid, t)
@@ -485,8 +497,7 @@ def _finite_energy(snap: Snapshot, basic: BasicState, coeffs: Coefficients) -> f
 
 def run(basic: BasicState, epsilon: float, sources: Sources | None = None,
         initial: Snapshot | None = None, report_every: int = 1,
-        store_snapshots_every: int = 0, n_steps: int | None = None,
-        dt: float | None = None) -> RunResult:
+        store_snapshots_every: int = 0) -> RunResult:
     """Integrate to T_final, collecting energy reports along the way.
 
     The symmetrizer energy is recorded after every step; a non-finite
@@ -500,10 +511,7 @@ def run(basic: BasicState, epsilon: float, sources: Sources | None = None,
     if initial is not None:
         g_rows = sources.g_eval(snap.t)
         apply_interface_conditions(snap.U, snap.phi.phi, coeffs, g_rows)
-    if n_steps is None:
-        n_steps = grid.n_steps
-    if dt is None:
-        dt = grid.dt
+    n_steps = grid.n_steps
     reports = [energy_report(snap, basic, coeffs=coeffs)]
     stored = [snap.copy()] if store_snapshots_every else []
     energies: list[float] = []
@@ -511,7 +519,7 @@ def run(basic: BasicState, epsilon: float, sources: Sources | None = None,
     try:
         energies.append(_finite_energy(snap, basic, coeffs))
         for n in range(1, n_steps + 1):
-            new = step(prev, basic, epsilon, sources, coeffs, dt)
+            new = step(prev, basic, epsilon, sources, coeffs)
             energies.append(_finite_energy(new, basic, coeffs))
             if n % report_every == 0 or n == n_steps:
                 reports.append(energy_report(new, basic, prev=prev, coeffs=coeffs))
@@ -526,6 +534,9 @@ def run(basic: BasicState, epsilon: float, sources: Sources | None = None,
 
 # --- homogenization lift ----------------------------------------------------
 
+LIFT_DECAY_LENGTH = 0.5   # the lift profile is exp(-x1 / LIFT_DECAY_LENGTH)
+LIFT_DT_PROBE = 1e-5      # half-width of the centered dU/dt in interior_source
+
 
 @dataclass
 class BoundaryLift:
@@ -533,47 +544,41 @@ class BoundaryLift:
 
     The + side absorbs the four jumps (with the front-lift feedback through
     the background normal-derivative jumps); the - side is zero.  The
-    profile decays like exp(-x1/ell) off the interface.  front_lift solves
-    the front equation driven by the lifted traces so that all five rows of
-    the interface conditions are met by (U_tilde, phi_tilde).
+    profile decays like exp(-x1/LIFT_DECAY_LENGTH) off the interface.
+    front_lift solves the front equation driven by the lifted traces so
+    that all five rows of the interface conditions are met by
+    (U_tilde, phi_tilde).
     """
 
     basic: BasicState
     g_func: object
     epsilon: float = 0.0
-    ell: float = 0.5
 
     def __post_init__(self):
         self._coeffs = assemble_coefficients(self.basic)
         g = self.basic.grid
-        self._profile = np.exp(-g.x1 / self.ell)[:, None]
+        self._profile = np.exp(-g.x1 / LIFT_DECAY_LENGTH)[:, None]
         self._phi_cache: dict[float, np.ndarray] = {}
 
-    def _traces(self, t: float, phi_tilde: np.ndarray) -> np.ndarray:
-        g_rows = np.asarray(self.g_func(t), dtype=float)
-        c = self._coeffs
-        tr = np.zeros((6, self.basic.grid.N2))
-        tr[0] = g_rows[0] - phi_tilde * c.jump_d1_p
-        tr[1] = g_rows[1]
-        tr[2] = g_rows[2]
-        tr[4] = g_rows[3] - phi_tilde * c.jump_d1_Htau  # H1 lift stays zero
+    def _traces(self, phi_tilde: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
+        """+ side trace that zeroes the four jump rows against a zero - side;
+        the H1 lift stays zero."""
+        zero = np.zeros((6, self.basic.grid.N2))
+        r = _jump_residual(zero, zero, phi_tilde, self._coeffs, g_rows)
+        tr = zero.copy()
+        tr[[0, 1, 2, 4]] = -r
         return tr
 
     def front_lift(self, times: np.ndarray) -> np.ndarray:
         """phi_tilde on the given uniform time levels (RK2 integration)."""
         g = self.basic.grid
-        c = self._coeffs
         phis = np.zeros((len(times), g.N2))
         for n in range(len(times) - 1):
             dt = times[n + 1] - times[n]
 
             def rhs(t, phi):
-                tr = self._traces(t, phi)
                 g_rows = np.asarray(self.g_func(t), dtype=float)
-                vN = tr[1] - tr[2] * c.tau1
-                return g_rows[4] + vN + phi * c.d1_vN_plus - c.v2_hat_wall * _upwind_d2(
-                    phi, c.v2_hat_wall, g.h2
-                )
+                return _front_rhs(phi, self._traces(phi, g_rows), self._coeffs, g_rows, g)
 
             k1 = rhs(times[n], phis[n])
             k2 = rhs(times[n] + dt, phis[n] + dt * k1)
@@ -589,22 +594,22 @@ class BoundaryLift:
         return np.zeros(self.basic.grid.N2)
 
     def u_tilde(self, t: float) -> TwoSidedField:
-        tr = self._traces(t, self._phi_at(t))
+        tr = self._traces(self._phi_at(t), np.asarray(self.g_func(t), dtype=float))
         plus = tr[:, None, :] * self._profile[None, :, :]
         return TwoSidedField(plus, np.zeros_like(plus))
 
-    def interior_source(self, t: float, dt_probe: float = 1e-5):
+    def interior_source(self, t: float):
         """F = -L U_tilde: the (plus, minus) source the lifted field feeds
         the interior, in the pair layout of Sources.f."""
         g = self.basic.grid
         Ut = self.u_tilde(t)
-        Up = self.u_tilde(t + dt_probe)
-        Um = self.u_tilde(t - dt_probe)
+        Up = self.u_tilde(t + LIFT_DT_PROBE)
+        Um = self.u_tilde(t - LIFT_DT_PROBE)
         out = []
         for side in (+1, -1):
             sc = self._coeffs.side(side)
             U = Ut.side(side)
-            dUdt = (Up.side(side) - Um.side(side)) / (2.0 * dt_probe)
+            dUdt = (Up.side(side) - Um.side(side)) / (2.0 * LIFT_DT_PROBE)
             d1U = d1_field(U, g.h1)
             F = -(sc.A0_diag * dUdt + sc.apply(U, d1U, d2_field(U, g.h2)))
             if self.epsilon:
@@ -613,14 +618,7 @@ class BoundaryLift:
         return tuple(out)
 
 
-def lift_boundary_data(g_func, grid: Grid, basic: BasicState,
-                       epsilon: float = 0.0, ell: float = 0.5) -> BoundaryLift:
-    if basic.grid is not grid and (basic.grid.N1, basic.grid.N2) != (grid.N1, grid.N2):
-        raise ValueError("lift grid must match the basic-state grid")
-    return BoundaryLift(basic=basic, g_func=g_func, epsilon=epsilon, ell=ell)
-
-
-# --- source and boundary-data norms -----------------------------------------
+# --- source norm ------------------------------------------------------------
 
 
 def source_h1_norm(f_func, grid: Grid, times: np.ndarray) -> float:
@@ -647,26 +645,6 @@ def source_h1_norm(f_func, grid: Grid, times: np.ndarray) -> float:
     return float(np.sqrt(total))
 
 
-def g_norm_h32(g_samples: np.ndarray, dt: float, h2: float) -> float:
-    """Discrete surrogate for the H^{3/2} norm of interface data.
-
-    H1 in (t, x2) plus a half-derivative in x2 applied as a Fourier
-    multiplier |k|^(1/2) on the periodic grid.
-    """
-    g = np.asarray(g_samples, dtype=float)  # (Nt, 5, N2)
-    Nt, _, N2 = g.shape
-    sq = np.sum(g ** 2)
-    if Nt > 2:
-        dtg = (g[2:] - g[:-2]) / (2 * dt)
-        sq += np.sum(dtg ** 2)
-    d2g = (np.roll(g, -1, axis=-1) - np.roll(g, 1, axis=-1)) / (2 * h2)
-    sq += np.sum(d2g ** 2)
-    k = np.fft.fftfreq(N2, d=h2 / (2 * np.pi))
-    ghat = np.fft.fft(g, axis=-1)
-    sq += np.sum(np.abs(np.sqrt(np.abs(k)) * ghat) ** 2) / N2
-    return float(np.sqrt(sq * dt * h2))
-
-
 # --- epsilon sweep ----------------------------------------------------------
 
 
@@ -690,9 +668,12 @@ class EpsSweepResult:
         return lines
 
 
-def eps_sweep(basic: BasicState, eps_list, sources: Sources | None = None,
-              initial: Snapshot | None = None, store_every: int = 4) -> EpsSweepResult:
-    """Run the same problem over decreasing eps with a shared time grid."""
+EPS_SWEEP_STORE_EVERY = 4   # steps between the stored levels the differences use
+
+
+def eps_sweep(basic: BasicState, eps_list, sources: Sources | None = None) -> EpsSweepResult:
+    """Run the same problem, from rest, over decreasing eps with a shared
+    time grid."""
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
@@ -704,9 +685,9 @@ def eps_sweep(basic: BasicState, eps_list, sources: Sources | None = None,
     truncated = False
     for eps in eps_list:
         try:
-            res = run(basic, eps, sources=sources, initial=initial,
+            res = run(basic, eps, sources=sources,
                       report_every=max(grid.n_steps // 50, 1),
-                      store_snapshots_every=store_every)
+                      store_snapshots_every=EPS_SWEEP_STORE_EVERY)
         except BlowUpError:
             truncated = True
             break

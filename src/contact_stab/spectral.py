@@ -73,15 +73,6 @@ class ContactPair:
         return self.plus if side == +1 else self.minus
 
 
-def frame_shift(pair: ContactPair, u2: float) -> ContactPair:
-    """Galilean shift of the tangential velocity on both sides."""
-    def shift(st: PlasmaState) -> PlasmaState:
-        return PlasmaState(st.p, st.v1, st.v2 + u2, st.H1, st.H2, st.S,
-                           gamma=st.gamma, A_eos=st.A_eos)
-
-    return ContactPair(shift(pair.plus), shift(pair.minus))
-
-
 def _reduced_pencil(point: LaplaceFourierPoint, state: PlasmaState, side: int):
     """(M, B) with (M + lambda B) x = 0 over the reduced components."""
     state.require_admissible()
@@ -131,10 +122,6 @@ def dispersion_roots(point: LaplaceFourierPoint, const_state: PlasmaState, side:
 
 @dataclass
 class ModeResult:
-    lambdas_plus: np.ndarray
-    lambdas_minus: np.ndarray
-    decaying_basis_plus: np.ndarray
-    decaying_basis_minus: np.ndarray
     lopatinski_value: complex
     conditioning: float
 
@@ -165,8 +152,8 @@ def lopatinski_determinant(point: LaplaceFourierPoint, pair: ContactPair) -> Mod
     |(s, w2)|, which makes the value scale-invariant while keeping the
     linear-in-eta degeneracy of the neutral family visible.
     """
-    lam_p, basis_p = decaying_modes(point, pair.plus, +1)
-    lam_m, basis_m = decaying_modes(point, pair.minus, -1)
+    _, basis_p = decaying_modes(point, pair.plus, +1)
+    _, basis_m = decaying_modes(point, pair.minus, -1)
     s, w2 = point.s, point.omega2
     v2 = pair.plus.v2
     rows = [0, 1, 2, 4]
@@ -182,14 +169,7 @@ def lopatinski_determinant(point: LaplaceFourierPoint, pair: ContactPair) -> Mod
     scale = np.sqrt(abs(s) ** 2 + w2 ** 2)
     delta = np.linalg.det(Mat) / scale
     sing = np.linalg.svd(Mat, compute_uv=False)
-    return ModeResult(
-        lambdas_plus=lam_p,
-        lambdas_minus=lam_m,
-        decaying_basis_plus=basis_p,
-        decaying_basis_minus=basis_m,
-        lopatinski_value=delta,
-        conditioning=float(sing[-1]),
-    )
+    return ModeResult(lopatinski_value=delta, conditioning=float(sing[-1]))
 
 
 def neutral_mode_residual(omega2: float, pair: ContactPair,
@@ -214,44 +194,3 @@ def neutral_mode_residual(omega2: float, pair: ContactPair,
     res = max(res, abs(kinematic))
     return res
 
-
-def dual_bc_assembly(epsilon: float, pair: ContactPair,
-                     a: float = 0.0, b: float = 0.0,
-                     sigma: complex = 1.0) -> np.ndarray:
-    """The eight adjoint interface conditions as an 8 x 12 matrix.
-
-    Columns: the dual traces (p, v1, v2, H1, H2, S) on side + then side -.
-    a and b are the background normal-derivative jumps of pressure and
-    tangential field (negated), sigma the Fourier symbol of the tangential
-    transport derivative acting on the combined variable
-    w = [p + H2_hat * H2] - epsilon * <v1>.
-    """
-    H1, H2 = pair.plus.H1, pair.plus.H2
-    if epsilon < 0 or epsilon > 0.5 * abs(H1):
-        raise ValueError("epsilon must lie in [0, |H1|/2] for the dual conditions")
-    P, V1, V2, HH1, HH2, S = range(6)
-    Mp = lambda k: k          # noqa: E731 - column of side +
-    Mm = lambda k: 6 + k      # noqa: E731 - column of side -
-    rowsmat = np.zeros((8, 12), dtype=complex)
-
-    # transport of w, sourced by the background jumps a, b on the + traces
-    r = rowsmat[0]
-    for sgn, col in ((+1.0, Mp), (-1.0, Mm)):
-        r[col(P)] += sigma * sgn
-        r[col(HH2)] += sigma * sgn * H2
-        r[col(V1)] += -sigma * epsilon  # <v1> sums both sides
-    r[Mp(P)] -= epsilon * a
-    r[Mp(V1)] += a + b * H2
-    r[Mp(V2)] -= b * H1
-    r[Mp(HH2)] -= b * epsilon
-
-    rowsmat[1, [Mp(V1), Mm(V1), Mp(P), Mm(P)]] = [1.0, -1.0, -epsilon, -epsilon]
-    rowsmat[2, [Mp(HH2), Mm(HH2), Mp(V1), Mm(V1)]] = [H1, -H1, epsilon, epsilon]
-    rowsmat[3, [Mp(V1), Mp(V2), Mm(V1), Mm(V2), Mp(HH2), Mm(HH2)]] = [
-        H2, -H1, -H2, H1, -epsilon, -epsilon,
-    ]
-    rowsmat[4, Mp(HH1)] = 1.0
-    rowsmat[5, Mm(HH1)] = 1.0
-    rowsmat[6, Mp(S)] = 1.0
-    rowsmat[7, Mm(S)] = 1.0
-    return rowsmat

@@ -49,6 +49,14 @@ class TestExitCodes:
         assert code == 2
         assert "grid.N1" in capsys.readouterr().err
 
+    def test_grid_below_four_nodes_exits_two_without_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("energy-test", "configs/energy_test.cfg", out,
+                       extra=["--override", "grid.N1=3"])
+        assert code == 2
+        assert "grid.N1 must be at least 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nosuch.key = 1\n")

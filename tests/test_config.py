@@ -139,6 +139,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="grid.N1 must be positive"):
             parse_config(str(p), "energy-test")
 
+    @pytest.mark.parametrize("key", ["grid.N1", "grid.N2"])
+    def test_grid_below_four_nodes_rejected(self, tmp_path, key):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = 3\n")
+        with pytest.raises(ConfigError, match=f"{key} must be at least 4, got 3"):
+            parse_config(str(p), "energy-test")
+
+    @pytest.mark.parametrize("kind,key", [("mms", "mms.refinements"),
+                                          ("neutral-mode", "neutral.refinements")])
+    def test_refinement_entry_below_four_nodes_rejected(self, tmp_path, kind, key):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = 17, 3, 33\n")
+        with pytest.raises(ConfigError, match=f"{key} entries must be at least 4, got 3"):
+            parse_config(str(p), kind)
+
+    @pytest.mark.parametrize("kind,key", [("mms", "mms.refinements"),
+                                          ("neutral-mode", "neutral.refinements")])
+    def test_single_refinement_rejected(self, tmp_path, kind, key):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = 33\n")
+        with pytest.raises(ConfigError, match=f"{key} needs at least 2 grid sizes"):
+            parse_config(str(p), kind)
+
     def test_type_error_names_the_key(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("run.epsilon = banana\n")

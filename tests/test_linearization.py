@@ -9,18 +9,13 @@ from contact_stab.grid import Grid, d1_field, d2_field
 from contact_stab.linearization import (
     BoundaryTrace,
     a1_tilde_grid,
-    apply_linearized_operator,
     basic_state_from_arrays,
     bc_residual,
     boundary_A1_exact,
     boundary_quadratic_form,
-    boundary_signature,
     constant_basic_state,
     first_variation,
-    good_unknown,
-    good_unknown_inverse,
     side_coefficients,
-    two_sided_signature,
     validate_basic_state,
     w_congruence_check,
     zero_order_matrix,
@@ -55,13 +50,6 @@ class TestBoundaryAlgebra:
         assert w_congruence_check(trace, +1) <= 1e-12
         assert w_congruence_check(trace, -1) <= 1e-12
 
-    @given(boundary_traces())
-    @settings(max_examples=100)
-    def test_signatures(self, trace):
-        assert boundary_signature(trace, +1) == (2, 2, 2)
-        assert boundary_signature(trace, -1) == (2, 2, 2)
-        assert two_sided_signature(trace) == (4, 4, 4)
-
     def test_exact_boundary_matrix_structure(self):
         tr = BoundaryTrace(H1=1.0, H2=0.5, d2phi=0.2)
         M = boundary_A1_exact(tr, +1)
@@ -85,24 +73,6 @@ class TestBoundaryAlgebra:
                     At[:, :, 0, i2] - boundary_A1_exact(tr, side)
                 ))))
         assert worst <= 1e-12
-
-
-class TestGoodUnknown:
-    def test_round_trip_exact(self, rng):
-        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
-        basic = curved_background(grid)
-        U = rng.standard_normal((6, grid.N1, grid.N2))
-        psi = rng.standard_normal((grid.N1, grid.N2))
-        dot = good_unknown(U, psi, basic, +1)
-        back = good_unknown_inverse(dot, psi, basic, +1)
-        assert np.max(np.abs(back - U)) <= 1e-12
-
-    def test_identity_for_constant_background(self, rng):
-        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
-        basic = constant_basic_state(grid)
-        U = rng.standard_normal((6, grid.N1, grid.N2))
-        psi = rng.standard_normal((grid.N1, grid.N2))
-        assert np.array_equal(good_unknown(U, psi, basic, +1), U)
 
 
 def nonlinear_interior_residual(u_field, front, grid, side, gamma=mhd.GAMMA_DEFAULT):
@@ -235,23 +205,6 @@ class TestValidation:
         basic = constant_basic_state(grid, p=5e-3)
         report = validate_basic_state(basic)
         assert not report["positivity"].passed
-
-
-class TestLinearizedOperator:
-    def test_zero_field_zero_residual(self):
-        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
-        basic = curved_background(grid)
-        z = np.zeros((6, grid.N1, grid.N2))
-        assert np.max(np.abs(apply_linearized_operator(z, basic, +1))) == 0.0
-
-    def test_zero_order_term_vanishes_on_constant_background(self, rng):
-        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
-        basic = constant_basic_state(grid, v2=0.3, H2=0.4)
-        U = np.broadcast_to(
-            rng.standard_normal(6)[:, None, None], (6, grid.N1, grid.N2)
-        ).copy()
-        res = apply_linearized_operator(U, basic, +1)
-        assert np.max(np.abs(res)) <= 1e-13
 
 
 def rt_background(grid):

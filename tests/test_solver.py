@@ -4,9 +4,15 @@ import pytest
 from contact_stab import solver
 from contact_stab.fields import FrontState, TwoSidedField
 from contact_stab.grid import Grid, d1_field
-from contact_stab.linearization import bc_residual, constant_basic_state
+from contact_stab.linearization import (
+    basic_state_from_arrays,
+    bc_residual,
+    constant_basic_state,
+)
+from contact_stab.scenarios import rt_basic_state
 from contact_stab.solver import (
     BlowUpError,
+    BoundaryLift,
     Snapshot,
     Sources,
     assemble_coefficients,
@@ -16,8 +22,6 @@ from contact_stab.solver import (
     divergence_monitor,
     energy_report,
     eps_sweep,
-    g_norm_h32,
-    lift_boundary_data,
     run,
     source_h1_norm,
     speed_bound,
@@ -47,7 +51,7 @@ class TestGridBuild:
 
     def test_impossible_cfl_rejected(self):
         with pytest.raises(ValueError):
-            solver.build_grid(8, 8, 1.0, 1.0, 1.0, speed=-1.0, cfl_max=-0.4)
+            solver.build_grid(8, 8, 1.0, 1.0, 1.0, cfl_max=-0.4)
 
 
 class TestSummationByParts:
@@ -159,6 +163,37 @@ class TestDivergence:
         assert dp > 1e-3
 
 
+def sloped_background(grid):
+    """Background with x1-slopes in p and H2 that differ between the sides
+    and a curved front, so jump_d1_p, jump_d1_Htau and tau are all nonzero."""
+    bump = grid.x1[:, None] * np.exp(-grid.x1[:, None] ** 2)
+    shape = (6, grid.N1, grid.N2)
+    up, um = np.zeros(shape), np.zeros(shape)
+    for arr, a_p, a_h in ((up, 0.4, 0.6), (um, -0.1, -0.3)):
+        arr[0] = 1.0 + a_p * bump
+        arr[3] = 1.0
+        arr[4] = 1.0 + a_h * bump
+        arr[5] = 0.1
+    return basic_state_from_arrays(grid, up, um, phi_hat=0.3 * np.cos(grid.x2))
+
+
+class TestInterfaceClosure:
+    def test_projection_zeroes_the_jump_rows_of_bc_residual(self, rng):
+        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
+        basic = sloped_background(grid)
+        coeffs = assemble_coefficients(basic)
+        for data in (coeffs.jump_d1_p, coeffs.jump_d1_Htau, coeffs.tau1):
+            assert np.max(np.abs(data)) > 0.1
+        shape = (6, grid.N1, grid.N2)
+        U = TwoSidedField(rng.standard_normal(shape), rng.standard_normal(shape))
+        phi = rng.standard_normal(grid.N2)
+        g_rows = rng.standard_normal((5, grid.N2))
+        solver.apply_interface_conditions(U, phi, coeffs, g_rows)
+        res = bc_residual(U.plus[:, 0, :], U.minus[:, 0, :], FrontState(phi), basic,
+                          g_rows=g_rows)
+        assert np.max(np.abs(res[:4])) <= 1e-12
+
+
 class TestEnergyDecay:
     def test_symmetrizer_energy_nonincreasing_homogeneous(self):
         basic, grid = small_basic(N1=40, N2=40, T=0.3, eps=1e-3)
@@ -183,7 +218,7 @@ class TestAdjoint:
 class TestLift:
     def test_zero_data_zero_lift(self):
         basic, grid = small_basic()
-        lift = lift_boundary_data(lambda t: np.zeros((5, grid.N2)), grid, basic)
+        lift = BoundaryLift(basic, lambda t: np.zeros((5, grid.N2)))
         U = lift.u_tilde(0.3)
         assert np.all(U.plus == 0.0) and np.all(U.minus == 0.0)
 
@@ -195,15 +230,17 @@ class TestLift:
             rows[1] = np.cos(grid.x2)  # only the v1 jump
             return rows
 
-        lift = lift_boundary_data(g, grid, basic)
+        lift = BoundaryLift(basic, g)
         U = lift.u_tilde(0.0)
         assert np.all(U.minus == 0.0)
         assert np.allclose(U.plus[1, 0, :], np.cos(grid.x2))
         # decay profile in x1
         assert np.all(np.abs(U.plus[1, -1, :]) < np.abs(U.plus[1, 0, :]))
 
-    def test_lifted_traces_satisfy_the_interface_rows(self):
-        basic, grid = small_basic(v2=0.0, T=0.2)
+    @staticmethod
+    def _lift_residual(basic, times):
+        """bc_residual of the lifted (U_tilde, phi_tilde) at the middle level."""
+        grid = basic.grid
 
         def g(t):
             rows = np.zeros((5, grid.N2))
@@ -212,17 +249,28 @@ class TestLift:
             rows[3] = 0.1 * np.cos(2 * grid.x2) * np.sin(t)
             return rows
 
-        lift = lift_boundary_data(g, grid, basic)
-        times = np.linspace(0.0, grid.T_final, grid.n_steps + 1)
+        lift = BoundaryLift(basic, g)
         phis = lift.front_lift(times)
         n = len(times) // 2
         t = times[n]
         U = lift.u_tilde(t)
         dt_phi = (phis[n + 1] - phis[n - 1]) / (2 * (times[1] - times[0]))
-        res = bc_residual(U.plus[:, 0, :], U.minus[:, 0, :],
-                          FrontState(phis[n]), basic, dt_phi=dt_phi,
-                          g_rows=g(t))
+        return bc_residual(U.plus[:, 0, :], U.minus[:, 0, :],
+                           FrontState(phis[n]), basic, dt_phi=dt_phi,
+                           g_rows=g(t))
+
+    def test_lifted_traces_satisfy_the_interface_rows(self):
+        basic, grid = small_basic(v2=0.0, T=0.2)
+        res = self._lift_residual(basic, np.linspace(0.0, grid.T_final, grid.n_steps + 1))
         # jump rows are satisfied exactly; the front row to ODE accuracy
+        assert np.max(np.abs(res[:4])) <= 1e-12
+        assert np.max(np.abs(res[4])) <= 5e-3
+
+    def test_lifted_traces_satisfy_the_interface_rows_on_rt_background(self):
+        # jump_d1_p != 0 here, so the front feedback enters the jump rows
+        basic = rt_basic_state(Grid(20, 16, 4.0, 2.0 * np.pi), rt_jump=0.5)
+        assert np.max(np.abs(basic.jump_d1_p())) > 0.5
+        res = self._lift_residual(basic, np.linspace(0.0, 0.2, 21))
         assert np.max(np.abs(res[:4])) <= 1e-12
         assert np.max(np.abs(res[4])) <= 5e-3
 
@@ -237,29 +285,10 @@ class TestLift:
             return g
 
         times = np.linspace(0.0, grid.T_final, 9)
-        n1 = source_h1_norm(lift_boundary_data(g_of(1.0), grid, basic).interior_source,
-                            grid, times)
-        n2 = source_h1_norm(lift_boundary_data(g_of(2.0), grid, basic).interior_source,
-                            grid, times)
+        n1 = source_h1_norm(BoundaryLift(basic, g_of(1.0)).interior_source, grid, times)
+        n2 = source_h1_norm(BoundaryLift(basic, g_of(2.0)).interior_source, grid, times)
         assert np.isfinite(n1) and n1 > 0.0
         assert n2 == pytest.approx(2.0 * n1, rel=1e-8)
-
-
-class TestBoundaryNormSurrogate:
-    def test_linear_scaling_and_positivity(self, rng):
-        g = rng.standard_normal((8, 5, 16))
-        n1 = g_norm_h32(g, 0.1, 0.3)
-        n2 = g_norm_h32(3.0 * g, 0.1, 0.3)
-        assert n1 > 0.0
-        assert n2 == pytest.approx(3.0 * n1, rel=1e-10)
-
-    def test_rougher_data_has_larger_norm(self):
-        x2 = np.arange(32) * (2 * np.pi / 32)
-        smooth = np.zeros((4, 5, 32))
-        rough = np.zeros((4, 5, 32))
-        smooth[:, 0] = np.cos(x2)
-        rough[:, 0] = np.cos(8 * x2)
-        assert g_norm_h32(rough, 0.1, x2[1]) > g_norm_h32(smooth, 0.1, x2[1])
 
 
 class TestEpsSweep:

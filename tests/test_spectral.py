@@ -8,8 +8,6 @@ from contact_stab.spectral import (
     LaplaceFourierPoint,
     decaying_modes,
     dispersion_roots,
-    dual_bc_assembly,
-    frame_shift,
     lopatinski_determinant,
     neutral_mode_residual,
 )
@@ -41,11 +39,6 @@ class TestContactPair:
         a = mhd.PlasmaState(1.0, 0.5, 0.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             ContactPair(a, a)
-
-    def test_frame_shift(self):
-        pair = make_pair(v2=0.0)
-        shifted = frame_shift(pair, 0.7)
-        assert shifted.plus.v2 == pytest.approx(0.7)
 
 
 class TestDispersionRoots:
@@ -137,34 +130,6 @@ class TestNeutralMode:
 
     def test_residual_zero_for_any_entropy_amplitudes(self):
         assert neutral_mode_residual(1.5, make_pair(), S_bar=(2.3, -0.7), phi_bar=5.0) == 0.0
-
-
-class TestDualConditions:
-    def test_shape_and_decoupled_rows(self):
-        pair = make_pair(H1=1.0, H2=0.5)
-        M = dual_bc_assembly(0.1, pair)
-        assert M.shape == (8, 12)
-        # the H1 and S dual traces vanish independently on each side
-        for row, col in ((4, 3), (5, 9), (6, 5), (7, 11)):
-            expected = np.zeros(12)
-            expected[col] = 1.0
-            assert np.array_equal(M[row].real, expected)
-            assert np.all(M[row].imag == 0.0)
-
-    def test_epsilon_zero_recovers_plain_jumps(self):
-        pair = make_pair(H1=1.0, H2=0.5)
-        M = dual_bc_assembly(0.0, pair)
-        # row 1 is then the plain jump of the dual v1 trace
-        r = M[1]
-        assert r[1] == 1.0 and r[7] == -1.0
-        assert np.count_nonzero(r) == 2
-
-    def test_epsilon_range_enforced(self):
-        pair = make_pair(H1=1.0)
-        with pytest.raises(ValueError):
-            dual_bc_assembly(0.6, pair)
-        with pytest.raises(ValueError):
-            dual_bc_assembly(-0.1, pair)
 
 
 class TestPointValidation:
