@@ -144,7 +144,10 @@ def smooth_ramp(t, t_ramp: float):
 def make_forcing(grid: Grid, seed: int, amplitude: float, t_ramp: float,
                  k2: int) -> Sources:
     """Deterministic smooth forcing: interior f on both sides plus interface
-    data g, all ramped from zero so the data vanish for t <= 0."""
+    data g, all ramped from zero so the data vanish for t <= 0.
+
+    Each datum is a fixed spatial shape times cos(wt t + ph); the shapes are
+    tabulated here, so a call evaluates only the time factors."""
     rng = np.random.default_rng(seed)
     X1g, X2g = grid.mesh()
     bump = np.exp(-((X1g - 1.5) / 0.5) ** 2)
@@ -155,24 +158,22 @@ def make_forcing(grid: Grid, seed: int, amplitude: float, t_ramp: float,
     g_ph = rng.uniform(0, 2 * np.pi, size=5)
     g_wt = rng.uniform(0.5, 1.5, size=5)
 
+    f_shape = {
+        s: f_amp[s][:, None, None] * bump[None] * np.cos(k2 * X2g[None] + f_ph[s][:, None, None])
+        for s in (+1, -1)
+    }
+    g_shape = g_amp[:, None] * np.cos(k2 * grid.x2[None, :] + g_ph[:, None])
+
     def shape_f(side, t):
-        A = f_amp[side][:, None, None]
-        ph = f_ph[side][:, None, None]
-        wt = f_wt[side][:, None, None]
-        return A * bump[None] * np.cos(k2 * X2g[None] + ph) * np.cos(wt * t + ph)
+        return f_shape[side] * np.cos(f_wt[side] * t + f_ph[side])[:, None, None]
 
     def f(t):
         r = float(smooth_ramp(t, t_ramp))
         return (r * shape_f(+1, t), r * shape_f(-1, t))
 
-    x2 = grid.x2
-
     def g(t):
         r = float(smooth_ramp(t, t_ramp))
-        return r * (
-            g_amp[:, None] * np.cos(k2 * x2[None, :] + g_ph[:, None])
-            * np.cos(g_wt[:, None] * t + g_ph[:, None])
-        )
+        return r * (g_shape * np.cos(g_wt * t + g_ph)[:, None])
 
     return Sources(f=f, g=g)
 
@@ -210,17 +211,27 @@ class ManufacturedProblem:
         self.front_alpha = rng.uniform(0, 2 * np.pi)
         self.front_beta = rng.uniform(0, 2 * np.pi)
 
-    def exact(self, side, t, X1g, X2g, dt_order=0, d1_order=0, d2_order=0):
-        A = self.amps[side][:, None, None]
-        al = self.alph[side][:, None, None]
-        be = self.beta[side][:, None, None]
-        w2, wt = self.omega2, self.omega_t
-        fx1 = (-2.0) ** d1_order * np.exp(-2.0 * X1g)[None]
-        arg2 = w2 * X2g[None] + al
-        fx2 = w2 ** d2_order * np.cos(arg2 + 0.5 * np.pi * d2_order)
-        argt = wt * t + be
-        ft = wt ** dt_order * np.cos(argt + 0.5 * np.pi * dt_order)
-        return A * fx1 * fx2 * ft
+    def _x2_table(self, side, x2, d2_order=0):
+        """(6, N2) x2 factors w2^k cos(w2 x2 + a + k pi/2) of one side."""
+        w2 = self.omega2
+        return w2 ** d2_order * np.cos(
+            w2 * x2[None, :] + self.alph[side][:, None] + 0.5 * np.pi * d2_order
+        )
+
+    def _t_vector(self, side, t, dt_order=0):
+        """(6,) time factors wt^k cos(wt t + b + k pi/2) of one side."""
+        wt = self.omega_t
+        return wt ** dt_order * np.cos(wt * t + self.beta[side] + 0.5 * np.pi * dt_order)
+
+    def exact(self, side, t, grid: Grid, dt_order=0, d1_order=0, d2_order=0):
+        """The exact field (6, N1, N2) or one of its derivatives: the outer
+        product of an x1 line, the x2 table and the time vector."""
+        fx1 = (-2.0) ** d1_order * np.exp(-2.0 * grid.x1)
+        return (
+            self.amps[side][:, None, None] * fx1[None, :, None]
+            * self._x2_table(side, grid.x2, d2_order)[:, None, :]
+            * self._t_vector(side, t, dt_order)[:, None, None]
+        )
 
     def front(self, t, x2, dt_order=0, d2_order=0):
         w2, wt = self.omega2, self.omega_t
@@ -229,26 +240,36 @@ class ManufacturedProblem:
         return self.front_amp * f2 * ft
 
     def sources(self, grid: Grid) -> Sources:
-        X1g, X2g = grid.mesh()
+        """f = A0 dtU + (+-A1 - eps I) d1U + A2 d2U of the exact field, and
+        the interface data g of its traces, on the constant background.
+
+        The x1 line and the x2 tables are built here, once per grid; since
+        d1 e^(-2 x1) = -2 e^(-2 x1), each side's f is the x1 line times a
+        (6, N2) x2 line, and g reads the x1 = 0 trace (x1 factor 1)."""
+        fx1 = np.exp(-2.0 * grid.x1)[None, :, None]
         x2 = grid.x2
         v2h = self.state_plus.v2
+        # per side, the amplitudes times the x2 table and its x2-derivative
+        c2 = {s: self.amps[s][:, None] * self._x2_table(s, x2) for s in (+1, -1)}
+        d2c2 = {s: self.amps[s][:, None] * self._x2_table(s, x2, d2_order=1) for s in (+1, -1)}
+        B = {s: s * self.tri[s].A1 - self.epsilon * np.eye(6) for s in (+1, -1)}
 
         def f(t):
             out = []
             for side in (+1, -1):
                 tri = self.tri[side]
-                B = side * tri.A1 - self.epsilon * np.eye(6)
-                F = (
-                    np.einsum("ij,jkl->ikl", tri.A0, self.exact(side, t, X1g, X2g, dt_order=1))
-                    + np.einsum("ij,jkl->ikl", B, self.exact(side, t, X1g, X2g, d1_order=1))
-                    + np.einsum("ij,jkl->ikl", tri.A2, self.exact(side, t, X1g, X2g, d2_order=1))
+                ft = self._t_vector(side, t)[:, None]
+                line = (
+                    tri.A0 @ (c2[side] * self._t_vector(side, t, dt_order=1)[:, None])
+                    + B[side] @ (-2.0 * c2[side] * ft)
+                    + tri.A2 @ (d2c2[side] * ft)
                 )
-                out.append(F)
+                out.append(fx1 * line[:, None, :])
             return tuple(out)
 
         def g(t):
-            trp = self.exact(+1, t, X1g, X2g)[:, 0, :]
-            trm = self.exact(-1, t, X1g, X2g)[:, 0, :]
+            trp = c2[+1] * self._t_vector(+1, t)[:, None]
+            trm = c2[-1] * self._t_vector(-1, t)[:, None]
             rows = np.zeros((5, grid.N2))
             rows[0] = trp[0] - trm[0]
             rows[1] = trp[1] - trm[1]
@@ -260,9 +281,8 @@ class ManufacturedProblem:
         return Sources(f=f, g=g)
 
     def initial(self, grid: Grid) -> Snapshot:
-        X1g, X2g = grid.mesh()
-        Up = self.exact(+1, 0.0, X1g, X2g)
-        Um = self.exact(-1, 0.0, X1g, X2g)
+        Up = self.exact(+1, 0.0, grid)
+        Um = self.exact(-1, 0.0, grid)
         # companion fields start from the discrete divergence of the initial
         # data (flat background front: h_dot = (H1, H2), d1Phi = +-1)
         a = {}
@@ -289,14 +309,13 @@ class ManufacturedProblem:
                          report_every=every)
         if res.blew_up:
             raise solver.BlowUpError(res.blowup_time or 0.0)
-        X1g, X2g = grid.mesh()
         err = 0.0
         norm = 0.0
         for s in res.snapshots:
             for side in (+1, -1):
-                d = s.U.side(side) - self.exact(side, s.t, X1g, X2g)
-                err += solver._weighted_l2(d, grid) ** 2
-                norm += solver._weighted_l2(self.exact(side, s.t, X1g, X2g), grid) ** 2
+                E = self.exact(side, s.t, grid)
+                err += solver._weighted_l2(s.U.side(side) - E, grid) ** 2
+                norm += solver._weighted_l2(E, grid) ** 2
         div_defect = max(
             max(r.div_defect_plus, r.div_defect_minus) for r in res.reports
         )

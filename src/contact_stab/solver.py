@@ -78,14 +78,13 @@ def build_grid(
     X1: float,
     X2: float,
     T_final: float,
-    basic: BasicState | None = None,
+    basic: BasicState,
     epsilon: float = 0.0,
     cfl_max: float = 0.4,
 ) -> Grid:
     """Grid with a CFL-satisfying dt that divides T_final evenly."""
     proto = Grid(N1, N2, X1, X2)
-    speed = speed_bound(basic, epsilon) if basic is not None else 1.0
-    speed = max(speed, 1e-10)
+    speed = max(speed_bound(basic, epsilon), 1e-10)
     dt_max = cfl_max * min(proto.h1, proto.h2) / speed
     if dt_max <= 0:
         raise ValueError("CFL constraint cannot be met")

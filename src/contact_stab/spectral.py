@@ -43,14 +43,6 @@ class LaplaceFourierPoint:
         if self.s == 0 and self.omega2 == 0.0:
             raise ValueError("(s, omega2) = (0, 0) is excluded")
 
-    @property
-    def eta(self) -> float:
-        return float(self.s.real)
-
-    @property
-    def xi(self) -> float:
-        return float(self.s.imag)
-
 
 @dataclass(frozen=True)
 class ContactPair:

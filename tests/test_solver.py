@@ -3,7 +3,7 @@ import pytest
 
 from contact_stab import solver
 from contact_stab.fields import FrontState, TwoSidedField
-from contact_stab.grid import Grid, d1_field
+from contact_stab.grid import Grid, d1_field, d2_field
 from contact_stab.linearization import (
     basic_state_from_arrays,
     bc_residual,
@@ -50,8 +50,18 @@ class TestGridBuild:
         assert speed_bound(basic, 0.5) >= speed_bound(basic, 0.0)
 
     def test_impossible_cfl_rejected(self):
+        basic = constant_basic_state(Grid(8, 8, 1.0, 1.0))
         with pytest.raises(ValueError):
-            solver.build_grid(8, 8, 1.0, 1.0, 1.0, cfl_max=-0.4)
+            solver.build_grid(8, 8, 1.0, 1.0, 1.0, basic, cfl_max=-0.4)
+
+
+class TestPeriodicStencil:
+    @pytest.mark.parametrize("shape", [(6, 9, 17), (1, 9, 17), (6, 5, 4), (1, 5, 4)])
+    def test_d2_field_is_bit_identical_to_the_roll_formula(self, shape):
+        U = np.random.default_rng(3).standard_normal(shape)
+        h2 = 0.37
+        roll = (np.roll(U, -1, axis=-1) - np.roll(U, 1, axis=-1)) / (2.0 * h2)
+        assert np.array_equal(d2_field(U, h2), roll)
 
 
 class TestSummationByParts:
@@ -192,6 +202,38 @@ class TestInterfaceClosure:
         res = bc_residual(U.plus[:, 0, :], U.minus[:, 0, :], FrontState(phi), basic,
                           g_rows=g_rows)
         assert np.max(np.abs(res[:4])) <= 1e-12
+
+    def test_front_rhs_zeroes_the_front_row_of_bc_residual(self, rng):
+        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
+        basic = normal_slope_background(grid)
+        coeffs = assemble_coefficients(basic)
+        assert np.all(basic.u.plus[1, 0, :] == 0.0)
+        assert np.min(np.abs(coeffs.d1_vN_plus)) > 0.5
+        assert np.all(coeffs.v2_hat_wall == 0.0)
+        tp = rng.standard_normal((6, grid.N2))
+        tm = rng.standard_normal((6, grid.N2))
+        phi = rng.standard_normal(grid.N2)
+        g_rows = rng.standard_normal((5, grid.N2))
+        dt_phi = solver._front_rhs(phi, tp, coeffs, g_rows, grid)
+        res = bc_residual(tp, tm, FrontState(phi), basic, dt_phi=dt_phi, g_rows=g_rows)
+        assert np.max(np.abs(res[4])) <= 1e-12
+
+
+def normal_slope_background(grid):
+    """Background whose normal velocity vanishes on the interface but has
+    an x1-slope there (0.5 on the + side, -0.2 on the - side), with v2 = 0
+    and a flat front, so the front equation's phi * d1 v_N term is the only
+    background term left in it."""
+    bump = grid.x1[:, None] * np.exp(-grid.x1[:, None] ** 2)
+    shape = (6, grid.N1, grid.N2)
+    up, um = np.zeros(shape), np.zeros(shape)
+    for arr, a in ((up, 0.5), (um, -0.2)):
+        arr[0] = 1.0
+        arr[1] = a * bump
+        arr[3] = 1.0
+        arr[4] = 0.3
+        arr[5] = 0.1
+    return basic_state_from_arrays(grid, up, um)
 
 
 class TestEnergyDecay:

@@ -136,8 +136,3 @@ class TestPointValidation:
     def test_origin_excluded(self):
         with pytest.raises(ValueError):
             LaplaceFourierPoint(0.0 + 0.0j, 0.0)
-
-    def test_eta_xi_accessors(self):
-        pt = LaplaceFourierPoint(0.25 + 1.5j, 2.0)
-        assert pt.eta == 0.25
-        assert pt.xi == 1.5
