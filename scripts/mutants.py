@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Run named textual mutants of the solver against the tier-1 suite.
+
+    python3 scripts/mutants.py              # the unmutated tree, then every mutant
+    python3 scripts/mutants.py NAME ...     # the unmutated tree, then the named ones
+    python3 scripts/mutants.py --list
+
+Each mutant is a list of (file, text, replacement) edits; every text must
+occur exactly once in its file, or the script stops with an error naming
+it.  Per mutant the source tree is copied to a temporary directory, the
+edits are applied there, and the tier-1 command runs in the copy with
+`-x`, so it stops at the first failure.  A failing suite prints `killed`
+with that test, a passing one `survived`.  The unmutated copy runs first:
+if it fails, no mutant result means anything and the script stops.
+
+Standard library only; not part of tier-1 (each mutant runs the whole
+suite, about 40 s on two cores).  Exits 1 when a mutant survives.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOLVER = "src/contact_stab/solver.py"
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
+TIMEOUT_S = 1800
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench-*", "out")
+
+MUTANTS: dict[str, list[tuple[str, str, str]]] = {
+    # apply_interface_conditions corrects nothing: all four jump rows dropped
+    "drop-jump-projections": [
+        (SOLVER, "    r = _jump_residual(tp, tm, phi, coeffs, g_rows)\n",
+         "    r = 0.0 * _jump_residual(tp, tm, phi, coeffs, g_rows)\n"),
+    ],
+    # the RT front feedback of rows 0 and 3 with the wrong sign
+    "flip-front-feedback": [
+        (SOLVER, "tp[0] - tm[0] + phi * coeffs.jump_d1_p,",
+         "tp[0] - tm[0] - phi * coeffs.jump_d1_p,"),
+        (SOLVER, "(tm[3] * tau + tm[4]) + phi * coeffs.jump_d1_Htau,",
+         "(tm[3] * tau + tm[4]) - phi * coeffs.jump_d1_Htau,"),
+    ],
+    "drop-d1-vN-in-front-rhs": [
+        (SOLVER, "rhs = vN_plus + phi * coeffs.d1_vN_plus - ", "rhs = vN_plus - "),
+    ],
+    "swap-upwind-branches": [
+        (SOLVER, "return np.where(a >= 0.0, dp, dm)", "return np.where(a >= 0.0, dm, dp)"),
+    ],
+    # the folded companion factor c0 without its - eps * d11phi part
+    "drop-eps-d11phi-in-c0": [
+        (SOLVER, "-(sc.div_u - epsilon * sc.d11phi) / sc.d1phi)", "-sc.div_u / sc.d1phi)"),
+    ],
+    # the lift's traces fed the front with the wrong sign
+    "flip-phi-tilde-in-lift": [
+        (SOLVER, "r = _jump_residual(zero, zero, phi_tilde, self._coeffs, g_rows)",
+         "r = _jump_residual(zero, zero, -phi_tilde, self._coeffs, g_rows)"),
+    ],
+    "halve-tangential-weight": [
+        (SOLVER, "wt = 0.5 / (1.0 + tau ** 2)", "wt = 0.25 / (1.0 + tau ** 2)"),
+    ],
+}
+
+
+def apply_edits(tree: Path, name: str) -> None:
+    for rel, old, new in MUTANTS[name]:
+        path = tree / rel
+        text = path.read_text()
+        count = text.count(old)
+        if count != 1:
+            raise SystemExit(f"mutant {name}: {old!r} occurs {count} times in {rel}, not once")
+        path.write_text(text.replace(old, new))
+
+
+def run_suite(tree: Path) -> tuple[bool, str]:
+    """(passed, first failing test or reason) of tier-1 in the tree."""
+    env = dict(os.environ, PYTHONPATH="src")
+    try:
+        proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S} s"
+    lines = proc.stdout.splitlines()
+    failed = [ln.split(" - ")[0] for ln in lines if ln.startswith(("FAILED", "ERROR"))]
+    if proc.returncode == 0:
+        return True, lines[-1] if lines else ""
+    return False, failed[0] if failed else (lines[-1] if lines else f"exit {proc.returncode}")
+
+
+def run_one(name: str | None) -> tuple[bool, str]:
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        if name is not None:
+            apply_edits(tree, name)
+        return run_suite(tree)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    ap.add_argument("--list", action="store_true", help="print the mutant names and exit")
+    args = ap.parse_args(argv)
+    if args.list:
+        print("\n".join(MUTANTS))
+        return 0
+    unknown = [n for n in args.names if n not in MUTANTS]
+    if unknown:
+        ap.error(f"unknown mutant(s) {', '.join(unknown)}; see --list")
+    passed, detail = run_one(None)
+    print(f"{'unmutated':28s} {'passes' if passed else 'FAILS'}  {detail}", flush=True)
+    if not passed:
+        return 2
+    survivors = 0
+    for name in args.names or MUTANTS:
+        passed, detail = run_one(name)
+        survivors += passed
+        print(f"{name:28s} {'survived' if passed else 'killed'}  {detail}", flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

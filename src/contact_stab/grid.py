@@ -64,21 +64,37 @@ class Grid:
         return w
 
 
-def d1_field(U: np.ndarray, h1: float) -> np.ndarray:
-    """x1-derivative along axis -2: centered interior, one-sided ends."""
-    out = np.empty_like(U)
-    out[..., 1:-1, :] = (U[..., 2:, :] - U[..., :-2, :]) / (2.0 * h1)
-    out[..., 0, :] = (U[..., 1, :] - U[..., 0, :]) / h1
-    out[..., -1, :] = (U[..., -1, :] - U[..., -2, :]) / h1
+def _stencil_out(U: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return np.empty_like(U)
+    if np.may_share_memory(out, U):
+        raise ValueError("a stencil's output must not share memory with its input")
     return out
 
 
-def d2_field(U: np.ndarray, h2: float) -> np.ndarray:
-    """Periodic centered x2-derivative along the last axis."""
-    out = np.empty_like(U)
-    out[..., 1:-1] = U[..., 2:] - U[..., :-2]
-    out[..., 0] = U[..., 1] - U[..., -1]
-    out[..., -1] = U[..., 0] - U[..., -2]
+def d1_field(U: np.ndarray, h1: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x1-derivative along axis -2: centered interior, one-sided ends.
+
+    Writes into out when it is given (it must not overlap U)."""
+    out = _stencil_out(U, out)
+    inner = out[..., 1:-1, :]
+    np.subtract(U[..., 2:, :], U[..., :-2, :], out=inner)
+    inner /= 2.0 * h1
+    for row, hi, lo in ((0, 1, 0), (-1, -1, -2)):
+        end = out[..., row, :]
+        np.subtract(U[..., hi, :], U[..., lo, :], out=end)
+        end /= h1
+    return out
+
+
+def d2_field(U: np.ndarray, h2: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic centered x2-derivative along the last axis.
+
+    Writes into out when it is given (it must not overlap U)."""
+    out = _stencil_out(U, out)
+    np.subtract(U[..., 2:], U[..., :-2], out=out[..., 1:-1])
+    np.subtract(U[..., 1], U[..., -1], out=out[..., 0])
+    np.subtract(U[..., 0], U[..., -2], out=out[..., -1])
     out /= 2.0 * h2
     return out
 

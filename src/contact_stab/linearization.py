@@ -483,19 +483,31 @@ def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
     return C
 
 
+def uniform_or_field(entry):
+    """A float when the coefficient (a scalar or an (N1, N2) array) is the
+    same at every grid point, otherwise the array itself."""
+    first = np.ravel(entry)[0]
+    return float(first) if np.all(entry == first) else entry
+
+
 def _nonzero_entries(M: np.ndarray) -> tuple:
     """(i, j, c) for each entry of a (6, 6, N1, N2) field that is nonzero
     somewhere: c is a float when the entry is the same at every grid point,
     otherwise the (N1, N2) view M[i, j]."""
-    out = []
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            entry = M[i, j]
-            if not entry.any():
-                continue
-            first = entry.flat[0]
-            out.append((i, j, float(first) if np.all(entry == first) else entry))
-    return tuple(out)
+    return tuple((i, j, uniform_or_field(M[i, j]))
+                 for i in range(M.shape[0]) for j in range(M.shape[1]) if M[i, j].any())
+
+
+def contract_entries(terms, out: np.ndarray, plane: np.ndarray) -> np.ndarray:
+    """out[i] = sum of c * X[j] over the (i, j, c) entries of each
+    (entries, X) pair in terms, each product passing through the (N1, N2)
+    scratch plane; returns out."""
+    out.fill(0.0)
+    for entries, X in terms:
+        for i, j, c in entries:
+            np.multiply(X[j], c, out=plane)
+            out[i] += plane
+    return out
 
 
 @dataclass
@@ -528,11 +540,8 @@ class SideCoefficients:
 
     def apply(self, U: np.ndarray, d1U: np.ndarray, d2U: np.ndarray) -> np.ndarray:
         """A1_tilde d1U + A2 d2U + C U, the spatial part of the operator."""
-        out = np.zeros(U.shape)
-        for entries, X in ((self.At1_nz, d1U), (self.A2_nz, d2U), (self.C_nz, U)):
-            for i, j, c in entries:
-                out[i] += c * X[j]
-        return out
+        return contract_entries(((self.At1_nz, d1U), (self.A2_nz, d2U), (self.C_nz, U)),
+                                np.empty(U.shape), np.empty(U.shape[1:]))
 
 
 def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:

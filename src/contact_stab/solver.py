@@ -40,7 +40,9 @@ from .linearization import (
     BoundaryTrace,
     SideCoefficients,
     boundary_A1_exact,
+    contract_entries,
     side_coefficients,
+    uniform_or_field,
 )
 
 
@@ -150,14 +152,7 @@ class Snapshot:
 
     @staticmethod
     def zeros(grid: Grid) -> "Snapshot":
-        shape = (6, grid.N1, grid.N2)
-        return Snapshot(
-            U=TwoSidedField.zeros(shape),
-            phi=FrontState(np.zeros(grid.N2)),
-            t=0.0,
-            a_plus=np.zeros(shape[1:]),
-            a_minus=np.zeros(shape[1:]),
-        )
+        return _new_snapshot(grid, np.zeros)
 
     def f7(self, coeffs: Coefficients, side: int) -> np.ndarray:
         a = self.a_plus if side == +1 else self.a_minus
@@ -213,36 +208,6 @@ def _upwind_d2(phi: np.ndarray, a: np.ndarray, h2: float) -> np.ndarray:
         -np.roll(phi, -2) + 6.0 * np.roll(phi, -1) - 3.0 * phi - 2.0 * np.roll(phi, 1)
     ) / (6.0 * h2)
     return np.where(a >= 0.0, dp, dm)
-
-
-# --- interior right-hand sides ----------------------------------------------
-
-
-def _interior_rhs(U: np.ndarray, sc: SideCoefficients, epsilon: float,
-                  f: np.ndarray | None, grid: Grid) -> np.ndarray:
-    d1U = d1_field(U, grid.h1)
-    d2U = d2_field(U, grid.h2)
-    rhs = -sc.apply(U, d1U, d2U)
-    if epsilon:
-        rhs += epsilon * d1U
-    if f is not None:
-        rhs += f
-    return rhs * sc.A0_inv_diag
-
-
-def _companion_rhs(a: np.ndarray, sc: SideCoefficients, epsilon: float,
-                   f_side: np.ndarray | None, grid: Grid) -> np.ndarray:
-    d1a = d1_field(a[None], grid.h1)[0]
-    d2a = d2_field(a[None], grid.h2)[0]
-    rhs = -(sc.w1 * d1a + sc.w2 * d2a + a * (sc.div_u - epsilon * sc.d11phi)) / sc.d1phi
-    if epsilon:
-        rhs += epsilon * d1a
-    if f_side is not None:
-        # F = div f_h / d1Phi with f_h = (f_N, d1Phi * f_H2)
-        fN = f_side[3] - f_side[4] * sc.d2psi
-        fh2 = sc.d1phi * f_side[4]
-        rhs += (d1_field(fN[None], grid.h1)[0] + d2_field(fh2[None], grid.h2)[0]) / sc.d1phi
-    return rhs
 
 
 # --- interface closure ------------------------------------------------------
@@ -307,58 +272,175 @@ def apply_interface_conditions(
 # --- single step ------------------------------------------------------------
 
 
-def _stage_rhs(snap: Snapshot, coeffs: Coefficients, epsilon: float,
-               sources: Sources, grid: Grid, t: float):
+def _stage_entries(sc: SideCoefficients, epsilon: float):
+    """The interior operator of one stage, -A0^-1 (A1_tilde d1 + A2 d2 + C)
+    + eps A0^-1 d1, as (i, j, c) lists for d1U, d2U and U, plus the A0^-1
+    diagonal for the source f; c stays a float where it is constant."""
+    a0_inv = [uniform_or_field(row) for row in sc.A0_inv_diag]
+
+    def scaled(entries):
+        return [(i, j, uniform_or_field(-a0_inv[i] * c)) for i, j, c in entries]
+
+    d1 = {(i, j): c for i, j, c in scaled(sc.At1_nz)}
+    if epsilon:
+        for i in range(6):
+            d1[i, i] = uniform_or_field(d1.get((i, i), 0.0) + epsilon * a0_inv[i])
+    d1 = [(i, j, c) for (i, j), c in sorted(d1.items())]
+    source = [(i, i, a0_inv[i]) for i in range(6)]
+    return d1, scaled(sc.A2_nz), scaled(sc.C_nz), source
+
+
+def _companion_factors(sc: SideCoefficients, epsilon: float):
+    """One-row entry lists of the companion transport
+    da/dt = c1 d1a + c2 d2a + c0 a (+ the f term), for d1a, d2a and a."""
+    factors = (-sc.w1 / sc.d1phi + epsilon,
+               -sc.w2 / sc.d1phi,
+               -(sc.div_u - epsilon * sc.d11phi) / sc.d1phi)
+    return [[(0, 0, c)] if np.any(c) else [] for c in map(uniform_or_field, factors)]
+
+
+class StageWork:
+    """Buffers and folded stage entries of solver.step, built once per run.
+
+    A workspace belongs to one grid shape, one Coefficients object and one
+    epsilon.  k holds a stage's derivatives, acc the RK4 combination and y
+    the stage state; every field is written in place.
+    """
+
+    def __init__(self, grid: Grid, coeffs: Coefficients, epsilon: float):
+        self.grid = grid
+        self.shape = (grid.N1, grid.N2)
+        self.coeffs = coeffs
+        self.epsilon = epsilon
+        self.entries = {s: _stage_entries(coeffs.side(s), epsilon) for s in (+1, -1)}
+        self.companion = {s: _companion_factors(coeffs.side(s), epsilon) for s in (+1, -1)}
+        self.d1U = np.empty((6,) + self.shape)
+        self.d2U = np.empty((6,) + self.shape)
+        self.planes = np.empty((5,) + self.shape)   # contraction, d1a, d2a, fN, fh2
+        self.k = _state_arrays(_new_snapshot(grid, np.empty))
+        self.acc = _state_arrays(_new_snapshot(grid, np.empty))
+        self.y = _new_snapshot(grid, np.empty)
+
+    def check(self, grid: Grid, coeffs: Coefficients, epsilon: float) -> None:
+        if (grid.N1, grid.N2) != self.shape:
+            raise ValueError(f"workspace built for a {self.shape} grid, "
+                             f"not {(grid.N1, grid.N2)}")
+        if coeffs is not self.coeffs:
+            raise ValueError("workspace built for another Coefficients object")
+        if epsilon != self.epsilon:
+            raise ValueError(f"workspace built for eps = {self.epsilon}, not {epsilon}")
+
+    def interior(self, side: int, U: np.ndarray, f: np.ndarray | None,
+                 out: np.ndarray) -> None:
+        """A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U + f) into out."""
+        d1, d2, C, source = self.entries[side]
+        terms = [(d1, d1_field(U, self.grid.h1, out=self.d1U)),
+                 (d2, d2_field(U, self.grid.h2, out=self.d2U)), (C, U)]
+        if f is not None:
+            terms.append((source, f))
+        contract_entries(terms, out, self.planes[0])
+
+    def transport(self, side: int, a: np.ndarray, f: np.ndarray | None,
+                  out: np.ndarray) -> None:
+        """da/dt of the companion field a = f7 / d1Phi into out."""
+        c1, c2, c0 = self.companion[side]
+        plane, d1a, d2a, fN, fh2 = self.planes[:, None]
+        d1_field(a[None], self.grid.h1, out=d1a)
+        d2_field(a[None], self.grid.h2, out=d2a)
+        contract_entries(((c1, d1a), (c2, d2a), (c0, a[None])), out[None], plane[0])
+        if f is not None:
+            # F = div f_h / d1Phi with f_h = (f_N, d1Phi * f_H2)
+            sc = self.coeffs.side(side)
+            np.multiply(f[4], sc.d2psi, out=fN[0])
+            np.subtract(f[3], fN[0], out=fN[0])
+            np.multiply(sc.d1phi, f[4], out=fh2[0])
+            d1_field(fN, self.grid.h1, out=d1a)
+            d2_field(fh2, self.grid.h2, out=d2a)
+            d1a += d2a
+            d1a /= sc.d1phi
+            out += d1a[0]
+
+
+def _new_snapshot(grid: Grid, alloc) -> Snapshot:
+    shape = (6, grid.N1, grid.N2)
+    return Snapshot(U=TwoSidedField(alloc(shape), alloc(shape)),
+                    phi=FrontState(alloc(grid.N2)), t=0.0,
+                    a_plus=alloc(shape[1:]), a_minus=alloc(shape[1:]))
+
+
+def _state_arrays(snap: Snapshot) -> tuple:
+    """(U+, U-, phi, a+, a-), the order of the stage derivative tuples."""
+    return snap.U.plus, snap.U.minus, snap.phi.phi, snap.a_plus, snap.a_minus
+
+
+def _stage(y: Snapshot, t: float, work: StageWork, sources: Sources, out: tuple) -> None:
+    """The stage derivatives at y, written into the five arrays of out."""
     fpm = sources.f_eval(t)
     g_rows = sources.g_eval(t)
-    fp, fm = (fpm if fpm is not None else (None, None))
-    return (
-        _interior_rhs(snap.U.plus, coeffs.plus, epsilon, fp, grid),
-        _interior_rhs(snap.U.minus, coeffs.minus, epsilon, fm, grid),
-        _front_rhs(snap.phi.phi, snap.U.plus[:, 0, :], coeffs, g_rows, grid),
-        _companion_rhs(snap.a_plus, coeffs.plus, epsilon, fp, grid),
-        _companion_rhs(snap.a_minus, coeffs.minus, epsilon, fm, grid),
-    )
+    fp, fm = fpm if fpm is not None else (None, None)
+    work.interior(+1, y.U.plus, fp, out[0])
+    work.interior(-1, y.U.minus, fm, out[1])
+    out[2][:] = _front_rhs(y.phi.phi, y.U.plus[:, 0, :], work.coeffs, g_rows, work.grid)
+    work.transport(+1, y.a_plus, fp, out[3])
+    work.transport(-1, y.a_minus, fm, out[4])
 
 
-def _advance(snap: Snapshot, k, dt: float, coeffs: Coefficients,
-             sources: Sources, t_new: float) -> Snapshot:
-    out = Snapshot(
-        U=TwoSidedField(snap.U.plus + dt * k[0], snap.U.minus + dt * k[1]),
-        phi=FrontState(snap.phi.phi + dt * k[2], t_new),
-        t=t_new,
-        a_plus=snap.a_plus + dt * k[3],
-        a_minus=snap.a_minus + dt * k[4],
-    )
-    g_rows = sources.g_eval(t_new)
-    apply_interface_conditions(out.U, out.phi.phi, coeffs, g_rows)
+def _advance(y0: Snapshot, k: tuple, dt: float, t_new: float, coeffs: Coefficients,
+             sources: Sources, out: Snapshot) -> Snapshot:
+    """out = y0 + dt k at t_new, then the interface closure; returns out."""
+    for o, y, dk in zip(_state_arrays(out), _state_arrays(y0), k):
+        np.multiply(dk, dt, out=o)
+        o += y
+    out.t = out.phi.t = t_new
+    apply_interface_conditions(out.U, out.phi.phi, coeffs, sources.g_eval(t_new))
     out.a_plus[-1, :] = out.a_plus[-2, :]
     out.a_minus[-1, :] = out.a_minus[-2, :]
     return out
 
 
+def _accumulate(acc: tuple, k: tuple, weight: float) -> None:
+    """acc += weight * k, scaling k in place."""
+    for a, dk in zip(acc, k):
+        if weight != 1.0:
+            dk *= weight
+        a += dk
+
+
 def step(snapshot: Snapshot, basic: BasicState, epsilon: float,
-         sources: Sources | None = None, coeffs: Coefficients | None = None) -> Snapshot:
-    """One classical RK4 step of size grid.dt with per-stage interface closure."""
+         sources: Sources | None = None, coeffs: Coefficients | None = None,
+         work: StageWork | None = None) -> Snapshot:
+    """One classical RK4 step of size grid.dt with per-stage interface closure.
+
+    The stages run in the workspace work (built here when none is given);
+    only the returned Snapshot is newly allocated, and snapshot is left
+    unchanged.
+    """
     grid = basic.grid
     if coeffs is None:
-        coeffs = assemble_coefficients(basic)
+        coeffs = work.coeffs if work is not None else assemble_coefficients(basic)
+    if work is None:
+        work = StageWork(grid, coeffs, epsilon)
+    work.check(grid, coeffs, epsilon)
     if sources is None:
         sources = Sources()
     dt = grid.dt
     t = snapshot.t
+    half, full = t + 0.5 * dt, t + dt
+    k, acc, y = work.k, work.acc, work.y
 
-    k1 = _stage_rhs(snapshot, coeffs, epsilon, sources, grid, t)
-    y2 = _advance(snapshot, k1, 0.5 * dt, coeffs, sources, t + 0.5 * dt)
-    k2 = _stage_rhs(y2, coeffs, epsilon, sources, grid, t + 0.5 * dt)
-    y3 = _advance(snapshot, k2, 0.5 * dt, coeffs, sources, t + 0.5 * dt)
-    k3 = _stage_rhs(y3, coeffs, epsilon, sources, grid, t + 0.5 * dt)
-    y4 = _advance(snapshot, k3, dt, coeffs, sources, t + dt)
-    k4 = _stage_rhs(y4, coeffs, epsilon, sources, grid, t + dt)
-    ksum = tuple(
-        (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0 for i in range(5)
-    )
-    out = _advance(snapshot, ksum, dt, coeffs, sources, t + dt)
+    _stage(snapshot, t, work, sources, acc)                        # acc = k1
+    _advance(snapshot, acc, 0.5 * dt, half, coeffs, sources, y)
+    _stage(y, half, work, sources, k)                              # k2
+    _advance(snapshot, k, 0.5 * dt, half, coeffs, sources, y)
+    _accumulate(acc, k, 2.0)
+    _stage(y, half, work, sources, k)                              # k3
+    _advance(snapshot, k, dt, full, coeffs, sources, y)
+    _accumulate(acc, k, 2.0)
+    _stage(y, full, work, sources, k)                              # k4
+    _accumulate(acc, k, 1.0)
+    for a in acc:
+        a /= 6.0
+    out = _advance(snapshot, acc, dt, full, coeffs, sources, _new_snapshot(grid, np.empty))
     out.check_finite()
     return out
 
@@ -387,7 +469,7 @@ def symmetrizer_energy(snapshot: Snapshot, basic: BasicState,
     total = 0.0
     for side in (+1, -1):
         U = snapshot.U.side(side)
-        dens = np.sum(coeffs.side(side).A0_diag * U * U, axis=0)
+        dens = np.einsum("ijk,ijk,ijk->jk", coeffs.side(side).A0_diag, U, U)
         total += float(np.sum(dens * g.p_weights1[:, None]) * g.h2)
     return total
 
@@ -511,6 +593,7 @@ def run(basic: BasicState, epsilon: float, sources: Sources | None = None,
         g_rows = sources.g_eval(snap.t)
         apply_interface_conditions(snap.U, snap.phi.phi, coeffs, g_rows)
     n_steps = grid.n_steps
+    work = StageWork(grid, coeffs, epsilon)
     reports = [energy_report(snap, basic, coeffs=coeffs)]
     stored = [snap.copy()] if store_snapshots_every else []
     energies: list[float] = []
@@ -518,7 +601,7 @@ def run(basic: BasicState, epsilon: float, sources: Sources | None = None,
     try:
         energies.append(_finite_energy(snap, basic, coeffs))
         for n in range(1, n_steps + 1):
-            new = step(prev, basic, epsilon, sources, coeffs)
+            new = step(prev, basic, epsilon, sources, coeffs, work)
             energies.append(_finite_energy(new, basic, coeffs))
             if n % report_every == 0 or n == n_steps:
                 reports.append(energy_report(new, basic, prev=prev, coeffs=coeffs))

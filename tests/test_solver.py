@@ -63,6 +63,22 @@ class TestPeriodicStencil:
         roll = (np.roll(U, -1, axis=-1) - np.roll(U, 1, axis=-1)) / (2.0 * h2)
         assert np.array_equal(d2_field(U, h2), roll)
 
+    @pytest.mark.parametrize("stencil", [d1_field, d2_field])
+    @pytest.mark.parametrize("shape", [(6, 9, 17), (1, 9, 17), (9, 17),
+                                       (6, 4, 4), (1, 4, 4), (4, 4)])
+    def test_out_gives_the_allocated_result(self, stencil, shape):
+        U = np.random.default_rng(5).standard_normal(shape)
+        out = np.full(shape, np.nan)
+        assert stencil(U, 0.37, out=out) is out
+        assert np.array_equal(out, stencil(U, 0.37))
+
+    @pytest.mark.parametrize("stencil", [d1_field, d2_field])
+    def test_out_sharing_memory_with_the_input_raises(self, stencil):
+        U = np.random.default_rng(5).standard_normal((6, 9, 17))
+        for out in (U, U[::-1], U[..., ::-1]):
+            with pytest.raises(ValueError, match="share memory"):
+                stencil(U, 0.37, out=out)
+
 
 class TestSummationByParts:
     def test_first_derivative_matrix_is_exactly_sbp(self):
@@ -234,6 +250,17 @@ def normal_slope_background(grid):
         arr[4] = 0.3
         arr[5] = 0.1
     return basic_state_from_arrays(grid, up, um)
+
+
+class TestFrontAdvection:
+    @pytest.mark.parametrize("speed", [0.7, -0.7])
+    def test_upwind_transport_is_dissipative(self, speed):
+        """-a D_upwind has the symmetric part -|a| delta^4 / (12 h2) <= 0, so
+        the front's x2 transport removes energy for either sign of a."""
+        phi = np.random.default_rng(9).standard_normal(16)
+        a = np.full(16, speed)
+        rate = np.sum(phi * -a * solver._upwind_d2(phi, a, 0.4))
+        assert rate < -0.1 * np.sum(phi ** 2)
 
 
 class TestEnergyDecay:

@@ -1,0 +1,209 @@
+"""solver.step against the allocating RK4 it replaces, kept here as the
+independent reference: A0^-1 (-apply + eps d1U + f), the companion formula
+written out, snap + dt k and (k1 + 2 k2 + 2 k3 + k4) / 6."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from contact_stab import mhd, solver
+from contact_stab.fields import FrontState, TwoSidedField
+from contact_stab.grid import Grid, d1_field, d2_field
+from contact_stab.linearization import constant_basic_state
+from contact_stab.scenarios import ManufacturedProblem, rt_basic_state
+from contact_stab.solver import (
+    Snapshot,
+    Sources,
+    StageWork,
+    apply_interface_conditions,
+    assemble_coefficients,
+    build_grid,
+    divergence_free_pulse,
+    run,
+    step,
+)
+
+from test_linearization import curved_background
+
+N1, N2, X1, X2 = 20, 16, 4.0, 2.0 * np.pi
+
+
+def _interior_rhs(U, sc, eps, f, grid):
+    d1U = d1_field(U, grid.h1)
+    rhs = -sc.apply(U, d1U, d2_field(U, grid.h2))
+    if eps:
+        rhs += eps * d1U
+    if f is not None:
+        rhs += f
+    return rhs * sc.A0_inv_diag
+
+
+def _companion_rhs(a, sc, eps, f, grid):
+    d1a = d1_field(a[None], grid.h1)[0]
+    d2a = d2_field(a[None], grid.h2)[0]
+    rhs = -(sc.w1 * d1a + sc.w2 * d2a + a * (sc.div_u - eps * sc.d11phi)) / sc.d1phi
+    if eps:
+        rhs += eps * d1a
+    if f is not None:
+        fN = f[3] - f[4] * sc.d2psi
+        fh2 = sc.d1phi * f[4]
+        rhs += (d1_field(fN[None], grid.h1)[0] + d2_field(fh2[None], grid.h2)[0]) / sc.d1phi
+    return rhs
+
+
+def _stage_rhs(snap, coeffs, eps, src, grid, t):
+    fp, fm = src.f(t) if src.f is not None else (None, None)
+    g_rows = np.asarray(src.g(t), dtype=float) if src.g is not None else None
+    return (
+        _interior_rhs(snap.U.plus, coeffs.plus, eps, fp, grid),
+        _interior_rhs(snap.U.minus, coeffs.minus, eps, fm, grid),
+        solver._front_rhs(snap.phi.phi, snap.U.plus[:, 0, :], coeffs, g_rows, grid),
+        _companion_rhs(snap.a_plus, coeffs.plus, eps, fp, grid),
+        _companion_rhs(snap.a_minus, coeffs.minus, eps, fm, grid),
+    )
+
+
+def _advance(snap, k, dt, coeffs, src, t_new):
+    out = Snapshot(
+        U=TwoSidedField(snap.U.plus + dt * k[0], snap.U.minus + dt * k[1]),
+        phi=FrontState(snap.phi.phi + dt * k[2], t_new),
+        t=t_new,
+        a_plus=snap.a_plus + dt * k[3],
+        a_minus=snap.a_minus + dt * k[4],
+    )
+    g_rows = np.asarray(src.g(t_new), dtype=float) if src.g is not None else None
+    apply_interface_conditions(out.U, out.phi.phi, coeffs, g_rows)
+    out.a_plus[-1, :] = out.a_plus[-2, :]
+    out.a_minus[-1, :] = out.a_minus[-2, :]
+    return out
+
+
+def reference_step(snap, basic, eps, src, coeffs):
+    grid = basic.grid
+    dt, t = grid.dt, snap.t
+    k1 = _stage_rhs(snap, coeffs, eps, src, grid, t)
+    k2 = _stage_rhs(_advance(snap, k1, 0.5 * dt, coeffs, src, t + 0.5 * dt),
+                    coeffs, eps, src, grid, t + 0.5 * dt)
+    k3 = _stage_rhs(_advance(snap, k2, 0.5 * dt, coeffs, src, t + 0.5 * dt),
+                    coeffs, eps, src, grid, t + 0.5 * dt)
+    k4 = _stage_rhs(_advance(snap, k3, dt, coeffs, src, t + dt),
+                    coeffs, eps, src, grid, t + dt)
+    ksum = tuple((k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0 for i in range(5))
+    return _advance(snap, ksum, dt, coeffs, src, t + dt)
+
+
+def arrays(snap):
+    return snap.U.plus, snap.U.minus, snap.phi.phi, snap.a_plus, snap.a_minus
+
+
+def _with_companion(snap, grid):
+    """Give the companion fields a smooth nonzero start so their transport
+    is exercised too."""
+    X1g, X2g = grid.mesh()
+    snap.a_plus = np.exp(-(X1g - 1.5) ** 2) * np.cos(X2g)
+    snap.a_minus = np.exp(-(X1g - 1.0) ** 2) * np.sin(2.0 * X2g)
+    return snap
+
+
+def constant_case():
+    proto = constant_basic_state(Grid(N1, N2, X1, X2), v2=0.2)
+    grid = build_grid(N1, N2, X1, X2, 0.2, basic=proto, epsilon=1e-3)
+    basic = constant_basic_state(grid, v2=0.2, H1=1.0, H2=0.3, S_plus=0.2, S_minus=-0.1)
+    return basic, 1e-3, Sources(), _with_companion(divergence_free_pulse(grid, seed=1), grid)
+
+
+def rt_case():
+    grid = build_grid(N1, N2, X1, X2, 0.2, basic=rt_basic_state(Grid(N1, N2, X1, X2)),
+                      epsilon=1e-2)
+    basic = rt_basic_state(grid, rt_jump=0.5)
+    return basic, 1e-2, Sources(), _with_companion(divergence_free_pulse(grid, seed=2), grid)
+
+
+def curved_case():
+    """Curved front: the companion factors are fields and d11phi != 0."""
+    grid = build_grid(N1, N2, X1, X2, 0.2, basic=curved_background(Grid(N1, N2, X1, X2)),
+                      epsilon=1e-2)
+    basic = curved_background(grid)
+    return basic, 1e-2, Sources(), _with_companion(divergence_free_pulse(grid, seed=3), grid)
+
+
+def mms_case():
+    def st(S):
+        return mhd.PlasmaState(1.0, 0.0, 0.2, 1.0, 0.3, S)
+
+    eps = 1e-2
+    problem = ManufacturedProblem(st(0.2), st(-0.1), eps)
+    proto = constant_basic_state(Grid(N1, N2, X1, X2), v2=0.2)
+    grid = build_grid(N1, N2, X1, X2, 0.2, basic=proto, epsilon=eps)
+    basic = constant_basic_state(grid, v2=0.2, H1=1.0, H2=0.3, S_plus=0.2, S_minus=-0.1)
+    return basic, eps, problem.sources(grid), problem.initial(grid)
+
+
+CASES = {"constant": constant_case, "rt": rt_case, "curved": curved_case, "mms": mms_case}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_three_steps_match_the_allocating_rk4(case):
+    basic, eps, src, snap = CASES[case]()
+    coeffs = assemble_coefficients(basic)
+    work = StageWork(basic.grid, coeffs, eps)
+    new, ref = snap, snap
+    for _ in range(3):
+        before = [a.copy() for a in arrays(new)]
+        t_before = new.t
+        stepped = step(new, basic, eps, sources=src, coeffs=coeffs, work=work)
+        assert new.t == t_before
+        for a, b in zip(arrays(new), before):
+            assert np.array_equal(a, b)   # the input snapshot is left unchanged
+        new, ref = stepped, reference_step(ref, basic, eps, src, coeffs)
+        assert new.t == ref.t
+        for a, b in zip(arrays(new), arrays(ref)):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    assert np.max(np.abs(ref.a_plus)) > 0.0
+
+
+def _shares_memory(snaps):
+    return any(np.shares_memory(a, b)
+               for s1, s2 in itertools.combinations(snaps, 2)
+               for a in arrays(s1) for b in arrays(s2))
+
+
+def test_consecutive_steps_share_no_memory():
+    basic, eps, src, snap = mms_case()
+    coeffs = assemble_coefficients(basic)
+    work = StageWork(basic.grid, coeffs, eps)
+    s1 = step(snap, basic, eps, sources=src, coeffs=coeffs, work=work)
+    s2 = step(s1, basic, eps, sources=src, coeffs=coeffs, work=work)
+    s3 = step(s2, basic, eps, sources=src)        # a workspace of its own
+    assert not _shares_memory([snap, s1, s2, s3])
+
+
+def test_stored_snapshots_and_final_share_no_memory():
+    basic, eps, src, snap = constant_case()
+    res = run(basic, eps, sources=src, initial=snap, store_snapshots_every=1)
+    assert len(res.snapshots) == basic.grid.n_steps + 1
+    assert not _shares_memory(res.snapshots + [res.final])
+
+
+class TestWorkspaceBelongsToOneRun:
+    def setup_method(self):
+        self.basic, self.eps, _, self.snap = constant_case()
+        self.coeffs = assemble_coefficients(self.basic)
+        self.work = StageWork(self.basic.grid, self.coeffs, self.eps)
+
+    def test_another_grid_shape_raises(self):
+        proto = constant_basic_state(Grid(N1 + 2, N2, X1, X2), v2=0.2)
+        grid = build_grid(N1 + 2, N2, X1, X2, 0.2, basic=proto, epsilon=self.eps)
+        other = constant_basic_state(grid, v2=0.2)
+        with pytest.raises(ValueError, match="grid"):
+            step(Snapshot.zeros(grid), other, self.eps, work=self.work)
+
+    def test_another_coefficients_object_raises(self):
+        with pytest.raises(ValueError, match="Coefficients"):
+            step(self.snap, self.basic, self.eps,
+                 coeffs=assemble_coefficients(self.basic), work=self.work)
+
+    def test_another_epsilon_raises(self):
+        with pytest.raises(ValueError, match="eps"):
+            step(self.snap, self.basic, 2.0 * self.eps, coeffs=self.coeffs, work=self.work)
