@@ -59,8 +59,8 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # the lift's traces fed the front with the wrong sign
     "flip-phi-tilde-in-lift": [
-        (SOLVER, "r = _jump_residual(zero, zero, phi_tilde, self._coeffs, g_rows)",
-         "r = _jump_residual(zero, zero, -phi_tilde, self._coeffs, g_rows)"),
+        (SOLVER, "r = _jump_residual(zero, zero, phi_tilde, self.coeffs, g_rows)",
+         "r = _jump_residual(zero, zero, -phi_tilde, self.coeffs, g_rows)"),
     ],
     "halve-tangential-weight": [
         (SOLVER, "wt = 0.5 / (1.0 + tau ** 2)", "wt = 0.25 / (1.0 + tau ** 2)"),

@@ -39,10 +39,9 @@ class TwoSidedField:
 
 @dataclass
 class FrontState:
-    """Front perturbation phi(x2) on the boundary grid at time t."""
+    """Front perturbation phi(x2) on the boundary grid."""
 
     phi: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
@@ -56,4 +55,4 @@ class FrontState:
         return self.sup_norm < 1.0
 
     def copy(self) -> "FrontState":
-        return FrontState(self.phi.copy(), self.t)
+        return FrontState(self.phi.copy())

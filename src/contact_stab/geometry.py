@@ -11,8 +11,9 @@ d1 Phi^+ >= 1/2 and d1 Phi^- <= -1/2, so the map is invertible on each side.
 
 The cutoff is built from a plateau-shaped transition density: chi' on [1, 4]
 is a constant-height C-infinity bump (height 1/2.4 < 1/2), and chi itself is
-its integral, tabulated once on a dense grid and interpolated with a cubic
-spline.  The slope bound is therefore explicit, not tuned.
+its integral, tabulated once on a dense grid by the corrected trapezoid rule
+and interpolated by cubic Hermite pieces with the exact slope.  The slope
+bound is therefore explicit, not tuned.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .fields import FrontState
 from .grid import Grid, d2_line, one_sided_d1_at_wall
@@ -82,14 +81,37 @@ def _plateau_bump_d(u):
     return out
 
 
-def _build_transition_spline():
-    u = np.linspace(0.0, 1.0, 16001)
-    B = _plateau_bump(u)
-    IB = cumulative_simpson(B, x=u, initial=0.0)
-    IB /= IB[-1]  # exact normalization: chi hits 0 at the outer edge
-    return CubicSpline(u, IB)
+_TABLE_N = 16000   # intervals of the transition table on [0, 1]
+_TABLE_H = 1.0 / _TABLE_N
 
-_TRANSITION = _build_transition_spline()
+
+def _build_transition_table():
+    """Values and slopes of the normalized integral of the bump at the
+    nodes k h of [0, 1].
+
+    Each interval adds the corrected trapezoid rule
+    h/2 (B_k + B_k+1) + h^2/12 (B'_k - B'_k+1), exact for cubics."""
+    u = np.linspace(0.0, 1.0, _TABLE_N + 1)
+    h = _TABLE_H
+    B = _plateau_bump(u)
+    dB = _plateau_bump_d(u)
+    steps = 0.5 * h * (B[:-1] + B[1:]) + h * h / 12.0 * (dB[:-1] - dB[1:])
+    IB = np.concatenate(([0.0], np.cumsum(steps)))
+    # exact normalization: chi hits 0 at the outer edge
+    return IB / IB[-1], B / IB[-1]
+
+
+_VALUES, _SLOPES = _build_transition_table()
+
+
+def _transition(u):
+    """Cubic Hermite interpolation of the table at u in [0, 1]."""
+    h = _TABLE_H
+    k = np.clip((u / h).astype(int), 0, _TABLE_N - 1)
+    s = u / h - k
+    s2, s3 = s * s, s * s * s
+    return ((2.0 * s3 - 3.0 * s2 + 1.0) * _VALUES[k] + (s3 - 2.0 * s2 + s) * h * _SLOPES[k]
+            + (3.0 * s2 - 2.0 * s3) * _VALUES[k + 1] + (s3 - s2) * h * _SLOPES[k + 1])
 
 
 def cutoff_chi(x1):
@@ -98,7 +120,7 @@ def cutoff_chi(x1):
     out = np.zeros_like(x)
     out[x <= 1.0] = 1.0
     mid = (x > 1.0) & (x < 4.0)
-    out[mid] = 1.0 - _TRANSITION((x[mid] - 1.0) / _SPAN)
+    out[mid] = 1.0 - _transition((x[mid] - 1.0) / _SPAN)
     if np.ndim(x1) == 0:
         return float(out)
     return out

@@ -58,11 +58,12 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Background data entering the boundary algebra at a point of x1 = 0."""
+    """Background data entering the boundary algebra at a point of x1 = 0,
+    or along the interface line when the fields are (N2,) arrays."""
 
-    H1: float
-    H2: float
-    d2phi: float = 0.0
+    H1: float | np.ndarray
+    H2: float | np.ndarray
+    d2phi: float | np.ndarray = 0.0
 
     @property
     def HN(self) -> float:
@@ -73,10 +74,11 @@ def boundary_A1_exact(trace: BoundaryTrace, side: int) -> np.ndarray:
     """A1_tilde restricted to x1 = 0 under the interface conditions.
 
     The matrix is side * M with M depending only on (H1, H2, d2phi) of the
-    background trace; its sixth row and column vanish identically.
+    background trace; its sixth row and column vanish identically.  A trace
+    of (N2,) lines gives a (6, 6, N2) array.
     """
     h1, h2, fp = trace.H1, trace.H2, trace.d2phi
-    M = np.zeros((6, 6))
+    M = np.zeros((6, 6) + np.shape(h1))
     M[0, 1] = M[1, 0] = 1.0
     M[0, 2] = M[2, 0] = -fp
     M[1, 3] = M[3, 1] = h2 * fp
@@ -209,12 +211,11 @@ class BasicState:
 
     # -- boundary data used by the linearized interface conditions -----------
 
-    def boundary_trace(self, i2: int) -> BoundaryTrace:
-        """Background boundary trace at node i2 (uses the + side; valid
-        states agree)."""
-        d2phi = self.geometry.d2_phi_boundary
+    def boundary_trace(self) -> BoundaryTrace:
+        """Background boundary trace along the interface line (uses the +
+        side; valid states agree)."""
         U = self.u.plus[:, 0, :]
-        return BoundaryTrace(H1=float(U[3, i2]), H2=float(U[4, i2]), d2phi=float(d2phi[i2]))
+        return BoundaryTrace(H1=U[3], H2=U[4], d2phi=self.geometry.d2_phi_boundary)
 
     def jump_d1_p(self) -> np.ndarray:
         return normal_jump(self.u.plus[0], self.u.minus[0], self.grid.h1)
@@ -666,12 +667,10 @@ def boundary_quadratic_form(
     if jv > tol_v:
         raise ValueError(f"velocity traces must agree ([v] max {jv:.3g} > {tol_v:.3g})")
     d2phi_hat = basic.geometry.d2_phi_boundary
-    N2 = basic.grid.N2
-    matrix_form = np.zeros(N2)
+    A = boundary_A1_exact(basic.boundary_trace(), +1)
+    matrix_form = np.zeros(basic.grid.N2)
     for side, tr in ((+1, trace_plus), (-1, trace_minus)):
-        for i2 in range(N2):
-            A = boundary_A1_exact(basic.boundary_trace(i2), side)
-            matrix_form[i2] -= 0.5 * tr[:, i2] @ A @ tr[:, i2]
+        matrix_form -= side * 0.5 * np.einsum("ik,ijk,jk->k", tr, A, tr)
 
     HN_hat = basic.HN(+1)[0, :]
     H2_hat = basic.u.plus[4, 0, :]

@@ -113,7 +113,10 @@ def contact_pair_from_config(cfg: ScenarioConfig) -> spectral.ContactPair:
         return mhd.PlasmaState(cfg["state.p"], 0.0, cfg["state.v2"],
                                cfg["state.H1"], cfg["state.H2"], S, gamma=gamma)
 
-    return spectral.ContactPair(st(cfg["state.S_plus"]), st(cfg["state.S_minus"]))
+    try:
+        return spectral.ContactPair(st(cfg["state.S_plus"]), st(cfg["state.S_minus"]))
+    except ValueError as exc:
+        raise ConfigError(f"state: {exc}") from exc
 
 
 def grid_from_config(cfg: ScenarioConfig, basic_builder,
@@ -300,11 +303,13 @@ class ManufacturedProblem:
             a_minus=a[-1],
         )
 
-    def run_error(self, grid: Grid, basic: BasicState):
-        """(relative space-time L2 error, max divergence defect) of a run,
-        measured on the levels stored every n_steps // 8 steps."""
+    def run_error(self, coeffs: solver.Coefficients):
+        """(relative space-time L2 error, max divergence defect) of a run on
+        the operator coeffs, measured on the levels stored every
+        n_steps // 8 steps."""
+        grid = coeffs.grid
         every = max(grid.n_steps // 8, 1)
-        res = solver.run(basic, self.epsilon, sources=self.sources(grid),
+        res = solver.run(coeffs, self.epsilon, sources=self.sources(grid),
                          initial=self.initial(grid), store_snapshots_every=every,
                          report_every=every)
         if res.blew_up:
@@ -323,17 +328,22 @@ class ManufacturedProblem:
 
 
 def mms_problem_from_config(cfg: ScenarioConfig) -> ManufacturedProblem:
-    def st(S):
-        return mhd.PlasmaState(cfg["state.p"], 0.0, cfg["state.v2"],
-                               cfg["state.H1"], cfg["state.H2"], S,
-                               gamma=cfg["physics.gamma"])
-
+    pair = contact_pair_from_config(cfg)
     return ManufacturedProblem(
-        state_plus=st(cfg["state.S_plus"]), state_minus=st(cfg["state.S_minus"]),
+        state_plus=pair.plus, state_minus=pair.minus,
         epsilon=cfg["run.epsilon"], omega2=cfg["mms.omega2"],
         omega_t=cfg["mms.omega_t"], amplitude=cfg["mms.amplitude"],
         seed=cfg["run.seed"] or 7,
     )
+
+
+def _refined_coefficients(cfg: ScenarioConfig, N: int) -> solver.Coefficients:
+    """The operator of cfg's constant background on its N x N run grid."""
+    sub = dict(cfg.values)
+    sub["grid.N1"], sub["grid.N2"] = N, N
+    scfg = ScenarioConfig(kind=cfg.kind, values=sub, raw=cfg.raw)
+    _, basic = grid_from_config(scfg, constant_state_from_config, epsilon=cfg["run.epsilon"])
+    return solver.assemble_coefficients(basic)
 
 
 def _fit_order(hs, errs) -> float:
@@ -416,7 +426,8 @@ def run_energy_test(cfg: ScenarioConfig) -> ScenarioResult:
         grid, center=cfg["pulse.center"], width=cfg["pulse.width"],
         k2=cfg["pulse.k2"], amplitude=cfg["pulse.amplitude"], seed=cfg["run.seed"],
     )
-    res = solver.run(basic, eps, initial=init, report_every=cfg["run.report_every"])
+    res = solver.run(solver.assemble_coefficients(basic), eps, initial=init,
+                     report_every=cfg["run.report_every"])
     if res.blew_up:
         return ScenarioResult(ok=False, exit_code=3,
                               report=[f"blow-up at t = {res.blowup_time:.6g}"])
@@ -442,18 +453,16 @@ def run_energy_test(cfg: ScenarioConfig) -> ScenarioResult:
 
 def neutral_mode_discrete_error(N: int, cfg: ScenarioConfig) -> float:
     """Error of the advected entropy/front mode after a fixed horizon."""
-    sub = dict(cfg.values)
-    sub["grid.N1"], sub["grid.N2"] = N, N
-    scfg = ScenarioConfig(kind=cfg.kind, values=sub, raw=cfg.raw)
-    eps = cfg["run.epsilon"]
-    grid, basic = grid_from_config(scfg, constant_state_from_config, epsilon=eps)
+    coeffs = _refined_coefficients(cfg, N)
+    grid = coeffs.grid
     k = cfg["neutral.omega2"]
     v2 = cfg["state.v2"]
     snap = Snapshot.zeros(grid)
     snap.U.plus[5] = np.cos(k * grid.x2)[None, :]
     snap.U.minus[5] = np.cos(k * grid.x2)[None, :]
     snap.phi = FrontState(np.cos(k * grid.x2))
-    res = solver.run(basic, eps, initial=snap, report_every=max(grid.n_steps, 1))
+    res = solver.run(coeffs, cfg["run.epsilon"], initial=snap,
+                     report_every=max(grid.n_steps, 1))
     T = grid.T_final
     exact_line = np.cos(k * (grid.x2 - v2 * T))
     errS = solver._weighted_l2(res.final.U.plus[5] - exact_line[None, :], grid)
@@ -466,15 +475,8 @@ def neutral_mode_discrete_error(N: int, cfg: ScenarioConfig) -> float:
 
 
 def run_neutral_mode(cfg: ScenarioConfig) -> ScenarioResult:
-    pair_cfg = dict(cfg.values)
     # analytic residual via the spectral module
-    gamma = cfg["physics.gamma"]
-
-    def st(S):
-        return mhd.PlasmaState(cfg["state.p"], 0.0, cfg["state.v2"],
-                               cfg["state.H1"], cfg["state.H2"], S, gamma=gamma)
-
-    pair = spectral.ContactPair(st(cfg["state.S_plus"]), st(cfg["state.S_minus"]))
+    pair = contact_pair_from_config(cfg)
     analytic = spectral.neutral_mode_residual(float(cfg["neutral.omega2"]), pair)
     refinements = cfg["neutral.refinements"]
     errs = [neutral_mode_discrete_error(N, cfg) for N in refinements]
@@ -500,7 +502,8 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     grid, basic = grid_from_config(cfg, rt_state_from_config, epsilon=eps)
     sources = make_forcing(grid, cfg["run.seed"], cfg["forcing.amplitude"],
                            cfg["forcing.t_ramp"], cfg["forcing.k2"])
-    res = solver.run(basic, eps, sources=sources,
+    coeffs = solver.assemble_coefficients(basic)
+    res = solver.run(coeffs, eps, sources=sources,
                      report_every=cfg["run.report_every"],
                      store_snapshots_every=cfg["run.snapshot_every"])
     if res.blew_up:
@@ -511,7 +514,7 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     # interior source induced by lifting the interface data
     times = np.linspace(0.0, grid.T_final, min(grid.n_steps + 1, 33))
     f_norm = source_h1_norm(sources.f, grid, times)
-    lift = solver.BoundaryLift(basic, sources.g, epsilon=eps)
+    lift = solver.BoundaryLift(coeffs, sources.g, epsilon=eps)
     lift.front_lift(times)
     F_norm = source_h1_norm(lift.interior_source, grid, times)
     total = f_norm + F_norm
@@ -536,7 +539,7 @@ def run_eps_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     grid, basic = grid_from_config(cfg, rt_state_from_config, epsilon=max(eps_list))
     sources = make_forcing(grid, cfg["run.seed"], cfg["forcing.amplitude"],
                            cfg["forcing.t_ramp"], cfg["forcing.k2"])
-    result = solver.eps_sweep(basic, eps_list, sources=sources)
+    result = solver.eps_sweep(solver.assemble_coefficients(basic), eps_list, sources=sources)
     ok = (
         not result.truncated
         and len(result.J_max) == len(eps_list)
@@ -583,15 +586,11 @@ def run_mms(cfg: ScenarioConfig) -> ScenarioResult:
     hs = []
     try:
         for N in refinements:
-            sub = dict(cfg.values)
-            sub["grid.N1"], sub["grid.N2"] = N, N
-            scfg = ScenarioConfig(kind=cfg.kind, values=sub, raw=cfg.raw)
-            grid, basic = grid_from_config(scfg, constant_state_from_config,
-                                           epsilon=cfg["run.epsilon"])
-            err, div = problem.run_error(grid, basic)
+            coeffs = _refined_coefficients(cfg, N)
+            err, div = problem.run_error(coeffs)
             errs.append(err)
             divs.append(div)
-            hs.append(grid.h1)
+            hs.append(coeffs.grid.h1)
     except solver.BlowUpError as exc:
         return ScenarioResult(ok=False, exit_code=3,
                               report=[f"blow-up at t = {exc.t:.6g}"])

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import mhd
 from .mhd import PlasmaState
@@ -96,12 +95,14 @@ def dispersion_roots(point: LaplaceFourierPoint, const_state: PlasmaState, side:
     """Finite pencil roots lambda; the two zero-speed rows are algebraic.
 
     Returns (roots, modes): the four finite generalized eigenvalues and the
-    corresponding reconstructed 6-component mode vectors (columns).
+    corresponding reconstructed 6-component mode vectors (columns).  B is
+    +-A1 over (p, v1, v2, H2), with determinant H1^2, so the pencil is
+    solved as the eigenproblem of -B^-1 M.
     """
     M, B = _reduced_pencil(point, const_state, side)
     if abs(const_state.H1) < 1e-12:
         raise DegeneratePointError("normal field H1 = 0 degenerates the pencil")
-    lam, vecs = scipy.linalg.eig(-M, B)
+    lam, vecs = np.linalg.eig(np.linalg.solve(B, -M))
     if not np.all(np.isfinite(lam)):
         raise DegeneratePointError("reduced pencil produced non-finite roots")
     order = np.argsort(lam.real)

@@ -63,6 +63,14 @@ class TestExitCodes:
         code = run_cli("adjoint-check", str(cfg), tmp_path / "o")
         assert code == 2
 
+    @pytest.mark.parametrize("kind, config", [("spectrum", "configs/spectrum.cfg"),
+                                              ("neutral-mode", "configs/neutral_mode.cfg"),
+                                              ("mms", "configs/mms.cfg")])
+    def test_zero_normal_field_is_a_config_error(self, tmp_path, capsys, kind, config):
+        code = run_cli(kind, config, tmp_path / "o", extra=["--override", "state.H1=0"])
+        assert code == 2
+        assert "nonzero normal magnetic field" in capsys.readouterr().err
+
     def test_failed_check_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "adj.cfg"
         cfg.write_text(

@@ -15,6 +15,7 @@ from contact_stab.solver import (
     BoundaryLift,
     Snapshot,
     Sources,
+    StageWork,
     assemble_coefficients,
     build_grid,
     discrete_adjoint_check,
@@ -36,6 +37,10 @@ def small_basic(N1=20, N2=16, v2=0.2, T=0.2, eps=1e-2):
                       epsilon=eps)
     return constant_basic_state(grid, v2=v2, H1=1.0, H2=0.3,
                                 S_plus=0.2, S_minus=-0.1), grid
+
+
+def work_for(basic, eps):
+    return StageWork(assemble_coefficients(basic), eps)
 
 
 class TestGridBuild:
@@ -100,8 +105,9 @@ class TestStep:
     def test_zero_data_stays_exactly_zero(self):
         basic, grid = small_basic()
         snap = Snapshot.zeros(grid)
+        work = work_for(basic, 1e-2)
         for _ in range(5):
-            snap = step(snap, basic, 1e-2)
+            snap = step(snap, work, Sources())
         assert np.all(snap.U.plus == 0.0)
         assert np.all(snap.U.minus == 0.0)
         assert np.all(snap.phi.phi == 0.0)
@@ -118,10 +124,10 @@ class TestStep:
             a_plus=2.0 * a.a_plus - 0.5 * b.a_plus,
             a_minus=2.0 * a.a_minus - 0.5 * b.a_minus,
         )
-        coeffs = assemble_coefficients(basic)
-        sa = step(a, basic, 1e-2, coeffs=coeffs)
-        sb = step(b, basic, 1e-2, coeffs=coeffs)
-        sc = step(combo, basic, 1e-2, coeffs=coeffs)
+        work = work_for(basic, 1e-2)
+        sa = step(a, work, Sources())
+        sb = step(b, work, Sources())
+        sc = step(combo, work, Sources())
         want = 2.0 * sa.U.plus - 0.5 * sb.U.plus
         scale = max(np.max(np.abs(want)), 1.0)
         assert np.max(np.abs(sc.U.plus - want)) <= 1e-12 * scale
@@ -131,13 +137,13 @@ class TestStep:
         snap = Snapshot.zeros(grid)
         snap.U.plus[0, 3, 4] = np.nan
         with pytest.raises(BlowUpError):
-            step(snap, basic, 1e-2)
+            step(snap, work_for(basic, 1e-2), Sources())
 
     def test_run_reports_blow_up_with_partial_series(self):
         basic, grid = small_basic()
         snap = Snapshot.zeros(grid)
         snap.U.plus[0, 3, 4] = 1e308  # overflows within a few steps
-        res = run(basic, 1e-2, initial=snap)
+        res = run(assemble_coefficients(basic), 1e-2, initial=snap)
         assert res.blew_up
         assert res.blowup_time is not None
         assert len(res.reports) >= 1
@@ -146,7 +152,7 @@ class TestStep:
 class TestEnergyReport:
     def test_zero_snapshot_all_zero(self):
         basic, grid = small_basic()
-        rep = energy_report(Snapshot.zeros(grid), basic)
+        rep = energy_report(Snapshot.zeros(grid), assemble_coefficients(basic))
         assert rep.I_plus == 0.0 and rep.I_minus == 0.0 and rep.J == 0.0
         assert rep.Q_boundary == 0.0
 
@@ -154,7 +160,7 @@ class TestEnergyReport:
         basic, grid = small_basic()
         snap = divergence_free_pulse(grid, seed=4)
         snap.phi = FrontState(0.1 * np.cos(grid.x2))
-        rep = energy_report(snap, basic)
+        rep = energy_report(snap, assemble_coefficients(basic))
         assert rep.J >= rep.I_plus + rep.I_minus
 
     def test_single_fourier_mode_matches_closed_form(self):
@@ -162,7 +168,7 @@ class TestEnergyReport:
         snap = Snapshot.zeros(grid)
         k = 3
         snap.U.plus[5] = np.sin(k * grid.x2)[None, :]
-        rep = energy_report(snap, basic)
+        rep = energy_report(snap, assemble_coefficients(basic))
         area = grid.X1 * grid.X2
         keff = np.sin(k * grid.h2) / grid.h2  # discrete derivative symbol
         want = 0.5 * area * (1.0 + keff ** 2)
@@ -170,7 +176,7 @@ class TestEnergyReport:
 
     def test_csv_row_shape(self):
         basic, grid = small_basic()
-        rep = energy_report(Snapshot.zeros(grid), basic)
+        rep = energy_report(Snapshot.zeros(grid), assemble_coefficients(basic))
         assert len(rep.csv_row().split(",")) == len(rep.CSV_HEADER.split(","))
 
 
@@ -178,14 +184,14 @@ class TestDivergence:
     def test_streamfunction_pulse_is_discretely_divergence_free(self):
         basic, grid = small_basic()
         snap = divergence_free_pulse(grid, seed=9)
-        dp, dm = divergence_monitor(snap, basic)
+        dp, dm = divergence_monitor(snap, assemble_coefficients(basic))
         assert dp <= 1e-11 and dm <= 1e-11
 
     def test_defect_tracks_injected_divergence(self):
         basic, grid = small_basic()
         snap = divergence_free_pulse(grid, seed=9)
         snap.U.plus[3] += 0.5 * np.exp(-(grid.x1[:, None] - 2.0) ** 2)
-        dp, _ = divergence_monitor(snap, basic)
+        dp, _ = divergence_monitor(snap, assemble_coefficients(basic))
         assert dp > 1e-3
 
 
@@ -263,16 +269,35 @@ class TestFrontAdvection:
         assert rate < -0.1 * np.sum(phi ** 2)
 
 
+class TestEnergyAtInterface:
+    def test_pulse_through_the_interface_keeps_the_boundary_form_zero(self):
+        """energy-test with the pulse started next to x1 = 0: the closure
+        keeps the interface quadratic form at rounding level and the energy
+        drift small while the pulse crosses the interface."""
+        from contact_stab.config import parse_config
+        from contact_stab.scenarios import RUNNERS
+
+        cfg = parse_config("configs/energy_test.cfg", "energy-test", overrides=[
+            "grid.N1=32", "grid.N2=32", "run.T_final=2", "pulse.center=0.8"])
+        res = RUNNERS["energy-test"](cfg)
+        assert res.data["drift"] <= 0.05
+        lines = res.csv["energy.csv"]
+        col = lines[0].split(",").index("Q_boundary")
+        q = [abs(float(line.split(",")[col])) for line in lines[1:]]
+        assert max(q) <= 1e-12
+
+
 class TestEnergyDecay:
     def test_symmetrizer_energy_nonincreasing_homogeneous(self):
         basic, grid = small_basic(N1=40, N2=40, T=0.3, eps=1e-3)
         coeffs = assemble_coefficients(basic)
         snap = divergence_free_pulse(grid, seed=3)
         solver.apply_interface_conditions(snap.U, snap.phi.phi, coeffs, None)
-        E = [symmetrizer_energy(snap, basic, coeffs)]
+        work = StageWork(coeffs, 1e-3)
+        E = [symmetrizer_energy(snap, coeffs)]
         for _ in range(grid.n_steps):
-            snap = step(snap, basic, 1e-3, coeffs=coeffs)
-            E.append(symmetrizer_energy(snap, basic, coeffs))
+            snap = step(snap, work, Sources())
+            E.append(symmetrizer_energy(snap, coeffs))
         E = np.array(E)
         assert np.max(E) <= E[0] * (1.0 + 1e-6)
 
@@ -287,7 +312,7 @@ class TestAdjoint:
 class TestLift:
     def test_zero_data_zero_lift(self):
         basic, grid = small_basic()
-        lift = BoundaryLift(basic, lambda t: np.zeros((5, grid.N2)))
+        lift = BoundaryLift(assemble_coefficients(basic), lambda t: np.zeros((5, grid.N2)))
         U = lift.u_tilde(0.3)
         assert np.all(U.plus == 0.0) and np.all(U.minus == 0.0)
 
@@ -299,7 +324,7 @@ class TestLift:
             rows[1] = np.cos(grid.x2)  # only the v1 jump
             return rows
 
-        lift = BoundaryLift(basic, g)
+        lift = BoundaryLift(assemble_coefficients(basic), g)
         U = lift.u_tilde(0.0)
         assert np.all(U.minus == 0.0)
         assert np.allclose(U.plus[1, 0, :], np.cos(grid.x2))
@@ -318,7 +343,7 @@ class TestLift:
             rows[3] = 0.1 * np.cos(2 * grid.x2) * np.sin(t)
             return rows
 
-        lift = BoundaryLift(basic, g)
+        lift = BoundaryLift(assemble_coefficients(basic), g)
         phis = lift.front_lift(times)
         n = len(times) // 2
         t = times[n]
@@ -354,8 +379,9 @@ class TestLift:
             return g
 
         times = np.linspace(0.0, grid.T_final, 9)
-        n1 = source_h1_norm(BoundaryLift(basic, g_of(1.0)).interior_source, grid, times)
-        n2 = source_h1_norm(BoundaryLift(basic, g_of(2.0)).interior_source, grid, times)
+        coeffs = assemble_coefficients(basic)
+        n1 = source_h1_norm(BoundaryLift(coeffs, g_of(1.0)).interior_source, grid, times)
+        n2 = source_h1_norm(BoundaryLift(coeffs, g_of(2.0)).interior_source, grid, times)
         assert np.isfinite(n1) and n1 > 0.0
         assert n2 == pytest.approx(2.0 * n1, rel=1e-8)
 
@@ -364,11 +390,11 @@ class TestEpsSweep:
     def test_requires_decreasing_list(self):
         basic, _ = small_basic()
         with pytest.raises(ValueError):
-            eps_sweep(basic, [0.1, 0.1])
+            eps_sweep(assemble_coefficients(basic), [0.1, 0.1])
 
     def test_zero_sources_give_zero_differences(self):
         basic, grid = small_basic(T=0.1)
-        res = eps_sweep(basic, [0.1, 0.05], sources=None)
+        res = eps_sweep(assemble_coefficients(basic), [0.1, 0.05], sources=None)
         assert res.diffs == [0.0]
         assert not res.truncated
         lines = res.table_lines()
@@ -407,19 +433,19 @@ class TestSourceEvaluation:
         calls = {"f": [], "g": []}
         f, g = self._forcing(grid, calls)
         snap = divergence_free_pulse(grid, seed=1)
-        snap = step(snap, basic, 1e-2, sources=Sources(f=f, g=g))
+        snap = step(snap, work_for(basic, 1e-2), Sources(f=f, g=g))
         for name in ("f", "g"):
             assert len(calls[name]) == len(set(calls[name])) <= 3
 
     def test_step_outputs_unchanged_by_the_memo(self):
         basic, grid = small_basic()
-        coeffs = assemble_coefficients(basic)
+        work = work_for(basic, 1e-2)
         f, g = self._forcing(grid, {"f": [], "g": []})
         memo, plain = divergence_free_pulse(grid, seed=1), divergence_free_pulse(grid, seed=1)
         src_memo, src_plain = Sources(f=f, g=g), _UnmemoizedSources(f=f, g=g)
         for _ in range(3):
-            memo = step(memo, basic, 1e-2, sources=src_memo, coeffs=coeffs)
-            plain = step(plain, basic, 1e-2, sources=src_plain, coeffs=coeffs)
+            memo = step(memo, work, src_memo)
+            plain = step(plain, work, src_plain)
         assert np.array_equal(memo.U.plus, plain.U.plus)
         assert np.array_equal(memo.U.minus, plain.U.minus)
         assert np.array_equal(memo.phi.phi, plain.phi.phi)
@@ -428,14 +454,22 @@ class TestSourceEvaluation:
 
 
 class TestAssemblyCounts:
-    def test_eps_sweep_assembles_once_per_eps(self, monkeypatch):
-        basic, _ = small_basic(T=0.05)
+    @pytest.mark.parametrize("kind, path", [("rt-run", "configs/rt_stable.cfg"),
+                                            ("eps-sweep", "configs/eps_sweep.cfg")],
+                             ids=["rt-run", "eps-sweep"])
+    def test_scenario_assembles_its_background_once(self, monkeypatch, kind, path):
+        """The run, the lift and every eps of a sweep share one operator."""
+        from contact_stab.config import parse_config
+        from contact_stab.scenarios import RUNNERS
+
         count = []
         orig = solver.assemble_coefficients
         monkeypatch.setattr(solver, "assemble_coefficients",
                             lambda b: count.append(1) or orig(b))
-        eps_sweep(basic, [0.1, 0.05], sources=None)
-        assert len(count) == 2
+        cfg = parse_config(path, kind,
+                           overrides=["grid.N1=16", "grid.N2=16", "run.T_final=0.05"])
+        assert RUNNERS[kind](cfg).exit_code == 0
+        assert len(count) == 1
 
     def test_grid_from_config_builds_the_background_once(self, tmp_path):
         from contact_stab.config import parse_config

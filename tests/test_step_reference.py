@@ -67,7 +67,7 @@ def _stage_rhs(snap, coeffs, eps, src, grid, t):
 def _advance(snap, k, dt, coeffs, src, t_new):
     out = Snapshot(
         U=TwoSidedField(snap.U.plus + dt * k[0], snap.U.minus + dt * k[1]),
-        phi=FrontState(snap.phi.phi + dt * k[2], t_new),
+        phi=FrontState(snap.phi.phi + dt * k[2]),
         t=t_new,
         a_plus=snap.a_plus + dt * k[3],
         a_minus=snap.a_minus + dt * k[4],
@@ -147,12 +147,12 @@ CASES = {"constant": constant_case, "rt": rt_case, "curved": curved_case, "mms":
 def test_three_steps_match_the_allocating_rk4(case):
     basic, eps, src, snap = CASES[case]()
     coeffs = assemble_coefficients(basic)
-    work = StageWork(basic.grid, coeffs, eps)
+    work = StageWork(coeffs, eps)
     new, ref = snap, snap
     for _ in range(3):
         before = [a.copy() for a in arrays(new)]
         t_before = new.t
-        stepped = step(new, basic, eps, sources=src, coeffs=coeffs, work=work)
+        stepped = step(new, work, src)
         assert new.t == t_before
         for a, b in zip(arrays(new), before):
             assert np.array_equal(a, b)   # the input snapshot is left unchanged
@@ -172,38 +172,25 @@ def _shares_memory(snaps):
 def test_consecutive_steps_share_no_memory():
     basic, eps, src, snap = mms_case()
     coeffs = assemble_coefficients(basic)
-    work = StageWork(basic.grid, coeffs, eps)
-    s1 = step(snap, basic, eps, sources=src, coeffs=coeffs, work=work)
-    s2 = step(s1, basic, eps, sources=src, coeffs=coeffs, work=work)
-    s3 = step(s2, basic, eps, sources=src)        # a workspace of its own
+    work = StageWork(coeffs, eps)
+    s1 = step(snap, work, src)
+    s2 = step(s1, work, src)
+    s3 = step(s2, StageWork(coeffs, eps), src)    # a workspace of its own
     assert not _shares_memory([snap, s1, s2, s3])
 
 
 def test_stored_snapshots_and_final_share_no_memory():
     basic, eps, src, snap = constant_case()
-    res = run(basic, eps, sources=src, initial=snap, store_snapshots_every=1)
+    res = run(assemble_coefficients(basic), eps, sources=src, initial=snap,
+              store_snapshots_every=1)
     assert len(res.snapshots) == basic.grid.n_steps + 1
     assert not _shares_memory(res.snapshots + [res.final])
 
 
 class TestWorkspaceBelongsToOneRun:
-    def setup_method(self):
-        self.basic, self.eps, _, self.snap = constant_case()
-        self.coeffs = assemble_coefficients(self.basic)
-        self.work = StageWork(self.basic.grid, self.coeffs, self.eps)
-
     def test_another_grid_shape_raises(self):
-        proto = constant_basic_state(Grid(N1 + 2, N2, X1, X2), v2=0.2)
-        grid = build_grid(N1 + 2, N2, X1, X2, 0.2, basic=proto, epsilon=self.eps)
-        other = constant_basic_state(grid, v2=0.2)
-        with pytest.raises(ValueError, match="grid"):
-            step(Snapshot.zeros(grid), other, self.eps, work=self.work)
-
-    def test_another_coefficients_object_raises(self):
-        with pytest.raises(ValueError, match="Coefficients"):
-            step(self.snap, self.basic, self.eps,
-                 coeffs=assemble_coefficients(self.basic), work=self.work)
-
-    def test_another_epsilon_raises(self):
-        with pytest.raises(ValueError, match="eps"):
-            step(self.snap, self.basic, 2.0 * self.eps, coeffs=self.coeffs, work=self.work)
+        basic, eps, _, _ = constant_case()
+        work = StageWork(assemble_coefficients(basic), eps)
+        for shape in ((N1 + 2, N2), (N1, N2 + 2)):
+            with pytest.raises(ValueError, match="shape"):
+                step(Snapshot.zeros(Grid(*shape, X1, X2)), work, Sources())
