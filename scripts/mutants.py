@@ -53,9 +53,17 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "swap-upwind-branches": [
         (SOLVER, "return np.where(a >= 0.0, dp, dm)", "return np.where(a >= 0.0, dm, dp)"),
     ],
-    # the folded companion factor c0 without its - eps * d11phi part
+    # the companion's c0 entry in the stage lists without its - eps * d11phi part
     "drop-eps-d11phi-in-c0": [
         (SOLVER, "-(sc.div_u - epsilon * sc.d11phi) / sc.d1phi)", "-sc.div_u / sc.d1phi)"),
+    ],
+    # the companion row 6 without its source term div f_h / d1Phi
+    "drop-companion-source": [
+        (SOLVER, "            out[6] += div\n", ""),
+    ],
+    # the companion row 6 without its far-wall extrapolation
+    "drop-companion-far-wall": [
+        (SOLVER, "    out.sides[:, 6, -1, :] = out.sides[:, 6, -2, :]\n", ""),
     ],
     # the lift's traces fed the front with the wrong sign
     "flip-phi-tilde-in-lift": [

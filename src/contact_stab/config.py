@@ -396,7 +396,6 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "forcing.t_ramp": (_as_posfloat, 0.2),
         "forcing.k2": (_as_posint, 2),
         "run.report_every": (_as_posint, 5),
-        "run.snapshot_every": (_as_int, 0),
     },
     "eps-sweep": {
         **_GRID_SCHEMA, **_RUN_SCHEMA, **_PHYSICS_SCHEMA, **_RT_STATE_SCHEMA,

@@ -29,9 +29,6 @@ class TwoSidedField:
             raise ValueError("side must be +1 or -1")
         return self.plus if side == +1 else self.minus
 
-    def copy(self) -> "TwoSidedField":
-        return TwoSidedField(self.plus.copy(), self.minus.copy())
-
     @staticmethod
     def zeros(shape) -> "TwoSidedField":
         return TwoSidedField(np.zeros(shape), np.zeros(shape))
@@ -53,6 +50,3 @@ class FrontState:
     @property
     def is_admissible(self) -> bool:
         return self.sup_norm < 1.0
-
-    def copy(self) -> "FrontState":
-        return FrontState(self.phi.copy())

@@ -161,7 +161,6 @@ class BasicState:
     d2_u: TwoSidedField
     dt_phi: np.ndarray
     gamma: float = mhd.GAMMA_DEFAULT
-    A_eos: float = mhd.A_EOS_DEFAULT
 
     # -- component access ----------------------------------------------------
 
@@ -170,7 +169,7 @@ class BasicState:
 
     def rho(self, side: int) -> np.ndarray:
         U = self.u.side(side)
-        return mhd.eos_density(U[0], U[5], self.gamma, self.A_eos)
+        return mhd.eos_density(U[0], U[5], self.gamma)
 
     def d1phi_map(self, side: int) -> np.ndarray:
         return self.geometry.side("d1_phi", side)
@@ -240,7 +239,6 @@ def basic_state_from_arrays(
     dt_phi: np.ndarray | None = None,
     dt_u: TwoSidedField | None = None,
     gamma: float = mhd.GAMMA_DEFAULT,
-    A_eos: float = mhd.A_EOS_DEFAULT,
 ) -> BasicState:
     """Build a BasicState from gridded data; derivatives via grid stencils."""
     if phi_hat is None:
@@ -257,7 +255,7 @@ def basic_state_from_arrays(
     return BasicState(
         grid=grid, u=u, phi_hat=front, geometry=geometry,
         dt_u=dt_u, d1_u=d1, d2_u=d2, dt_phi=np.asarray(dt_phi, dtype=float),
-        gamma=gamma, A_eos=A_eos,
+        gamma=gamma,
     )
 
 
@@ -270,7 +268,6 @@ def constant_basic_state(
     S_plus: float = 0.0,
     S_minus: float = 0.0,
     gamma: float = mhd.GAMMA_DEFAULT,
-    A_eos: float = mhd.A_EOS_DEFAULT,
 ) -> BasicState:
     """Uniform background on both sides with flat static front.
 
@@ -286,7 +283,7 @@ def constant_basic_state(
         arr[3] = H1
         arr[4] = H2
         arr[5] = S
-    return basic_state_from_arrays(grid, up, um, gamma=gamma, A_eos=A_eos)
+    return basic_state_from_arrays(grid, up, um, gamma=gamma)
 
 
 # --- validation -------------------------------------------------------------

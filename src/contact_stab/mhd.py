@@ -3,7 +3,7 @@
 The governing unknown is the 6-vector U = (p, v1, v2, H1, H2, S): pressure,
 in-plane velocity, in-plane magnetic field, entropy.  The gas is polytropic,
 
-    rho(p, S) = A_eos * p**(1/gamma) * exp(-S/gamma),      c^2 = gamma*p/rho,
+    rho(p, S) = A_EOS * p**(1/gamma) * exp(-S/gamma),      c^2 = gamma*p/rho,
 
 and the system is hyperbolic whenever p > 0 and rho > 0.  This module builds
 the symmetric coefficient matrices A0, A1, A2 of the quasilinear form
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 GAMMA_DEFAULT = 5.0 / 3.0
-A_EOS_DEFAULT = 1.0
+A_EOS = 1.0   # the polytropic constant of the equation of state
 
 #: below this, p or rho counts as a hyperbolicity violation
 ADMISSIBLE_FLOOR = 1e-12
@@ -39,12 +39,12 @@ class InadmissibleStateError(ValueError):
     """Raised when an operation requires p, rho > 0 and the state violates it."""
 
 
-def eos_density(p, S, gamma=GAMMA_DEFAULT, A_eos=A_EOS_DEFAULT):
-    """Polytropic density rho = A_eos * p**(1/gamma) * exp(-S/gamma)."""
+def eos_density(p, S, gamma=GAMMA_DEFAULT):
+    """Polytropic density rho = A_EOS * p**(1/gamma) * exp(-S/gamma)."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0):
         raise InadmissibleStateError("eos_density requires p > 0")
-    return A_eos * p ** (1.0 / gamma) * np.exp(-np.asarray(S, dtype=float) / gamma)
+    return A_EOS * p ** (1.0 / gamma) * np.exp(-np.asarray(S, dtype=float) / gamma)
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,10 @@ class PlasmaState:
     H2: float
     S: float
     gamma: float = GAMMA_DEFAULT
-    A_eos: float = A_EOS_DEFAULT
 
     @property
     def rho(self) -> float:
-        return float(eos_density(self.p, self.S, self.gamma, self.A_eos))
+        return float(eos_density(self.p, self.S, self.gamma))
 
     @property
     def is_admissible(self) -> bool:
@@ -77,9 +76,9 @@ class PlasmaState:
             )
 
     @staticmethod
-    def from_vector(u, gamma=GAMMA_DEFAULT, A_eos=A_EOS_DEFAULT) -> "PlasmaState":
+    def from_vector(u, gamma=GAMMA_DEFAULT) -> "PlasmaState":
         u = np.asarray(u, dtype=float)
-        return PlasmaState(*[float(c) for c in u[:6]], gamma=gamma, A_eos=A_eos)
+        return PlasmaState(*[float(c) for c in u[:6]], gamma=gamma)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import mhd, solver, spectral
 from .config import ConfigError, ScenarioConfig
-from .fields import FrontState, TwoSidedField
 from .grid import Grid, d1_field, d2_field
 from .linearization import (
     BasicState,
@@ -128,10 +127,8 @@ def grid_from_config(cfg: ScenarioConfig, basic_builder,
     if epsilon is None:
         epsilon = cfg.get("run.epsilon", 0.0)
     basic = basic_builder(cfg, proto)
-    grid = solver.build_grid(
-        cfg["grid.N1"], cfg["grid.N2"], cfg["grid.X1"], cfg["grid.X2"],
-        cfg["run.T_final"], basic=basic, epsilon=epsilon, cfl_max=cfg["grid.cfl_max"],
-    )
+    grid = solver.build_grid(basic, cfg["run.T_final"], epsilon=epsilon,
+                             cfl_max=cfg["grid.cfl_max"])
     return grid, replace(basic, grid=grid)
 
 
@@ -284,24 +281,18 @@ class ManufacturedProblem:
         return Sources(f=f, g=g)
 
     def initial(self, grid: Grid) -> Snapshot:
-        Up = self.exact(+1, 0.0, grid)
-        Um = self.exact(-1, 0.0, grid)
+        snap = Snapshot.zeros(grid)
+        snap.phi.phi[:] = self.front(0.0, grid.x2)
         # companion fields start from the discrete divergence of the initial
         # data (flat background front: h_dot = (H1, H2), d1Phi = +-1)
-        a = {}
-        for side, U in ((+1, Up), (-1, Um)):
+        for side, Y in zip((+1, -1), snap.sides):
+            Y[:6] = self.exact(side, 0.0, grid)
             div_h = (
-                d1_field(U[3][None], grid.h1)[0]
-                + side * d2_field(U[4][None], grid.h2)[0]
+                d1_field(Y[3][None], grid.h1)[0]
+                + side * d2_field(Y[4][None], grid.h2)[0]
             )
-            a[side] = div_h / side  # a = f7 / d1Phi with d1Phi = side
-        return Snapshot(
-            U=TwoSidedField(Up, Um),
-            phi=FrontState(np.asarray(self.front(0.0, grid.x2), dtype=float)),
-            t=0.0,
-            a_plus=a[+1],
-            a_minus=a[-1],
-        )
+            Y[6] = div_h / side  # a = f7 / d1Phi with d1Phi = side
+        return snap
 
     def run_error(self, coeffs: solver.Coefficients):
         """(relative space-time L2 error, max divergence defect) of a run on
@@ -460,7 +451,7 @@ def neutral_mode_discrete_error(N: int, cfg: ScenarioConfig) -> float:
     snap = Snapshot.zeros(grid)
     snap.U.plus[5] = np.cos(k * grid.x2)[None, :]
     snap.U.minus[5] = np.cos(k * grid.x2)[None, :]
-    snap.phi = FrontState(np.cos(k * grid.x2))
+    snap.phi.phi[:] = np.cos(k * grid.x2)
     res = solver.run(coeffs, cfg["run.epsilon"], initial=snap,
                      report_every=max(grid.n_steps, 1))
     T = grid.T_final
@@ -503,9 +494,7 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     sources = make_forcing(grid, cfg["run.seed"], cfg["forcing.amplitude"],
                            cfg["forcing.t_ramp"], cfg["forcing.k2"])
     coeffs = solver.assemble_coefficients(basic)
-    res = solver.run(coeffs, eps, sources=sources,
-                     report_every=cfg["run.report_every"],
-                     store_snapshots_every=cfg["run.snapshot_every"])
+    res = solver.run(coeffs, eps, sources=sources, report_every=cfg["run.report_every"])
     if res.blew_up:
         return ScenarioResult(ok=False, exit_code=3,
                               report=[f"blow-up at t = {res.blowup_time:.6g}"],

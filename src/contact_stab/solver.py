@@ -21,14 +21,15 @@ one-sided update), the front equation supplies dphi/dt, and the far wall
 at x1 = X1 uses zero-order extrapolation with experiments sized so that
 waves do not return.
 
-A companion scalar transport equation per side tracks the source-induced
-divergence f7 = div h_dot; it needs no interface condition because the
-background transport field is tangent to the interface.
+A companion scalar transport equation per side, carried as a seventh row
+next to U, tracks the source-induced divergence f7 = div h_dot; it needs no
+interface condition because the background transport field is tangent to
+the interface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,25 +74,18 @@ def speed_bound(basic: BasicState, epsilon: float = 0.0) -> float:
     return bound
 
 
-def build_grid(
-    N1: int,
-    N2: int,
-    X1: float,
-    X2: float,
-    T_final: float,
-    basic: BasicState,
-    epsilon: float = 0.0,
-    cfl_max: float = 0.4,
-) -> Grid:
-    """Grid with a CFL-satisfying dt that divides T_final evenly."""
-    proto = Grid(N1, N2, X1, X2)
+def build_grid(basic: BasicState, T_final: float, epsilon: float = 0.0,
+               cfl_max: float = 0.4) -> Grid:
+    """The background's grid with a CFL-satisfying dt that divides T_final
+    evenly."""
+    grid = basic.grid
     speed = max(speed_bound(basic, epsilon), 1e-10)
-    dt_max = cfl_max * min(proto.h1, proto.h2) / speed
+    dt_max = cfl_max * min(grid.h1, grid.h2) / speed
     if dt_max <= 0:
         raise ValueError("CFL constraint cannot be met")
     n = max(int(np.ceil(T_final / dt_max)), 1) if T_final > 0 else 0
     dt = T_final / n if n else dt_max
-    return Grid(N1, N2, X1, X2, dt=dt, T_final=T_final)
+    return replace(grid, dt=dt, T_final=T_final)
 
 
 # --- assembled coefficients -------------------------------------------------
@@ -133,30 +127,52 @@ def assemble_coefficients(basic: BasicState) -> Coefficients:
 # --- state ------------------------------------------------------------------
 
 
-@dataclass
+ROWS = 7   # per side: U in rows 0-5, the companion field a = f7 / d1Phi in row 6
+
+
 class Snapshot:
-    U: TwoSidedField           # (6, N1, N2) per side
-    phi: FrontState
-    t: float
-    a_plus: np.ndarray         # companion fields a = f7 / d1Phi
-    a_minus: np.ndarray
+    """The state at time t in one float buffer, data: the two sides, sides
+    of shape (2, ROWS, N1, N2), then the front phi, shape (N2,).
+
+    sides, U (rows 0-5), a_plus, a_minus (row 6) and phi are views of data
+    that cannot be reassigned; write them, and data, in place.
+    """
+
+    def __init__(self, shape: tuple[int, int], data: np.ndarray, t: float = 0.0):
+        N1, N2 = shape
+        n = 2 * ROWS * N1 * N2
+        if data.shape != (n + N2,):
+            raise ValueError(f"data of shape {data.shape} for a snapshot of shape "
+                             f"{(N1, N2)}, which takes ({n + N2},)")
+        self.data = data
+        self._sides = data[:n].reshape(2, ROWS, N1, N2)
+        self._U = TwoSidedField(self._sides[0, :6], self._sides[1, :6])
+        self._phi = FrontState(data[n:])
+        self.t = t
+
+    sides = property(lambda self: self._sides)
+    U = property(lambda self: self._U)
+    phi = property(lambda self: self._phi)
+    a_plus = property(lambda self: self._sides[0, 6])
+    a_minus = property(lambda self: self._sides[1, 6])
 
     @staticmethod
     def zeros(grid: Grid) -> "Snapshot":
-        return _new_snapshot(grid, np.zeros)
+        return Snapshot((grid.N1, grid.N2), np.zeros((2 * ROWS * grid.N1 + 1) * grid.N2))
+
+    def empty_like(self) -> "Snapshot":
+        return Snapshot(self._sides.shape[2:], np.empty_like(self.data), self.t)
+
+    def copy(self) -> "Snapshot":
+        return Snapshot(self._sides.shape[2:], self.data.copy(), self.t)
 
     def f7(self, coeffs: Coefficients, side: int) -> np.ndarray:
         a = self.a_plus if side == +1 else self.a_minus
         return a * coeffs.side(side).d1phi
 
     def check_finite(self) -> None:
-        for arr in (self.U.plus, self.U.minus, self.phi.phi, self.a_plus, self.a_minus):
-            if not np.all(np.isfinite(arr)):
-                raise BlowUpError(self.t)
-
-    def copy(self) -> "Snapshot":
-        return Snapshot(self.U.copy(), self.phi.copy(), self.t,
-                        self.a_plus.copy(), self.a_minus.copy())
+        if not np.all(np.isfinite(self.data)):
+            raise BlowUpError(self.t)
 
 
 @dataclass
@@ -264,9 +280,14 @@ def apply_interface_conditions(
 
 
 def _stage_entries(sc: SideCoefficients, epsilon: float):
-    """The interior operator of one stage, -A0^-1 (A1_tilde d1 + A2 d2 + C)
-    + eps A0^-1 d1, as (i, j, c) lists for d1U, d2U and U, plus the A0^-1
-    diagonal for the source f; c stays a float where it is constant."""
+    """The interior operator of one stage as (i, j, c) lists for d1, d2 and
+    the undifferentiated rows, plus the A0^-1 diagonal for the source f; c
+    stays a float where it is constant.
+
+    Rows 0-5 are -A0^-1 (A1_tilde d1 + A2 d2 + C) + eps A0^-1 d1.  Row 6 is
+    the companion transport da/dt = c1 d1a + c2 d2a + c0 a (its source term
+    is added by StageWork.interior), appended after the sorted 6x6 entries.
+    """
     a0_inv = [uniform_or_field(row) for row in sc.A0_inv_diag]
 
     def scaled(entries):
@@ -276,18 +297,15 @@ def _stage_entries(sc: SideCoefficients, epsilon: float):
     if epsilon:
         for i in range(6):
             d1[i, i] = uniform_or_field(d1.get((i, i), 0.0) + epsilon * a0_inv[i])
-    d1 = [(i, j, c) for (i, j), c in sorted(d1.items())]
+    lists = ([(i, j, c) for (i, j), c in sorted(d1.items())], scaled(sc.A2_nz), scaled(sc.C_nz))
+    companion = (-sc.w1 / sc.d1phi + epsilon,
+                 -sc.w2 / sc.d1phi,
+                 -(sc.div_u - epsilon * sc.d11phi) / sc.d1phi)
+    for entries, c in zip(lists, map(uniform_or_field, companion)):
+        if np.any(c):
+            entries.append((6, 6, c))
     source = [(i, i, a0_inv[i]) for i in range(6)]
-    return d1, scaled(sc.A2_nz), scaled(sc.C_nz), source
-
-
-def _companion_factors(sc: SideCoefficients, epsilon: float):
-    """One-row entry lists of the companion transport
-    da/dt = c1 d1a + c2 d2a + c0 a (+ the f term), for d1a, d2a and a."""
-    factors = (-sc.w1 / sc.d1phi + epsilon,
-               -sc.w2 / sc.d1phi,
-               -(sc.div_u - epsilon * sc.d11phi) / sc.d1phi)
-    return [[(0, 0, c)] if np.any(c) else [] for c in map(uniform_or_field, factors)]
+    return lists + (source,)
 
 
 class StageWork:
@@ -295,96 +313,62 @@ class StageWork:
     from the run's Coefficients and epsilon.
 
     k holds a stage's derivatives, acc the RK4 combination and y the stage
-    state; every field is written in place.
+    state, each a Snapshot written in place; d1 and d2 hold the derivatives
+    of one side's ROWS rows at a time.
     """
 
     def __init__(self, coeffs: Coefficients, epsilon: float):
         grid = self.grid = coeffs.grid
         self.coeffs = coeffs
         self.entries = {s: _stage_entries(coeffs.side(s), epsilon) for s in (+1, -1)}
-        self.companion = {s: _companion_factors(coeffs.side(s), epsilon) for s in (+1, -1)}
-        shape = (grid.N1, grid.N2)
-        self.d1U = np.empty((6,) + shape)
-        self.d2U = np.empty((6,) + shape)
-        self.planes = np.empty((5,) + shape)   # contraction, d1a, d2a, fN, fh2
-        self.k = _state_arrays(_new_snapshot(grid, np.empty))
-        self.acc = _state_arrays(_new_snapshot(grid, np.empty))
-        self.y = _new_snapshot(grid, np.empty)
+        self.d1 = np.empty((ROWS, grid.N1, grid.N2))
+        self.d2 = np.empty_like(self.d1)
+        self.plane = np.empty((grid.N1, grid.N2))
+        self.k, self.acc, self.y = (Snapshot.zeros(grid) for _ in range(3))
 
-    def interior(self, side: int, U: np.ndarray, f: np.ndarray | None,
+    def interior(self, side: int, Y: np.ndarray, f: np.ndarray | None,
                  out: np.ndarray) -> None:
-        """A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U + f) into out."""
+        """The stage derivatives of one side's rows Y into out: rows 0-5
+        A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U + f), row 6 the
+        companion transport plus div f_h / d1Phi."""
         d1, d2, C, source = self.entries[side]
-        terms = [(d1, d1_field(U, self.grid.h1, out=self.d1U)),
-                 (d2, d2_field(U, self.grid.h2, out=self.d2U)), (C, U)]
+        terms = [(d1, d1_field(Y, self.grid.h1, out=self.d1)),
+                 (d2, d2_field(Y, self.grid.h2, out=self.d2)), (C, Y)]
         if f is not None:
             terms.append((source, f))
-        contract_entries(terms, out, self.planes[0])
-
-    def transport(self, side: int, a: np.ndarray, f: np.ndarray | None,
-                  out: np.ndarray) -> None:
-        """da/dt of the companion field a = f7 / d1Phi into out."""
-        c1, c2, c0 = self.companion[side]
-        plane, d1a, d2a, fN, fh2 = self.planes[:, None]
-        d1_field(a[None], self.grid.h1, out=d1a)
-        d2_field(a[None], self.grid.h2, out=d2a)
-        contract_entries(((c1, d1a), (c2, d2a), (c0, a[None])), out[None], plane[0])
+        contract_entries(terms, out, self.plane)
         if f is not None:
-            # F = div f_h / d1Phi with f_h = (f_N, d1Phi * f_H2)
+            # f_h = (f_N, d1Phi * f_H2), differentiated into the free row 6
             sc = self.coeffs.side(side)
-            np.multiply(f[4], sc.d2psi, out=fN[0])
-            np.subtract(f[3], fN[0], out=fN[0])
-            np.multiply(sc.d1phi, f[4], out=fh2[0])
-            d1_field(fN, self.grid.h1, out=d1a)
-            d2_field(fh2, self.grid.h2, out=d2a)
-            d1a += d2a
-            d1a /= sc.d1phi
-            out += d1a[0]
+            fh, div = self.plane, self.d1[6]
+            np.multiply(f[4], sc.d2psi, out=fh)
+            np.subtract(f[3], fh, out=fh)
+            d1_field(fh, self.grid.h1, out=div)
+            np.multiply(sc.d1phi, f[4], out=fh)
+            div += d2_field(fh, self.grid.h2, out=self.d2[6])
+            div /= sc.d1phi
+            out[6] += div
 
 
-def _new_snapshot(grid: Grid, alloc) -> Snapshot:
-    shape = (6, grid.N1, grid.N2)
-    return Snapshot(U=TwoSidedField(alloc(shape), alloc(shape)),
-                    phi=FrontState(alloc(grid.N2)), t=0.0,
-                    a_plus=alloc(shape[1:]), a_minus=alloc(shape[1:]))
-
-
-def _state_arrays(snap: Snapshot) -> tuple:
-    """(U+, U-, phi, a+, a-), the order of the stage derivative tuples."""
-    return snap.U.plus, snap.U.minus, snap.phi.phi, snap.a_plus, snap.a_minus
-
-
-def _stage(y: Snapshot, t: float, work: StageWork, sources: Sources, out: tuple) -> None:
-    """The stage derivatives at y, written into the five arrays of out."""
+def _stage(y: Snapshot, t: float, work: StageWork, sources: Sources, out: Snapshot) -> None:
+    """The stage derivatives at y, written into out."""
     fpm = sources.f_eval(t)
     g_rows = sources.g_eval(t)
     fp, fm = fpm if fpm is not None else (None, None)
-    work.interior(+1, y.U.plus, fp, out[0])
-    work.interior(-1, y.U.minus, fm, out[1])
-    out[2][:] = _front_rhs(y.phi.phi, y.U.plus[:, 0, :], work.coeffs, g_rows, work.grid)
-    work.transport(+1, y.a_plus, fp, out[3])
-    work.transport(-1, y.a_minus, fm, out[4])
+    work.interior(+1, y.sides[0], fp, out.sides[0])
+    work.interior(-1, y.sides[1], fm, out.sides[1])
+    out.phi.phi[:] = _front_rhs(y.phi.phi, y.U.plus[:, 0, :], work.coeffs, g_rows, work.grid)
 
 
-def _advance(y0: Snapshot, k: tuple, dt: float, t_new: float, coeffs: Coefficients,
+def _advance(y0: Snapshot, k: Snapshot, dt: float, t_new: float, coeffs: Coefficients,
              sources: Sources, out: Snapshot) -> Snapshot:
     """out = y0 + dt k at t_new, then the interface closure; returns out."""
-    for o, y, dk in zip(_state_arrays(out), _state_arrays(y0), k):
-        np.multiply(dk, dt, out=o)
-        o += y
+    np.multiply(k.data, dt, out=out.data)
+    out.data += y0.data
     out.t = t_new
     apply_interface_conditions(out.U, out.phi.phi, coeffs, sources.g_eval(t_new))
-    out.a_plus[-1, :] = out.a_plus[-2, :]
-    out.a_minus[-1, :] = out.a_minus[-2, :]
+    out.sides[:, 6, -1, :] = out.sides[:, 6, -2, :]
     return out
-
-
-def _accumulate(acc: tuple, k: tuple, weight: float) -> None:
-    """acc += weight * k, scaling k in place."""
-    for a, dk in zip(acc, k):
-        if weight != 1.0:
-            dk *= weight
-        a += dk
 
 
 def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
@@ -394,27 +378,28 @@ def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
     newly allocated, and snapshot is left unchanged.
     """
     grid, coeffs = work.grid, work.coeffs
-    if snapshot.U.plus.shape != work.d1U.shape:
-        raise ValueError(f"snapshot of shape {snapshot.U.plus.shape} for a workspace "
-                         f"of shape {work.d1U.shape}")
+    k, acc, y = work.k, work.acc, work.y
+    if snapshot.sides.shape != k.sides.shape:
+        raise ValueError(f"snapshot of shape {snapshot.sides.shape} for a workspace "
+                         f"of shape {k.sides.shape}")
     dt = grid.dt
     t = snapshot.t
     half, full = t + 0.5 * dt, t + dt
-    k, acc, y = work.k, work.acc, work.y
 
     _stage(snapshot, t, work, sources, acc)                        # acc = k1
     _advance(snapshot, acc, 0.5 * dt, half, coeffs, sources, y)
     _stage(y, half, work, sources, k)                              # k2
     _advance(snapshot, k, 0.5 * dt, half, coeffs, sources, y)
-    _accumulate(acc, k, 2.0)
+    k.data *= 2.0
+    acc.data += k.data
     _stage(y, half, work, sources, k)                              # k3
     _advance(snapshot, k, dt, full, coeffs, sources, y)
-    _accumulate(acc, k, 2.0)
+    k.data *= 2.0
+    acc.data += k.data
     _stage(y, full, work, sources, k)                              # k4
-    _accumulate(acc, k, 1.0)
-    for a in acc:
-        a /= 6.0
-    out = _advance(snapshot, acc, dt, full, coeffs, sources, _new_snapshot(grid, np.empty))
+    acc.data += k.data
+    acc.data /= 6.0
+    out = _advance(snapshot, acc, dt, full, coeffs, sources, snapshot.empty_like())
     out.check_finite()
     return out
 
@@ -785,8 +770,7 @@ def _random_spacetime_field(rng, Nt, N1, N2, boundary_supported: bool):
 
 
 def discrete_adjoint_check(basic_const: BasicState, epsilon: float,
-                           trials: int = 20, seed: int = 0,
-                           Nt: int = 12) -> float:
+                           trials: int = 20, seed: int = 0) -> float:
     """Max relative defect of the discrete duality identity.
 
     For the constant-coefficient operator L_pm = A0 Dt + (pm A1 - eps) D1
@@ -796,15 +780,11 @@ def discrete_adjoint_check(basic_const: BasicState, epsilon: float,
     fields), since each difference operator satisfies summation by parts.
     """
     g = basic_const.grid
-    st = mhd.PlasmaState.from_vector(
-        basic_const.u.plus[:, 0, 0], gamma=basic_const.gamma, A_eos=basic_const.A_eos
+    tri, trim = (
+        mhd.assemble_matrices(mhd.PlasmaState.from_vector(U[:, 0, 0], gamma=basic_const.gamma))
+        for U in (basic_const.u.plus, basic_const.u.minus)
     )
-    tri = mhd.assemble_matrices(st)
-    stm = mhd.PlasmaState.from_vector(
-        basic_const.u.minus[:, 0, 0], gamma=basic_const.gamma, A_eos=basic_const.A_eos
-    )
-    trim = mhd.assemble_matrices(stm)
-    dt = 0.05
+    Nt, dt = 12, 0.05   # time levels and step of the random space-time fields
     w1 = g.p_weights1
 
     def dt_central(F):

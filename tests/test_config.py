@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contact_stab.cli import main
 from contact_stab.config import (
     ConfigError,
     Expression,
@@ -126,6 +127,13 @@ class TestParseConfig:
         p.write_text("grid.N1 = 24\nnosuch.key = 1\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(str(p), "energy-test")
+
+    def test_rt_run_snapshot_every_is_an_unknown_key(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("run.snapshot_every = 4\n")
+        assert main(["rt-run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'run.snapshot_every'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_scenario_kind_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -32,8 +32,7 @@ from contact_stab.solver import (
 
 
 def small_basic(N1=20, N2=16, v2=0.2, T=0.2, eps=1e-2):
-    grid = build_grid(N1, N2, 4.0, 2.0 * np.pi, T,
-                      basic=constant_basic_state(Grid(N1, N2, 4.0, 2.0 * np.pi), v2=v2),
+    grid = build_grid(constant_basic_state(Grid(N1, N2, 4.0, 2.0 * np.pi), v2=v2), T,
                       epsilon=eps)
     return constant_basic_state(grid, v2=v2, H1=1.0, H2=0.3,
                                 S_plus=0.2, S_minus=-0.1), grid
@@ -57,7 +56,7 @@ class TestGridBuild:
     def test_impossible_cfl_rejected(self):
         basic = constant_basic_state(Grid(8, 8, 1.0, 1.0))
         with pytest.raises(ValueError):
-            solver.build_grid(8, 8, 1.0, 1.0, 1.0, basic, cfl_max=-0.4)
+            solver.build_grid(basic, 1.0, cfl_max=-0.4)
 
 
 class TestPeriodicStencil:
@@ -116,14 +115,7 @@ class TestStep:
         basic, grid = small_basic()
         a = divergence_free_pulse(grid, seed=1)
         b = divergence_free_pulse(grid, seed=2)
-        combo = Snapshot(
-            U=TwoSidedField(2.0 * a.U.plus - 0.5 * b.U.plus,
-                            2.0 * a.U.minus - 0.5 * b.U.minus),
-            phi=FrontState(2.0 * a.phi.phi - 0.5 * b.phi.phi),
-            t=0.0,
-            a_plus=2.0 * a.a_plus - 0.5 * b.a_plus,
-            a_minus=2.0 * a.a_minus - 0.5 * b.a_minus,
-        )
+        combo = Snapshot((grid.N1, grid.N2), 2.0 * a.data - 0.5 * b.data)
         work = work_for(basic, 1e-2)
         sa = step(a, work, Sources())
         sb = step(b, work, Sources())
@@ -149,6 +141,48 @@ class TestStep:
         assert len(res.reports) >= 1
 
 
+class TestSnapshotLayout:
+    @staticmethod
+    def _views(snap):
+        return (snap.sides, snap.U.plus, snap.U.minus, snap.phi.phi, snap.a_plus, snap.a_minus)
+
+    @pytest.mark.parametrize("name", ["U", "phi", "a_plus", "a_minus", "sides"])
+    def test_views_cannot_be_reassigned(self, name):
+        _, grid = small_basic()
+        snap = Snapshot.zeros(grid)
+        with pytest.raises(AttributeError):
+            setattr(snap, name, getattr(snap, name))
+
+    def test_views_are_the_rows_of_data(self):
+        _, grid = small_basic()
+        snap = divergence_free_pulse(grid, seed=5)
+        snap.a_minus[:] = 2.0
+        snap.phi.phi[:] = 3.0
+        n = 2 * 7 * grid.N1 * grid.N2
+        assert np.array_equal(snap.data[:n].reshape(2, 7, grid.N1, grid.N2), snap.sides)
+        assert np.array_equal(snap.sides[0, :6], snap.U.plus)
+        assert np.array_equal(snap.sides[1, :6], snap.U.minus)
+        assert np.all(snap.sides[1, 6] == 2.0) and np.all(snap.data[n:] == 3.0)
+
+    def test_views_share_memory_with_data_and_not_with_copies(self):
+        _, grid = small_basic()
+        snap = divergence_free_pulse(grid, seed=5)
+        snap.t = 0.25
+        for view in self._views(snap):
+            assert np.shares_memory(view, snap.data)
+        for other in (snap.copy(), snap.empty_like()):
+            assert other.t == 0.25
+            for view in self._views(other):
+                assert not np.shares_memory(view, snap.data)
+        assert np.array_equal(snap.copy().data, snap.data)
+
+    def test_data_of_the_wrong_size_raises(self):
+        _, grid = small_basic()
+        data = Snapshot.zeros(grid).data
+        with pytest.raises(ValueError, match=r"shape \(20, 17\)"):
+            Snapshot((grid.N1, grid.N2 + 1), data)
+
+
 class TestEnergyReport:
     def test_zero_snapshot_all_zero(self):
         basic, grid = small_basic()
@@ -159,7 +193,7 @@ class TestEnergyReport:
     def test_j_dominates_the_side_energies(self):
         basic, grid = small_basic()
         snap = divergence_free_pulse(grid, seed=4)
-        snap.phi = FrontState(0.1 * np.cos(grid.x2))
+        snap.phi.phi[:] = 0.1 * np.cos(grid.x2)
         rep = energy_report(snap, assemble_coefficients(basic))
         assert rep.J >= rep.I_plus + rep.I_minus
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from contact_stab import mhd, solver
-from contact_stab.fields import FrontState, TwoSidedField
 from contact_stab.grid import Grid, d1_field, d2_field
 from contact_stab.linearization import constant_basic_state
 from contact_stab.scenarios import ManufacturedProblem, rt_basic_state
@@ -65,13 +64,10 @@ def _stage_rhs(snap, coeffs, eps, src, grid, t):
 
 
 def _advance(snap, k, dt, coeffs, src, t_new):
-    out = Snapshot(
-        U=TwoSidedField(snap.U.plus + dt * k[0], snap.U.minus + dt * k[1]),
-        phi=FrontState(snap.phi.phi + dt * k[2]),
-        t=t_new,
-        a_plus=snap.a_plus + dt * k[3],
-        a_minus=snap.a_minus + dt * k[4],
-    )
+    out = Snapshot.zeros(coeffs.grid)
+    out.t = t_new
+    for o, y, dk in zip(arrays(out), arrays(snap), k):
+        o[:] = y + dt * dk
     g_rows = np.asarray(src.g(t_new), dtype=float) if src.g is not None else None
     apply_interface_conditions(out.U, out.phi.phi, coeffs, g_rows)
     out.a_plus[-1, :] = out.a_plus[-2, :]
@@ -101,29 +97,26 @@ def _with_companion(snap, grid):
     """Give the companion fields a smooth nonzero start so their transport
     is exercised too."""
     X1g, X2g = grid.mesh()
-    snap.a_plus = np.exp(-(X1g - 1.5) ** 2) * np.cos(X2g)
-    snap.a_minus = np.exp(-(X1g - 1.0) ** 2) * np.sin(2.0 * X2g)
+    snap.a_plus[:] = np.exp(-(X1g - 1.5) ** 2) * np.cos(X2g)
+    snap.a_minus[:] = np.exp(-(X1g - 1.0) ** 2) * np.sin(2.0 * X2g)
     return snap
 
 
 def constant_case():
-    proto = constant_basic_state(Grid(N1, N2, X1, X2), v2=0.2)
-    grid = build_grid(N1, N2, X1, X2, 0.2, basic=proto, epsilon=1e-3)
+    grid = build_grid(constant_basic_state(Grid(N1, N2, X1, X2), v2=0.2), 0.2, epsilon=1e-3)
     basic = constant_basic_state(grid, v2=0.2, H1=1.0, H2=0.3, S_plus=0.2, S_minus=-0.1)
     return basic, 1e-3, Sources(), _with_companion(divergence_free_pulse(grid, seed=1), grid)
 
 
 def rt_case():
-    grid = build_grid(N1, N2, X1, X2, 0.2, basic=rt_basic_state(Grid(N1, N2, X1, X2)),
-                      epsilon=1e-2)
+    grid = build_grid(rt_basic_state(Grid(N1, N2, X1, X2)), 0.2, epsilon=1e-2)
     basic = rt_basic_state(grid, rt_jump=0.5)
     return basic, 1e-2, Sources(), _with_companion(divergence_free_pulse(grid, seed=2), grid)
 
 
 def curved_case():
     """Curved front: the companion factors are fields and d11phi != 0."""
-    grid = build_grid(N1, N2, X1, X2, 0.2, basic=curved_background(Grid(N1, N2, X1, X2)),
-                      epsilon=1e-2)
+    grid = build_grid(curved_background(Grid(N1, N2, X1, X2)), 0.2, epsilon=1e-2)
     basic = curved_background(grid)
     return basic, 1e-2, Sources(), _with_companion(divergence_free_pulse(grid, seed=3), grid)
 
@@ -134,8 +127,7 @@ def mms_case():
 
     eps = 1e-2
     problem = ManufacturedProblem(st(0.2), st(-0.1), eps)
-    proto = constant_basic_state(Grid(N1, N2, X1, X2), v2=0.2)
-    grid = build_grid(N1, N2, X1, X2, 0.2, basic=proto, epsilon=eps)
+    grid = build_grid(constant_basic_state(Grid(N1, N2, X1, X2), v2=0.2), 0.2, epsilon=eps)
     basic = constant_basic_state(grid, v2=0.2, H1=1.0, H2=0.3, S_plus=0.2, S_minus=-0.1)
     return basic, eps, problem.sources(grid), problem.initial(grid)
 
