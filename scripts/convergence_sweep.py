@@ -10,6 +10,7 @@ from pathlib import Path
 
 from contact_stab.config import parse_config
 from contact_stab.scenarios import run_mms
+from contact_stab.solver import BlowUpError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,9 +20,14 @@ def main() -> int:
     for eps in ("1e-1", "1e-2", "1e-3"):
         cfg = parse_config(str(ROOT / "configs" / "mms.cfg"), "mms",
                            overrides=[f"run.epsilon={eps}"])
-        res = run_mms(cfg)
-        print(f"eps={eps}: order={res.data.get('order', float('nan')):.3f} "
-              f"div_slope={res.data.get('div_slope', float('nan')):.3f} "
+        try:
+            res = run_mms(cfg)
+        except BlowUpError as exc:
+            print(f"eps={eps}: blow-up at t = {exc.t:.6g} (exit 3)")
+            worst = 3
+            continue
+        print(f"eps={eps}: order={res.data['order']:.3f} "
+              f"div_slope={res.data['div_slope']:.3f} "
               f"{'PASS' if res.ok else 'FAIL'}")
         worst = max(worst, res.exit_code)
     return worst

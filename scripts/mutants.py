@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run named textual mutants of the solver against the tier-1 suite.
+"""Run named textual mutants of the source against the tier-1 suite.
 
     python3 scripts/mutants.py              # the unmutated tree, then every mutant
     python3 scripts/mutants.py NAME ...     # the unmutated tree, then the named ones
@@ -29,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "src/contact_stab/solver.py"
+FIELDS = "src/contact_stab/fields.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIMEOUT_S = 1800
@@ -72,6 +73,10 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     "halve-tangential-weight": [
         (SOLVER, "wt = 0.5 / (1.0 + tau ** 2)", "wt = 0.25 / (1.0 + tau ** 2)"),
+    ],
+    # the sides of a snapshot's U can be rebound, detaching them from data
+    "unfreeze-two-sided-field": [
+        (FIELDS, "@dataclass(frozen=True)\nclass TwoSidedField:", "@dataclass\nclass TwoSidedField:"),
     ],
 }
 

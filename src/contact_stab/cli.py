@@ -26,7 +26,7 @@ from .geometry import AdmissibilityError
 from .linearization import GeometryError
 from .mhd import InadmissibleStateError
 from .scenarios import RUNNERS, ScenarioResult
-from .solver import Snapshot
+from .solver import BlowUpError, Snapshot
 
 try:
     from threadpoolctl import threadpool_limits
@@ -55,7 +55,7 @@ def write_snapshot(path_base: Path, snap: Snapshot, grid) -> None:
     payload = np.concatenate([
         snap.U.plus.astype("<f8").ravel(),
         snap.U.minus.astype("<f8").ravel(),
-        snap.phi.phi.astype("<f8").ravel(),
+        snap.phi.astype("<f8").ravel(),
     ])
     payload.tofile(path_base.with_suffix(".bin"))
     header = [
@@ -143,6 +143,8 @@ def main(argv=None) -> int:
     except (InadmissibleStateError, AdmissibilityError, GeometryError) as exc:
         result = ScenarioResult(ok=False, exit_code=2, report=[
             f"inadmissible background ({type(exc).__name__}): {exc}"])
+    except BlowUpError as exc:
+        result = ScenarioResult(ok=False, exit_code=3, report=[f"blow-up at t = {exc.t:.6g}"])
     finally:
         if limiter is not None:
             limiter.unregister()

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FrontState
 from .grid import Grid, d2_line, one_sided_d1_at_wall
 
 
@@ -180,22 +179,24 @@ class LiftedGeometry:
 
 
 def build_lifted_geometry(
-    front: FrontState, grid: Grid, dt_phi=None, skip_admissibility: bool = False
+    phi, grid: Grid, dt_phi=None, skip_admissibility: bool = False
 ) -> LiftedGeometry:
-    """Lift the front perturbation to both straightened half-planes.
+    """Lift the front perturbation phi, an (N2,) array, to both
+    straightened half-planes.
 
     dt_phi, if given, is the time derivative of phi on the boundary grid;
     it propagates into dt_Psi_pm = chi(pm x1) dt_phi.  skip_admissibility
     is for lifting perturbation directions, which need not obey the
     sup-norm bound of an actual front.
     """
-    if not skip_admissibility and not front.is_admissible:
-        raise AdmissibilityError(
-            f"front sup-norm {front.sup_norm:.3g} >= 1: straightening map degenerates"
-        )
-    phi = front.phi
+    phi = np.asarray(phi, dtype=float)
     if phi.shape != (grid.N2,):
         raise ValueError("front resolution does not match grid.N2")
+    sup = float(np.max(np.abs(phi)))
+    if not skip_admissibility and not sup < 1.0:
+        raise AdmissibilityError(
+            f"front sup-norm {sup:.3g} >= 1: straightening map degenerates"
+        )
     x1 = grid.x1
     chi_p = cutoff_chi(x1)[:, None]
     chi_m = cutoff_chi(-x1)[:, None]

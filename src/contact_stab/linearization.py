@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mhd
-from .fields import FrontState, TwoSidedField
+from .fields import TwoSidedField
 from .geometry import (
     LiftedGeometry,
     build_lifted_geometry,
@@ -147,25 +147,21 @@ def two_sided_signature(trace: BoundaryTrace) -> tuple[int, int, int]:
 class BasicState:
     """Frozen background over the straightened half-plane pair.
 
-    u holds the 6 components per side with shape (6, N1, N2); dt_u, d1_u,
-    d2_u are its derivatives on the same grid (time-independent backgrounds
-    carry dt_u = 0).  Geometry is the lift of phi_hat.
+    u holds the 6 components per side with shape (6, N1, N2); d1_u, d2_u
+    are its derivatives on the same grid.  Backgrounds are static.
+    Geometry is the lift of the (N2,) front phi_hat.
     """
 
     grid: Grid
     u: TwoSidedField
-    phi_hat: FrontState
+    phi_hat: np.ndarray
     geometry: LiftedGeometry
-    dt_u: TwoSidedField
     d1_u: TwoSidedField
     d2_u: TwoSidedField
     dt_phi: np.ndarray
     gamma: float = mhd.GAMMA_DEFAULT
 
     # -- component access ----------------------------------------------------
-
-    def comp(self, side: int, k: int) -> np.ndarray:
-        return self.u.side(side)[k]
 
     def rho(self, side: int) -> np.ndarray:
         U = self.u.side(side)
@@ -237,24 +233,19 @@ def basic_state_from_arrays(
     u_minus: np.ndarray,
     phi_hat: np.ndarray | None = None,
     dt_phi: np.ndarray | None = None,
-    dt_u: TwoSidedField | None = None,
     gamma: float = mhd.GAMMA_DEFAULT,
 ) -> BasicState:
     """Build a BasicState from gridded data; derivatives via grid stencils."""
-    if phi_hat is None:
-        phi_hat = np.zeros(grid.N2)
+    phi_hat = np.zeros(grid.N2) if phi_hat is None else np.asarray(phi_hat, dtype=float)
     if dt_phi is None:
         dt_phi = np.zeros(grid.N2)
-    front = FrontState(phi_hat)
-    geometry = build_lifted_geometry(front, grid, dt_phi=dt_phi)
+    geometry = build_lifted_geometry(phi_hat, grid, dt_phi=dt_phi)
     u = TwoSidedField(u_plus, u_minus)
-    if dt_u is None:
-        dt_u = TwoSidedField.zeros(u.plus.shape)
     d1 = TwoSidedField(d1_field(u.plus, grid.h1), d1_field(u.minus, grid.h1))
     d2 = TwoSidedField(d2_field(u.plus, grid.h2), d2_field(u.minus, grid.h2))
     return BasicState(
-        grid=grid, u=u, phi_hat=front, geometry=geometry,
-        dt_u=dt_u, d1_u=d1, d2_u=d2, dt_phi=np.asarray(dt_phi, dtype=float),
+        grid=grid, u=u, phi_hat=phi_hat, geometry=geometry,
+        d1_u=d1, d2_u=d2, dt_phi=np.asarray(dt_phi, dtype=float),
         gamma=gamma,
     )
 
@@ -346,7 +337,7 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
     worst = 0.0
     loc = ""
     for side in (+1, -1):
-        p = basic.comp(side, 0)
+        p = basic.u.side(side)[0]
         rho = basic.rho(side)
         viol = np.maximum(P_BAR0 - p, RHO_BAR0 - rho)
         m = float(np.max(viol))
@@ -385,9 +376,7 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
             dH2 = basic.d2_u.side(side)[k]
             dv1 = basic.d1_u.side(side)[k - 2]
             dv2 = basic.d2_u.side(side)[k - 2]
-            res = basic.dt_u.side(side)[k] + (
-                w1 * dH1 + w2 * dH2 - (hv1 * dv1 + hv2 * dv2) + U[k] * div_u
-            ) / d1phi
+            res = (w1 * dH1 + w2 * dH2 - (hv1 * dv1 + hv2 * dv2) + U[k] * div_u) / d1phi
             m = float(np.max(np.abs(res)))
             if m > worst:
                 worst, loc = m, _argmax_loc(res)
@@ -413,7 +402,7 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
     m = float(np.max(np.abs(jv)))
     checks.append(CheckResult("normal_velocity_jump", m <= tol, m, _argmax_loc(jv)))
 
-    sup = basic.phi_hat.sup_norm
+    sup = float(np.max(np.abs(basic.phi_hat)))
     checks.append(CheckResult("front_bound", sup < 1.0, sup))
 
     return ValidationReport(checks=checks, tolerance=tol)
@@ -444,20 +433,19 @@ def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
     """Pointwise matrix of the zero-order operator C, shape (6,6,N1,N2).
 
     Column k is the directional derivative of the coefficient matrices in
-    the k-th unit state direction, contracted with the background
-    gradients: dA0 dtU_hat + dA1_tilde d1U_hat + dA2 d2U_hat.  A gradient
-    that vanishes identically contributes nothing and is skipped, so a
-    constant background returns zeros without differentiating anything.
+    the k-th unit state direction, contracted with the gradients of the
+    static background: dA1_tilde d1U_hat + dA2 d2U_hat.  A gradient that
+    vanishes identically contributes nothing and is skipped, so a constant
+    background returns zeros without differentiating anything.
     """
     U = basic.u.side(side)
     d1phi = basic.d1phi_map(side)
     _require_geometry(d1phi)
     C = np.zeros((6, 6) + U.shape[1:])
-    dtU = basic.dt_u.side(side)
     d1U = basic.d1_u.side(side)
     d2U = basic.d2_u.side(side)
-    use_t, use_1, use_2 = dtU.any(), d1U.any(), d2U.any()
-    if not (use_t or use_1 or use_2):
+    use_1, use_2 = d1U.any(), d2U.any()
+    if not (use_1 or use_2):
         return C
     rho = basic.rho(side)
     g = basic.gamma
@@ -469,8 +457,6 @@ def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
         dA0 = mhd.da0_matrix(U[0], rho, Y, g)
         dA2 = mhd.da2_matrix(U[0], U[2], rho, Y, g)
         terms = []
-        if use_t:
-            terms.append(np.einsum("ij...,j...->i...", dA0, dtU))
         if use_1:
             dA1 = mhd.da1_matrix(U[0], U[1], rho, Y, g)
             dA1t = (dA1 - dA0 * dtpsi - dA2 * d2psi) / d1phi
@@ -591,10 +577,7 @@ def first_variation(
     """
     g = basic.grid
     sc = side_coefficients(basic, side)
-    dgeo = build_lifted_geometry(
-        FrontState(np.asarray(dphi, dtype=float)), g, dt_phi=dphi_t,
-        skip_admissibility=True,
-    )
+    dgeo = build_lifted_geometry(dphi, g, dt_phi=dphi_t, skip_admissibility=True)
     sgn = 1.0 if side == +1 else -1.0
     d1psi = dgeo.side("d1_phi", side) - sgn  # d1 of the lift alone
     d2psi = dgeo.side("d2_psi", side)
@@ -614,7 +597,7 @@ def first_variation(
 def bc_residual(
     trace_plus: np.ndarray,
     trace_minus: np.ndarray,
-    front: FrontState,
+    phi: np.ndarray,
     basic: BasicState,
     dt_phi: np.ndarray | None = None,
     g_rows: np.ndarray | None = None,
@@ -623,11 +606,11 @@ def bc_residual(
 
     Rows: pressure jump with front correction, the two velocity jumps, the
     tangential-field jump with front correction, and the front equation.
-    Traces are (6, N2) arrays of perturbation values on x1 = 0.
+    Traces are (6, N2) arrays of perturbation values on x1 = 0, and phi is
+    the (N2,) front perturbation.
     """
     gr = basic.grid
     d2phi_hat = basic.geometry.d2_phi_boundary
-    phi = front.phi
     if dt_phi is None:
         dt_phi = np.zeros_like(phi)
     res = np.zeros((5, gr.N2))

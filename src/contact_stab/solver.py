@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import mhd
-from .fields import FrontState, TwoSidedField
+from .fields import TwoSidedField
 from .grid import Grid, d1_field, d2_field, d2_line
 from .linearization import (
     BasicState,
@@ -147,7 +147,7 @@ class Snapshot:
         self.data = data
         self._sides = data[:n].reshape(2, ROWS, N1, N2)
         self._U = TwoSidedField(self._sides[0, :6], self._sides[1, :6])
-        self._phi = FrontState(data[n:])
+        self._phi = data[n:]
         self.t = t
 
     sides = property(lambda self: self._sides)
@@ -357,7 +357,7 @@ def _stage(y: Snapshot, t: float, work: StageWork, sources: Sources, out: Snapsh
     fp, fm = fpm if fpm is not None else (None, None)
     work.interior(+1, y.sides[0], fp, out.sides[0])
     work.interior(-1, y.sides[1], fm, out.sides[1])
-    out.phi.phi[:] = _front_rhs(y.phi.phi, y.U.plus[:, 0, :], work.coeffs, g_rows, work.grid)
+    out.phi[:] = _front_rhs(y.phi, y.U.plus[:, 0, :], work.coeffs, g_rows, work.grid)
 
 
 def _advance(y0: Snapshot, k: Snapshot, dt: float, t_new: float, coeffs: Coefficients,
@@ -366,7 +366,7 @@ def _advance(y0: Snapshot, k: Snapshot, dt: float, t_new: float, coeffs: Coeffic
     np.multiply(k.data, dt, out=out.data)
     out.data += y0.data
     out.t = t_new
-    apply_interface_conditions(out.U, out.phi.phi, coeffs, sources.g_eval(t_new))
+    apply_interface_conditions(out.U, out.phi, coeffs, sources.g_eval(t_new))
     out.sides[:, 6, -1, :] = out.sides[:, 6, -2, :]
     return out
 
@@ -481,7 +481,7 @@ def energy_report(snapshot: Snapshot, coeffs: Coefficients,
             dtU = (U - prev.U.side(side)) / (snapshot.t - prev.t)
             val += _weighted_l2(dtU, g) ** 2
         I[side] = val
-    phi = snapshot.phi.phi
+    phi = snapshot.phi
     phi_l2 = _line_l2(phi, g)
     phi_d2 = _line_l2(d2_line(phi, g.h2, order=2), g)
     J = I[+1] + I[-1] + phi_l2 ** 2 + phi_d2 ** 2
@@ -540,7 +540,7 @@ def run(coeffs: Coefficients, epsilon: float, sources: Sources | None = None,
     snap = initial.copy() if initial is not None else Snapshot.zeros(grid)
     if initial is not None:
         g_rows = sources.g_eval(snap.t)
-        apply_interface_conditions(snap.U, snap.phi.phi, coeffs, g_rows)
+        apply_interface_conditions(snap.U, snap.phi, coeffs, g_rows)
     n_steps = grid.n_steps
     work = StageWork(coeffs, epsilon)
     reports = [energy_report(snap, coeffs)]
@@ -715,13 +715,9 @@ def eps_sweep(coeffs: Coefficients, eps_list, sources: Sources | None = None) ->
     trace_bound = []
     truncated = False
     for eps in eps_list:
-        try:
-            res = run(coeffs, eps, sources=sources,
-                      report_every=max(grid.n_steps // 50, 1),
-                      store_snapshots_every=EPS_SWEEP_STORE_EVERY)
-        except BlowUpError:
-            truncated = True
-            break
+        res = run(coeffs, eps, sources=sources,
+                  report_every=max(grid.n_steps // 50, 1),
+                  store_snapshots_every=EPS_SWEEP_STORE_EVERY)
         if res.blew_up:
             truncated = True
             break

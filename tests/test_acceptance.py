@@ -9,7 +9,6 @@ import pytest
 
 from contact_stab import mhd, solver, spectral
 from contact_stab.config import parse_config
-from contact_stab.fields import FrontState
 from contact_stab.grid import Grid
 from contact_stab.linearization import (
     BoundaryTrace,
@@ -123,7 +122,7 @@ class TestCriterion04FirstVariation:
         for eps in eps_list:
             pert = nonlinear_interior_residual(
                 basic.u.plus + eps * dU,
-                FrontState(basic.phi_hat.phi + eps * dphi), grid, +1,
+                basic.phi_hat + eps * dphi, grid, +1,
             )
             errs.append(np.max(np.abs((pert - base) / eps - lin)))
         slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]

@@ -18,14 +18,14 @@ class TestSnapshotIO:
         snap = Snapshot.zeros(g)
         snap.U.plus[:] = rng.standard_normal(snap.U.plus.shape)
         snap.U.minus[:] = rng.standard_normal(snap.U.minus.shape)
-        snap.phi.phi[:] = rng.standard_normal(g.N2)
+        snap.phi[:] = rng.standard_normal(g.N2)
         snap.t = 0.7
         base = tmp_path / "snapshot_test"
         write_snapshot(base, snap, g)
         plus, minus, phi, t = read_snapshot(base)
         assert np.array_equal(plus, snap.U.plus)
         assert np.array_equal(minus, snap.U.minus)
-        assert np.array_equal(phi, snap.phi.phi)
+        assert np.array_equal(phi, snap.phi)
         assert t == 0.7
 
     def test_header_documents_the_layout(self, tmp_path):
@@ -103,6 +103,15 @@ class TestExitCodes:
                        extra=[a for ov in overrides for a in ("--override", ov)])
         assert code == 3
         assert "blow-up at t =" in (out / "report.txt").read_text()
+
+    def test_neutral_mode_blow_up_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        overrides = ("grid.cfl_max=3", "run.T_final=400", "neutral.refinements=9,12")
+        code = run_cli("neutral-mode", "configs/neutral_mode.cfg", out,
+                       extra=[a for ov in overrides for a in ("--override", ov)])
+        assert code == 3
+        assert "blow-up at t =" in (out / "report.txt").read_text()
+        assert "exit_code = 3" in (out / "manifest.txt").read_text()
 
 
 class TestEndToEnd:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contact_stab import geometry
-from contact_stab.fields import FrontState
 from contact_stab.geometry import (
     AdmissibilityError,
     CHI_SLOPE_BOUND,
@@ -54,7 +53,7 @@ class TestLiftedGeometry:
         self.grid = Grid(40, 24, 6.0, 2.0 * np.pi)
 
     def _front(self, amp=0.4):
-        return FrontState(amp * np.cos(self.grid.x2))
+        return amp * np.cos(self.grid.x2)
 
     def test_map_slope_bounded_away_from_zero(self):
         geo = build_lifted_geometry(self._front(0.9), self.grid)
@@ -65,10 +64,10 @@ class TestLiftedGeometry:
         front = self._front()
         geo = build_lifted_geometry(front, self.grid)
         # chi = 1 near the interface: Psi restricted to x1 = 0 is phi itself
-        assert np.allclose(geo.psi_plus[0], front.phi)
-        assert np.allclose(geo.psi_minus[0], front.phi)
-        assert np.allclose(geo.phi_map_plus[0], front.phi)
-        assert np.allclose(geo.phi_map_minus[0], front.phi)
+        assert np.allclose(geo.psi_plus[0], front)
+        assert np.allclose(geo.psi_minus[0], front)
+        assert np.allclose(geo.phi_map_plus[0], front)
+        assert np.allclose(geo.phi_map_minus[0], front)
 
     def test_support_of_lift(self):
         geo = build_lifted_geometry(self._front(), self.grid)
@@ -83,7 +82,7 @@ class TestLiftedGeometry:
 
     def test_resolution_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            build_lifted_geometry(FrontState(np.zeros(7)), self.grid)
+            build_lifted_geometry(np.zeros(7), self.grid)
 
     @given(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4),
            st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -95,9 +94,9 @@ class TestLiftedGeometry:
         combo = c1 * pa + c2 * pb
         if np.max(np.abs(combo)) >= 1.0:
             return
-        ga = build_lifted_geometry(FrontState(pa), g, skip_admissibility=True)
-        gb = build_lifted_geometry(FrontState(pb), g, skip_admissibility=True)
-        gc = build_lifted_geometry(FrontState(combo), g, skip_admissibility=True)
+        ga = build_lifted_geometry(pa, g, skip_admissibility=True)
+        gb = build_lifted_geometry(pb, g, skip_admissibility=True)
+        gc = build_lifted_geometry(combo, g, skip_admissibility=True)
         got = gc.psi_plus
         want = c1 * ga.psi_plus + c2 * gb.psi_plus
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contact_stab import solver
-from contact_stab.fields import FrontState, TwoSidedField
+from contact_stab.fields import TwoSidedField
 from contact_stab.grid import Grid, d1_field, d2_field
 from contact_stab.linearization import (
     basic_state_from_arrays,
@@ -109,7 +109,7 @@ class TestStep:
             snap = step(snap, work, Sources())
         assert np.all(snap.U.plus == 0.0)
         assert np.all(snap.U.minus == 0.0)
-        assert np.all(snap.phi.phi == 0.0)
+        assert np.all(snap.phi == 0.0)
 
     def test_scheme_is_linear_in_the_data(self):
         basic, grid = small_basic()
@@ -144,7 +144,7 @@ class TestStep:
 class TestSnapshotLayout:
     @staticmethod
     def _views(snap):
-        return (snap.sides, snap.U.plus, snap.U.minus, snap.phi.phi, snap.a_plus, snap.a_minus)
+        return (snap.sides, snap.U.plus, snap.U.minus, snap.phi, snap.a_plus, snap.a_minus)
 
     @pytest.mark.parametrize("name", ["U", "phi", "a_plus", "a_minus", "sides"])
     def test_views_cannot_be_reassigned(self, name):
@@ -153,11 +153,20 @@ class TestSnapshotLayout:
         with pytest.raises(AttributeError):
             setattr(snap, name, getattr(snap, name))
 
+    @pytest.mark.parametrize("name", ["plus", "minus"])
+    def test_sides_of_U_cannot_be_rebound(self, name):
+        _, grid = small_basic()
+        snap = Snapshot.zeros(grid)
+        with pytest.raises(AttributeError):
+            setattr(snap.U, name, np.ones_like(snap.U.plus))
+        assert not snap.data.any()
+        assert not snap.U.side(+1 if name == "plus" else -1).any()
+
     def test_views_are_the_rows_of_data(self):
         _, grid = small_basic()
         snap = divergence_free_pulse(grid, seed=5)
         snap.a_minus[:] = 2.0
-        snap.phi.phi[:] = 3.0
+        snap.phi[:] = 3.0
         n = 2 * 7 * grid.N1 * grid.N2
         assert np.array_equal(snap.data[:n].reshape(2, 7, grid.N1, grid.N2), snap.sides)
         assert np.array_equal(snap.sides[0, :6], snap.U.plus)
@@ -193,7 +202,7 @@ class TestEnergyReport:
     def test_j_dominates_the_side_energies(self):
         basic, grid = small_basic()
         snap = divergence_free_pulse(grid, seed=4)
-        snap.phi.phi[:] = 0.1 * np.cos(grid.x2)
+        snap.phi[:] = 0.1 * np.cos(grid.x2)
         rep = energy_report(snap, assemble_coefficients(basic))
         assert rep.J >= rep.I_plus + rep.I_minus
 
@@ -255,7 +264,7 @@ class TestInterfaceClosure:
         phi = rng.standard_normal(grid.N2)
         g_rows = rng.standard_normal((5, grid.N2))
         solver.apply_interface_conditions(U, phi, coeffs, g_rows)
-        res = bc_residual(U.plus[:, 0, :], U.minus[:, 0, :], FrontState(phi), basic,
+        res = bc_residual(U.plus[:, 0, :], U.minus[:, 0, :], phi, basic,
                           g_rows=g_rows)
         assert np.max(np.abs(res[:4])) <= 1e-12
 
@@ -271,7 +280,7 @@ class TestInterfaceClosure:
         phi = rng.standard_normal(grid.N2)
         g_rows = rng.standard_normal((5, grid.N2))
         dt_phi = solver._front_rhs(phi, tp, coeffs, g_rows, grid)
-        res = bc_residual(tp, tm, FrontState(phi), basic, dt_phi=dt_phi, g_rows=g_rows)
+        res = bc_residual(tp, tm, phi, basic, dt_phi=dt_phi, g_rows=g_rows)
         assert np.max(np.abs(res[4])) <= 1e-12
 
 
@@ -326,7 +335,7 @@ class TestEnergyDecay:
         basic, grid = small_basic(N1=40, N2=40, T=0.3, eps=1e-3)
         coeffs = assemble_coefficients(basic)
         snap = divergence_free_pulse(grid, seed=3)
-        solver.apply_interface_conditions(snap.U, snap.phi.phi, coeffs, None)
+        solver.apply_interface_conditions(snap.U, snap.phi, coeffs, None)
         work = StageWork(coeffs, 1e-3)
         E = [symmetrizer_energy(snap, coeffs)]
         for _ in range(grid.n_steps):
@@ -384,7 +393,7 @@ class TestLift:
         U = lift.u_tilde(t)
         dt_phi = (phis[n + 1] - phis[n - 1]) / (2 * (times[1] - times[0]))
         return bc_residual(U.plus[:, 0, :], U.minus[:, 0, :],
-                           FrontState(phis[n]), basic, dt_phi=dt_phi,
+                           phis[n], basic, dt_phi=dt_phi,
                            g_rows=g(t))
 
     def test_lifted_traces_satisfy_the_interface_rows(self):
@@ -482,7 +491,7 @@ class TestSourceEvaluation:
             plain = step(plain, work, src_plain)
         assert np.array_equal(memo.U.plus, plain.U.plus)
         assert np.array_equal(memo.U.minus, plain.U.minus)
-        assert np.array_equal(memo.phi.phi, plain.phi.phi)
+        assert np.array_equal(memo.phi, plain.phi)
         assert np.array_equal(memo.a_plus, plain.a_plus)
         assert np.array_equal(memo.a_minus, plain.a_minus)
 

@@ -57,7 +57,7 @@ def _stage_rhs(snap, coeffs, eps, src, grid, t):
     return (
         _interior_rhs(snap.U.plus, coeffs.plus, eps, fp, grid),
         _interior_rhs(snap.U.minus, coeffs.minus, eps, fm, grid),
-        solver._front_rhs(snap.phi.phi, snap.U.plus[:, 0, :], coeffs, g_rows, grid),
+        solver._front_rhs(snap.phi, snap.U.plus[:, 0, :], coeffs, g_rows, grid),
         _companion_rhs(snap.a_plus, coeffs.plus, eps, fp, grid),
         _companion_rhs(snap.a_minus, coeffs.minus, eps, fm, grid),
     )
@@ -69,7 +69,7 @@ def _advance(snap, k, dt, coeffs, src, t_new):
     for o, y, dk in zip(arrays(out), arrays(snap), k):
         o[:] = y + dt * dk
     g_rows = np.asarray(src.g(t_new), dtype=float) if src.g is not None else None
-    apply_interface_conditions(out.U, out.phi.phi, coeffs, g_rows)
+    apply_interface_conditions(out.U, out.phi, coeffs, g_rows)
     out.a_plus[-1, :] = out.a_plus[-2, :]
     out.a_minus[-1, :] = out.a_minus[-2, :]
     return out
@@ -90,7 +90,7 @@ def reference_step(snap, basic, eps, src, coeffs):
 
 
 def arrays(snap):
-    return snap.U.plus, snap.U.minus, snap.phi.phi, snap.a_plus, snap.a_minus
+    return snap.U.plus, snap.U.minus, snap.phi, snap.a_plus, snap.a_minus
 
 
 def _with_companion(snap, grid):
