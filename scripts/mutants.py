@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "src/contact_stab/solver.py"
 FIELDS = "src/contact_stab/fields.py"
+SPECTRAL = "src/contact_stab/spectral.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIMEOUT_S = 1800
@@ -77,6 +78,14 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     # the sides of a snapshot's U can be rebound, detaching them from data
     "unfreeze-two-sided-field": [
         (FIELDS, "@dataclass(frozen=True)\nclass TwoSidedField:", "@dataclass\nclass TwoSidedField:"),
+    ],
+    # the growing roots taken as the decaying basis
+    "flip-decaying-selection": [
+        (SPECTRAL, "dec = lam.real < 0.0", "dec = lam.real > 0.0"),
+    ],
+    # the pencil without the eliminated H1 equation's w2^2 / sigma coupling
+    "drop-eliminated-H1-coupling": [
+        (SPECTRAL, " + (w2 ** 2 / sigma) * Pc)", ")"),
     ],
 }
 

@@ -20,6 +20,7 @@ family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,53 +65,51 @@ class ContactPair:
         return self.plus if side == +1 else self.minus
 
 
-def _reduced_pencil(point: LaplaceFourierPoint, state: PlasmaState, side: int):
-    """(M, B) with (M + lambda B) x = 0 over the reduced components."""
+@lru_cache(maxsize=16)
+def _state_pencil(state: PlasmaState):
+    """(P0, P2, Pc): A1^-1 A0, A1^-1 A2 and (A1^-1 c3) c3^T over REDUCED.
+
+    Everything of the pencil that depends on the state alone, built once per
+    state.  det A1 = H1^2 over the reduced components, so A1 is inverted
+    only after H1 != 0 is checked.  c3 couples the eliminated H1 equation,
+    (s + i w2 v2) x_H1 = -i w2 (-H2 x_v1 + H1 x_v2), back into the others.
+    """
     state.require_admissible()
-    s, w2 = point.s, point.omega2
+    if abs(state.H1) < 1e-12:
+        raise DegeneratePointError("normal field H1 = 0 degenerates the pencil")
     tri = mhd.assemble_matrices(state)
-    sigma = s + 1j * w2 * state.v2
-    if abs(sigma) < 1e-14 * max(abs(s), abs(w2), 1.0):
-        raise DegeneratePointError("transport symbol s + i w2 v2 vanishes")
     idx = np.ix_(REDUCED, REDUCED)
-    M = s * tri.A0[idx] + 1j * w2 * tri.A2[idx]
-    # eliminated H1 equation: (s + i w2 v2) x_H1 = -i w2 (-H2 x_v1 + H1 x_v2)
+    inv = np.linalg.inv(tri.A1[idx])
     c3 = np.array([0.0, -state.H2, state.H1, 0.0])
-    M = M + (w2 ** 2 / sigma) * np.outer(c3, c3)
-    B = float(side) * tri.A1[idx].astype(complex)
-    return M, B
-
-
-def _full_mode_vector(x_reduced, point: LaplaceFourierPoint, state: PlasmaState):
-    """Reconstruct the 6-component mode from the reduced one."""
-    s, w2 = point.s, point.omega2
-    sigma = s + 1j * w2 * state.v2
-    X = np.zeros(6, dtype=complex)
-    X[[0, 1, 2, 4]] = x_reduced
-    X[3] = -1j * w2 * (-state.H2 * X[1] + state.H1 * X[2]) / sigma
-    return X
+    mats = inv @ tri.A0[idx], inv @ tri.A2[idx], np.outer(inv @ c3, c3)
+    for m in mats:
+        m.flags.writeable = False
+    return mats
 
 
 def dispersion_roots(point: LaplaceFourierPoint, const_state: PlasmaState, side: int):
     """Finite pencil roots lambda; the two zero-speed rows are algebraic.
 
-    Returns (roots, modes): the four finite generalized eigenvalues and the
-    corresponding reconstructed 6-component mode vectors (columns).  B is
-    +-A1 over (p, v1, v2, H2), with determinant H1^2, so the pencil is
-    solved as the eigenproblem of -B^-1 M.
+    Returns (roots, modes): the four finite generalized eigenvalues of
+    (M + lambda side A1) x = 0 over (p, v1, v2, H2), in increasing real
+    part, and the corresponding reconstructed 6-component mode vectors
+    (columns).  The pencil is solved as the eigenproblem of
+    -(side A1)^-1 M = -side (s P0 + i w2 P2 + (w2^2 / sigma) Pc).
     """
-    M, B = _reduced_pencil(point, const_state, side)
-    if abs(const_state.H1) < 1e-12:
-        raise DegeneratePointError("normal field H1 = 0 degenerates the pencil")
-    lam, vecs = np.linalg.eig(np.linalg.solve(B, -M))
+    P0, P2, Pc = _state_pencil(const_state)
+    s, w2 = point.s, point.omega2
+    sigma = s + 1j * w2 * const_state.v2
+    if abs(sigma) < 1e-14 * max(abs(s), abs(w2), 1.0):
+        raise DegeneratePointError("transport symbol s + i w2 v2 vanishes")
+    K = -side * (s * P0 + 1j * w2 * P2 + (w2 ** 2 / sigma) * Pc)
+    lam, vecs = np.linalg.eig(K)
     if not np.all(np.isfinite(lam)):
         raise DegeneratePointError("reduced pencil produced non-finite roots")
     order = np.argsort(lam.real)
-    lam = lam[order]
-    modes = np.stack(
-        [_full_mode_vector(vecs[:, j], point, const_state) for j in order], axis=1
-    )
-    return lam, modes
+    modes = np.zeros((6, 4), dtype=complex)
+    modes[REDUCED, :] = vecs[:, order]
+    modes[3] = -1j * w2 * (-const_state.H2 * modes[1] + const_state.H1 * modes[2]) / sigma
+    return lam[order], modes
 
 
 @dataclass
@@ -147,18 +146,14 @@ def lopatinski_determinant(point: LaplaceFourierPoint, pair: ContactPair) -> Mod
     """
     _, basis_p = decaying_modes(point, pair.plus, +1)
     _, basis_m = decaying_modes(point, pair.minus, -1)
+    basis_p = basis_p / np.linalg.norm(basis_p, axis=0)
+    basis_m = basis_m / np.linalg.norm(basis_m, axis=0)
     s, w2 = point.s, point.omega2
-    v2 = pair.plus.v2
-    rows = [0, 1, 2, 4]
     Mat = np.zeros((5, 5), dtype=complex)
-    for j in range(2):
-        col = basis_p[:, j] / np.linalg.norm(basis_p[:, j])
-        Mat[:4, j] = col[rows]
-        Mat[4, j] = -col[1]  # front equation sees -v1 trace of the + side
-    for j in range(2):
-        col = basis_m[:, j] / np.linalg.norm(basis_m[:, j])
-        Mat[:4, 2 + j] = -col[rows]
-    Mat[4, 4] = s + 1j * w2 * v2
+    Mat[:4, :2] = basis_p[REDUCED, :]
+    Mat[4, :2] = -basis_p[1]  # front equation sees -v1 trace of the + side
+    Mat[:4, 2:4] = -basis_m[REDUCED, :]
+    Mat[4, 4] = s + 1j * w2 * pair.plus.v2
     scale = np.sqrt(abs(s) ** 2 + w2 ** 2)
     delta = np.linalg.det(Mat) / scale
     sing = np.linalg.svd(Mat, compute_uv=False)

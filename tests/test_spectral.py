@@ -94,6 +94,49 @@ class TestDispersionRoots:
             dispersion_roots(LaplaceFourierPoint(-1j, 1.0), pair.plus, +1)
 
 
+class TestStatePencil:
+    """The state-only pencil data is built once per state; checks still run."""
+
+    def test_inadmissible_state_raises_on_every_call(self):
+        st = mhd.PlasmaState(-1.0, 0.0, 0.3, 1.0, 0.4, 0.0)
+        pt = LaplaceFourierPoint(0.5 + 0.3j, 1.0)
+        for _ in range(2):
+            with pytest.raises(mhd.InadmissibleStateError):
+                dispersion_roots(pt, st, +1)
+
+    def test_zero_normal_field_is_degenerate_not_singular(self):
+        st = mhd.PlasmaState(1.0, 0.0, 0.3, 0.0, 0.4, 0.0)
+        with pytest.raises(DegeneratePointError):
+            dispersion_roots(LaplaceFourierPoint(0.5 + 0.3j, 1.0), st, +1)
+
+    def test_roots_match_the_solved_pencil(self, rng):
+        idx = np.ix_(spectral.REDUCED, spectral.REDUCED)
+        for trial in range(20):
+            st = mhd.PlasmaState(rng.uniform(0.2, 3.0), 0.0, rng.uniform(-1.0, 1.0),
+                                 rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0),
+                                 rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0))
+            s = complex(rng.uniform(0.05, 2.0), rng.uniform(-2.0, 2.0))
+            w2 = rng.uniform(-2.0, 2.0)
+            tri = mhd.assemble_matrices(st)
+            c3 = np.array([0.0, -st.H2, st.H1, 0.0])
+            sigma = s + 1j * w2 * st.v2
+            M = s * tri.A0[idx] + 1j * w2 * tri.A2[idx] + (w2 ** 2 / sigma) * np.outer(c3, c3)
+            for side in (+1, -1):
+                want = np.linalg.eigvals(np.linalg.solve(side * tri.A1[idx], -M))
+                lam, _ = dispersion_roots(LaplaceFourierPoint(s, w2), st, side)
+                assert np.all(np.diff(lam.real) >= 0.0)
+                gap = np.abs(want[:, None] - lam[None, :]).min(axis=1)
+                assert np.max(gap) <= 1e-10 * np.max(np.abs(want))
+
+    def test_cold_and_warm_cache_agree_bitwise(self):
+        pair, pt = make_pair(), LaplaceFourierPoint(0.7 - 0.4j, 1.2)
+        spectral._state_pencil.cache_clear()
+        cold = lopatinski_determinant(pt, pair)
+        warm = lopatinski_determinant(pt, pair)
+        assert cold.lopatinski_value == warm.lopatinski_value
+        assert cold.conditioning == warm.conditioning
+
+
 class TestLopatinskiDeterminant:
     def test_nonzero_off_the_neutral_family(self):
         res = lopatinski_determinant(LaplaceFourierPoint(0.5 + 0.3j, 1.0), make_pair())
