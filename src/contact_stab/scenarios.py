@@ -296,25 +296,20 @@ class ManufacturedProblem:
 
     def run_error(self, coeffs: solver.Coefficients):
         """(relative space-time L2 error, max divergence defect) of a run on
-        the operator coeffs, measured on the levels stored every
+        the operator coeffs, measured on the levels sampled every
         n_steps // 8 steps."""
         grid = coeffs.grid
         every = max(grid.n_steps // 8, 1)
-        res = solver.run(coeffs, self.epsilon, sources=self.sources(grid),
-                         initial=self.initial(grid), store_snapshots_every=every,
-                         report_every=every)
-        if res.blew_up:
-            raise solver.BlowUpError(res.blowup_time)
-        err = 0.0
-        norm = 0.0
-        for s in res.snapshots:
+        err = norm = div_defect = 0.0
+        for n, s, _ in solver.run(coeffs, self.epsilon, sources=self.sources(grid),
+                                  initial=self.initial(grid)):
+            if not solver.sampled(n, every, grid):
+                continue
             for side in (+1, -1):
                 E = self.exact(side, s.t, grid)
                 err += solver._weighted_l2(s.U.side(side) - E, grid) ** 2
                 norm += solver._weighted_l2(E, grid) ** 2
-        div_defect = max(
-            max(r.div_defect_plus, r.div_defect_minus) for r in res.reports
-        )
+            div_defect = max(div_defect, *solver.divergence_monitor(s, coeffs))
         return float(np.sqrt(err / norm)), div_defect
 
 
@@ -417,18 +412,20 @@ def run_energy_test(cfg: ScenarioConfig) -> ScenarioResult:
         grid, center=cfg["pulse.center"], width=cfg["pulse.width"],
         k2=cfg["pulse.k2"], amplitude=cfg["pulse.amplitude"], seed=cfg["run.seed"],
     )
-    res = solver.run(solver.assemble_coefficients(basic), eps, initial=init,
-                     report_every=cfg["run.report_every"])
-    if res.blew_up:
-        return ScenarioResult(ok=False, exit_code=3,
-                              report=[f"blow-up at t = {res.blowup_time:.6g}"])
-    energies = np.array(res.energies)
+    coeffs = solver.assemble_coefficients(basic)
+    energies, rows, prev = [], [solver.EnergyReport.CSV_HEADER], None
+    for n, snap, energy in solver.run(coeffs, eps, initial=init):
+        energies.append(energy)
+        if solver.sampled(n, cfg["run.report_every"], grid):
+            rows.append(solver.energy_report(snap, coeffs, prev).csv_row())
+        prev = snap
+    energies = np.array(energies)
     E0 = energies[0]
     drift = float(np.max(np.abs(energies - E0)) / E0)
     increase = float(max(np.max(energies) - E0, 0.0) / E0)
     tol = cfg["tolerance.drift"]
     ok = drift <= tol and increase <= tol
-    csv = {"energy.csv": res.csv_lines()}
+    csv = {"energy.csv": rows}
     elines = ["step,E_symmetrizer"] + [f"{i},{e:.16e}" for i, e in enumerate(energies)]
     csv["symmetrizer_energy.csv"] = elines
     report = [
@@ -452,18 +449,16 @@ def neutral_mode_discrete_error(N: int, cfg: ScenarioConfig) -> float:
     snap.U.plus[5] = np.cos(k * grid.x2)[None, :]
     snap.U.minus[5] = np.cos(k * grid.x2)[None, :]
     snap.phi[:] = np.cos(k * grid.x2)
-    res = solver.run(coeffs, cfg["run.epsilon"], initial=snap,
-                     report_every=max(grid.n_steps, 1))
-    if res.blew_up:
-        raise solver.BlowUpError(res.blowup_time)
+    for _, final, _ in solver.run(coeffs, cfg["run.epsilon"], initial=snap):
+        pass   # only the last level is read
     T = grid.T_final
     exact_line = np.cos(k * (grid.x2 - v2 * T))
-    errS = solver._weighted_l2(res.final.U.plus[5] - exact_line[None, :], grid)
+    errS = solver._weighted_l2(final.U.plus[5] - exact_line[None, :], grid)
     err_other = max(
-        float(np.max(np.abs(res.final.U.plus[:5]))),
-        float(np.max(np.abs(res.final.U.minus[:5]))),
+        float(np.max(np.abs(final.U.plus[:5]))),
+        float(np.max(np.abs(final.U.minus[:5]))),
     )
-    errphi = float(np.max(np.abs(res.final.phi - exact_line)))
+    errphi = float(np.max(np.abs(final.phi - exact_line)))
     return max(errS, errphi, err_other)
 
 
@@ -496,11 +491,17 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     sources = make_forcing(grid, cfg["run.seed"], cfg["forcing.amplitude"],
                            cfg["forcing.t_ramp"], cfg["forcing.k2"])
     coeffs = solver.assemble_coefficients(basic)
-    res = solver.run(coeffs, eps, sources=sources, report_every=cfg["run.report_every"])
-    if res.blew_up:
-        return ScenarioResult(ok=False, exit_code=3,
-                              report=[f"blow-up at t = {res.blowup_time:.6g}"],
-                              csv={"timeseries.csv": res.csv_lines()})
+    rows, J_max, prev = [solver.EnergyReport.CSV_HEADER], 0.0, None
+    try:
+        for n, snap, _ in solver.run(coeffs, eps, sources=sources):
+            if solver.sampled(n, cfg["run.report_every"], grid):
+                r = solver.energy_report(snap, coeffs, prev)
+                rows.append(r.csv_row())
+                J_max = max(J_max, r.J)
+            prev = snap
+    except solver.BlowUpError as exc:
+        return ScenarioResult(ok=False, exit_code=3, report=[f"blow-up at t = {exc.t:.6g}"],
+                              csv={"timeseries.csv": rows})
     # normalization: discrete H1 norm of the interior source plus the
     # interior source induced by lifting the interface data
     times = np.linspace(0.0, grid.T_final, min(grid.n_steps + 1, 33))
@@ -509,20 +510,18 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     lift.front_lift(times)
     F_norm = source_h1_norm(lift.interior_source, grid, times)
     total = f_norm + F_norm
-    ratio = res.J_max / total ** 2 if total > 0 else float("inf")
+    ratio = J_max / total ** 2 if total > 0 else float("inf")
     report = [
         f"grid {grid.N1}x{grid.N2}, eps={eps}, rt_jump={cfg['state.rt_jump']}",
-        f"sup_t J = {res.J_max:.6e}",
+        f"sup_t J = {J_max:.6e}",
         f"source H1 norms: f {f_norm:.6e}, lifted-g {F_norm:.6e}",
         f"normalized ratio sup J / ||F||^2 = {ratio:.6e}",
         "overall: PASS",
     ]
-    snaps = [("final", res.final, grid)]
     return ScenarioResult(ok=True, exit_code=0, report=report,
-                          csv={"timeseries.csv": res.csv_lines()},
-                          snapshots=snaps,
-                          data={"J_max": res.J_max, "ratio": ratio,
-                                "reports": res.reports})
+                          csv={"timeseries.csv": rows},
+                          snapshots=[("final", prev, grid)],
+                          data={"J_max": J_max, "ratio": ratio})
 
 
 def run_eps_sweep(cfg: ScenarioConfig) -> ScenarioResult:

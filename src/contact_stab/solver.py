@@ -29,6 +29,7 @@ the interface.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -470,8 +471,8 @@ class EnergyReport:
 def energy_report(snapshot: Snapshot, coeffs: Coefficients,
                   prev: Snapshot | None = None) -> EnergyReport:
     """Per-side energies I (L2 of U, dtU, d2U), the front-augmented J, the
-    interface quadratic form, and divergence defects.  dtU uses a backward
-    difference of the stored levels (zero when no previous level exists)."""
+    interface quadratic form, and divergence defects.  dtU is a backward
+    difference against prev, the previous step (zero when prev is None)."""
     g = coeffs.grid
     I = {}
     for side in (+1, -1):
@@ -502,66 +503,35 @@ def energy_report(snapshot: Snapshot, coeffs: Coefficients,
 # --- run orchestration ------------------------------------------------------
 
 
-@dataclass
-class RunResult:
-    reports: list[EnergyReport]
-    final: Snapshot
-    blew_up: bool = False
-    blowup_time: float | None = None
-    snapshots: list[Snapshot] = field(default_factory=list)
-    energies: list[float] = field(default_factory=list)  # symmetrizer energy per step
-
-    @property
-    def J_max(self) -> float:
-        return max((r.J for r in self.reports), default=0.0)
-
-    def csv_lines(self) -> list[str]:
-        return [EnergyReport.CSV_HEADER] + [r.csv_row() for r in self.reports]
-
-
-def _finite_energy(snap: Snapshot, coeffs: Coefficients) -> float:
-    energy = symmetrizer_energy(snap, coeffs)
-    if not np.isfinite(energy):
-        raise BlowUpError(snap.t, f"non-finite symmetrizer energy at t = {snap.t:.6g}")
-    return energy
+def sampled(n: int, every: int, grid: Grid) -> bool:
+    """Whether step n is sampled: step 0, every every-th step and the last."""
+    return n % every == 0 or n == grid.n_steps
 
 
 def run(coeffs: Coefficients, epsilon: float, sources: Sources | None = None,
-        initial: Snapshot | None = None, report_every: int = 1,
-        store_snapshots_every: int = 0) -> RunResult:
-    """Integrate to T_final, collecting energy reports along the way.
+        initial: Snapshot | None = None) -> Iterator[tuple[int, Snapshot, float]]:
+    """Integrate to T_final, yielding (n, snapshot, symmetrizer energy) for
+    n = 0 ... n_steps.
 
-    The symmetrizer energy is recorded after every step; a non-finite
-    energy ends the run as a blow-up, like a non-finite state.
+    Every yielded snapshot is new and never written again, so a caller may
+    keep it without a copy.  A non-finite state or energy raises
+    BlowUpError.
     """
     grid = coeffs.grid
     if sources is None:
         sources = Sources()
     snap = initial.copy() if initial is not None else Snapshot.zeros(grid)
     if initial is not None:
-        g_rows = sources.g_eval(snap.t)
-        apply_interface_conditions(snap.U, snap.phi, coeffs, g_rows)
-    n_steps = grid.n_steps
+        apply_interface_conditions(snap.U, snap.phi, coeffs, sources.g_eval(snap.t))
     work = StageWork(coeffs, epsilon)
-    reports = [energy_report(snap, coeffs)]
-    stored = [snap.copy()] if store_snapshots_every else []
-    energies: list[float] = []
-    prev = snap
-    try:
-        energies.append(_finite_energy(snap, coeffs))
-        for n in range(1, n_steps + 1):
+    for n in range(grid.n_steps + 1):
+        if n:
             # positional: the benchmark's step counter reads args[1].grid
-            new = step(prev, work, sources)
-            energies.append(_finite_energy(new, coeffs))
-            if n % report_every == 0 or n == n_steps:
-                reports.append(energy_report(new, coeffs, prev=prev))
-            if store_snapshots_every and (n % store_snapshots_every == 0 or n == n_steps):
-                stored.append(new.copy())
-            prev = new
-    except BlowUpError as exc:
-        return RunResult(reports=reports, final=prev, blew_up=True,
-                         blowup_time=exc.t, snapshots=stored, energies=energies)
-    return RunResult(reports=reports, final=prev, snapshots=stored, energies=energies)
+            snap = step(snap, work, sources)
+        energy = symmetrizer_energy(snap, coeffs)
+        if not np.isfinite(energy):
+            raise BlowUpError(snap.t, f"non-finite symmetrizer energy at t = {snap.t:.6g}")
+        yield n, snap, energy
 
 
 # --- homogenization lift ----------------------------------------------------
@@ -709,24 +679,26 @@ def eps_sweep(coeffs: Coefficients, eps_list, sources: Sources | None = None) ->
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     grid = coeffs.grid
-    d1phi_wall = coeffs.plus.d1phi[0, :]
+    report_every = max(grid.n_steps // 50, 1)
     sols = []
     J_max = []
     trace_bound = []
     truncated = False
     for eps in eps_list:
-        res = run(coeffs, eps, sources=sources,
-                  report_every=max(grid.n_steps // 50, 1),
-                  store_snapshots_every=EPS_SWEEP_STORE_EVERY)
-        if res.blew_up:
+        levels, jm, tb, prev = [], 0.0, 0.0, None
+        try:
+            for n, snap, _ in run(coeffs, eps, sources=sources):
+                if sampled(n, report_every, grid):
+                    jm = max(jm, energy_report(snap, coeffs, prev).J)
+                if sampled(n, EPS_SWEEP_STORE_EVERY, grid):
+                    levels.append(snap)
+                    tb = max(tb, eps * _line_l2(snap.f7(coeffs, +1)[0], grid))
+                prev = snap
+        except BlowUpError:
             truncated = True
             break
-        sols.append(res.snapshots)
-        J_max.append(res.J_max)
-        tb = 0.0
-        for snap in res.snapshots:
-            f7w = snap.a_plus[0, :] * d1phi_wall
-            tb = max(tb, eps * _line_l2(f7w, grid))
+        sols.append(levels)
+        J_max.append(jm)
         trace_bound.append(tb)
     diffs = []
     for s1, s2 in zip(sols, sols[1:]):

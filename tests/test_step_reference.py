@@ -171,12 +171,11 @@ def test_consecutive_steps_share_no_memory():
     assert not _shares_memory([snap, s1, s2, s3])
 
 
-def test_stored_snapshots_and_final_share_no_memory():
+def test_yielded_snapshots_share_no_memory():
     basic, eps, src, snap = constant_case()
-    res = run(assemble_coefficients(basic), eps, sources=src, initial=snap,
-              store_snapshots_every=1)
-    assert len(res.snapshots) == basic.grid.n_steps + 1
-    assert not _shares_memory(res.snapshots + [res.final])
+    levels = [s for _, s, _ in run(assemble_coefficients(basic), eps, sources=src, initial=snap)]
+    assert len(levels) == basic.grid.n_steps + 1
+    assert not _shares_memory(levels + [snap])
 
 
 class TestWorkspaceBelongsToOneRun:
