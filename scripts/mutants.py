@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "src/contact_stab/solver.py"
 FIELDS = "src/contact_stab/fields.py"
 SPECTRAL = "src/contact_stab/spectral.py"
+GRID = "src/contact_stab/grid.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIMEOUT_S = 1800
@@ -83,6 +84,15 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "drop-energy-blowup-check": [
         (SOLVER, "        if not np.isfinite(energy):\n            raise BlowUpError(snap.t, "
                  "f\"non-finite symmetrizer energy at t = {snap.t:.6g}\")\n", ""),
+    ],
+    # d2_diff keeps its flattened pass's differences across line ends at x2 = 0, X2
+    "drop-d2-wrap-columns": [
+        (GRID, "    np.subtract(U[..., 1], U[..., -1], out=out[..., 0])\n"
+               "    np.subtract(U[..., 0], U[..., -2], out=out[..., -1])\n", ""),
+    ],
+    # the uniform d2 entries act on raw differences without the stencil's 1/(2 h2)
+    "unfold-d2-scale": [
+        (SOLVER, "    M[:, ROWS:] /= 2.0 * grid.h2\n", ""),
     ],
     # the growing roots taken as the decaying basis
     "flip-decaying-selection": [

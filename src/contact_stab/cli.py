@@ -14,6 +14,7 @@ headers, and an execution manifest into the output directory.
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 import time
 from pathlib import Path
@@ -114,6 +115,8 @@ def write_artifacts(outdir: Path, cfg, result: ScenarioResult,
         f"wall_time_seconds = {wall_time:.3f}",
         f"threads = {threads}",
         f"threads_applied = {'no' if threadpool_limits is None else 'yes'}",
+        f"python = {platform.python_version()}",
+        f"numpy = {np.__version__}",
         f"exit_code = {result.exit_code}",
         "",
         "# resolved configuration",

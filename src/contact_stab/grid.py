@@ -66,35 +66,59 @@ class Grid:
 
 def _stencil_out(U: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     if out is None:
-        return np.empty_like(U)
+        return np.empty_like(U, order="C")
     if np.may_share_memory(out, U):
         raise ValueError("a stencil's output must not share memory with its input")
+    if not out.flags.c_contiguous:
+        raise ValueError("a stencil's output must be C-contiguous")
+    return out
+
+
+def d1_diff(U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2 h1 times the x1-derivative along axis -2: U[i+1] - U[i-1] on the
+    interior rows, twice the one-sided difference on the end rows.
+
+    Writes into out when it is given (C-contiguous, not overlapping U)."""
+    out = _stencil_out(U, out)
+    n, u = U.shape[-1], U.reshape(-1)
+    # one pass over the flattened array; the rows where it straddles two
+    # leading slices are end rows, overwritten below
+    np.subtract(u[2 * n:], u[:-2 * n], out=out.reshape(-1)[n:-n])
+    for row, hi, lo in ((0, 1, 0), (-1, -1, -2)):
+        end = out[..., row, :]
+        np.subtract(U[..., hi, :], U[..., lo, :], out=end)
+        end *= 2.0
+    return out
+
+
+def d2_diff(U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2 h2 times the periodic centered x2-derivative along the last axis.
+
+    Writes into out when it is given (C-contiguous, not overlapping U)."""
+    out = _stencil_out(U, out)
+    # one pass over the flattened array, then the two wrap columns, where
+    # that pass reached into the neighbouring line
+    u = U.reshape(-1)
+    np.subtract(u[2:], u[:-2], out=out.reshape(-1)[1:-1])
+    np.subtract(U[..., 1], U[..., -1], out=out[..., 0])
+    np.subtract(U[..., 0], U[..., -2], out=out[..., -1])
     return out
 
 
 def d1_field(U: np.ndarray, h1: float, out: np.ndarray | None = None) -> np.ndarray:
     """x1-derivative along axis -2: centered interior, one-sided ends.
 
-    Writes into out when it is given (it must not overlap U)."""
-    out = _stencil_out(U, out)
-    inner = out[..., 1:-1, :]
-    np.subtract(U[..., 2:, :], U[..., :-2, :], out=inner)
-    inner /= 2.0 * h1
-    for row, hi, lo in ((0, 1, 0), (-1, -1, -2)):
-        end = out[..., row, :]
-        np.subtract(U[..., hi, :], U[..., lo, :], out=end)
-        end /= h1
+    Writes into out when it is given (C-contiguous, not overlapping U)."""
+    out = d1_diff(U, out)
+    out /= 2.0 * h1
     return out
 
 
 def d2_field(U: np.ndarray, h2: float, out: np.ndarray | None = None) -> np.ndarray:
     """Periodic centered x2-derivative along the last axis.
 
-    Writes into out when it is given (it must not overlap U)."""
-    out = _stencil_out(U, out)
-    np.subtract(U[..., 2:], U[..., :-2], out=out[..., 1:-1])
-    np.subtract(U[..., 1], U[..., -1], out=out[..., 0])
-    np.subtract(U[..., 0], U[..., -2], out=out[..., -1])
+    Writes into out when it is given (C-contiguous, not overlapping U)."""
+    out = d2_diff(U, out)
     out /= 2.0 * h2
     return out
 

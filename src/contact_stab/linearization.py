@@ -483,10 +483,9 @@ def _nonzero_entries(M: np.ndarray) -> tuple:
 
 
 def contract_entries(terms, out: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """out[i] = sum of c * X[j] over the (i, j, c) entries of each
-    (entries, X) pair in terms, each product passing through the (N1, N2)
-    scratch plane; returns out."""
-    out.fill(0.0)
+    """out[i] += c * X[j] for the (i, j, c) entries of each (entries, X)
+    pair in terms, each product passing through the (N1, N2) scratch plane;
+    returns out."""
     for entries, X in terms:
         for i, j, c in entries:
             np.multiply(X[j], c, out=plane)
@@ -525,7 +524,7 @@ class SideCoefficients:
     def apply(self, U: np.ndarray, d1U: np.ndarray, d2U: np.ndarray) -> np.ndarray:
         """A1_tilde d1U + A2 d2U + C U, the spatial part of the operator."""
         return contract_entries(((self.At1_nz, d1U), (self.A2_nz, d2U), (self.C_nz, U)),
-                                np.empty(U.shape), np.empty(U.shape[1:]))
+                                np.zeros(U.shape), np.empty(U.shape[1:]))
 
 
 def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import mhd
 from .fields import TwoSidedField
-from .grid import Grid, d1_field, d2_field, d2_line
+from .grid import Grid, d1_diff, d1_field, d2_diff, d2_field, d2_line
 from .linearization import (
     BasicState,
     SideCoefficients,
@@ -309,21 +309,43 @@ def _stage_entries(sc: SideCoefficients, epsilon: float):
     return lists + (source,)
 
 
+def _fold_differences(d1: list, d2: list, grid: Grid):
+    """The d1 and d2 entry lists recast to act on the raw differences of
+    d1_diff and d2_diff: the uniform entries as one (ROWS, 2 ROWS) matrix on
+    the stacked differences, the field-valued ones as two entry lists, all
+    with the stencils' 1/(2h) folded in."""
+    M = np.zeros((ROWS, 2 * ROWS))
+    fields = ([], [])
+    for half, entries, h in ((0, d1, grid.h1), (1, d2, grid.h2)):
+        for i, j, c in entries:
+            if isinstance(c, float):
+                M[i, half * ROWS + j] = c
+            else:
+                fields[half].append((i, j, c / (2.0 * h)))
+    M[:, :ROWS] /= 2.0 * grid.h1
+    M[:, ROWS:] /= 2.0 * grid.h2
+    return M, fields
+
+
 class StageWork:
     """Buffers and folded stage entries of solver.step, built once per run
     from the run's Coefficients and epsilon.
 
     k holds a stage's derivatives, acc the RK4 combination and y the stage
-    state, each a Snapshot written in place; d1 and d2 hold the derivatives
-    of one side's ROWS rows at a time.
+    state, each a Snapshot written in place; deriv holds the raw d1 (rows
+    0-6) and d2 (rows 7-13) differences of one side's ROWS rows at a time.
     """
 
     def __init__(self, coeffs: Coefficients, epsilon: float):
         grid = self.grid = coeffs.grid
         self.coeffs = coeffs
-        self.entries = {s: _stage_entries(coeffs.side(s), epsilon) for s in (+1, -1)}
-        self.d1 = np.empty((ROWS, grid.N1, grid.N2))
-        self.d2 = np.empty_like(self.d1)
+        self.entries = {}
+        for s in (+1, -1):
+            d1, d2, C, source = _stage_entries(coeffs.side(s), epsilon)
+            M, (d1_fields, d2_fields) = _fold_differences(d1, d2, grid)
+            self.entries[s] = (M, d1_fields, d2_fields, C, source)
+        self.deriv = np.empty((2 * ROWS, grid.N1, grid.N2))
+        self.d1, self.d2 = self.deriv[:ROWS], self.deriv[ROWS:]
         self.plane = np.empty((grid.N1, grid.N2))
         self.k, self.acc, self.y = (Snapshot.zeros(grid) for _ in range(3))
 
@@ -332,9 +354,11 @@ class StageWork:
         """The stage derivatives of one side's rows Y into out: rows 0-5
         A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U + f), row 6 the
         companion transport plus div f_h / d1Phi."""
-        d1, d2, C, source = self.entries[side]
-        terms = [(d1, d1_field(Y, self.grid.h1, out=self.d1)),
-                 (d2, d2_field(Y, self.grid.h2, out=self.d2)), (C, Y)]
+        M, d1_fields, d2_fields, C, source = self.entries[side]
+        d1_diff(Y, out=self.d1)
+        d2_diff(Y, out=self.d2)
+        np.matmul(M, self.deriv.reshape(2 * ROWS, -1), out=out.reshape(ROWS, -1))
+        terms = [(d1_fields, self.d1), (d2_fields, self.d2), (C, Y)]
         if f is not None:
             terms.append((source, f))
         contract_entries(terms, out, self.plane)

@@ -1,4 +1,5 @@
 import importlib.util
+import platform
 
 import numpy as np
 import pytest
@@ -127,6 +128,8 @@ class TestEndToEnd:
         assert "grid.N1 = 12" in manifest
         applied = "yes" if importlib.util.find_spec("threadpoolctl") else "no"
         assert f"threads_applied = {applied}" in manifest.splitlines()
+        assert f"python = {platform.python_version()}" in manifest.splitlines()
+        assert f"numpy = {np.__version__}" in manifest.splitlines()
 
     def test_spectrum_artifacts_and_dat_copies(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
@@ -169,9 +172,16 @@ class TestEndToEnd:
             "grid.N1 = 16\ngrid.N2 = 16\nrun.T_final = 0.05\n"
             "run.epsilon = 1e-2\nrun.seed = 5\n"
         )
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            assert run_cli("rt-run", str(cfg), out) == 0
-            outs.append((out / "timeseries.csv").read_bytes())
-        assert outs[0] == outs[1]
+        # at 96x96 the stage's uniform-entry matmul is large enough for a
+        # threaded BLAS to split it
+        energy = ["--override", "grid.N1=96", "--override", "grid.N2=96",
+                  "--override", "run.T_final=0.05"]
+        cases = [("rt-run", str(cfg), (), "timeseries.csv"),
+                 ("energy-test", "configs/energy_test.cfg", energy, "symmetrizer_energy.csv")]
+        for kind, config, extra, csv in cases:
+            outs = []
+            for name in ("a", "b"):
+                out = tmp_path / kind / name
+                assert run_cli(kind, config, out, extra=extra) == 0
+                outs.append((out / csv).read_bytes())
+            assert outs[0] == outs[1]

@@ -59,28 +59,43 @@ class TestGridBuild:
             solver.build_grid(basic, 1.0, cfl_max=-0.4)
 
 
+def _layouts(U):
+    """U, and copies of it that are not C-contiguous."""
+    return U, U[..., ::-1], np.asfortranarray(U)
+
+
 class TestPeriodicStencil:
     @pytest.mark.parametrize("shape", [(6, 9, 17), (1, 9, 17), (6, 5, 4), (1, 5, 4)])
     def test_d2_field_is_bit_identical_to_the_roll_formula(self, shape):
-        U = np.random.default_rng(3).standard_normal(shape)
         h2 = 0.37
-        roll = (np.roll(U, -1, axis=-1) - np.roll(U, 1, axis=-1)) / (2.0 * h2)
-        assert np.array_equal(d2_field(U, h2), roll)
+        for U in _layouts(np.random.default_rng(3).standard_normal(shape)):
+            roll = (np.roll(U, -1, axis=-1) - np.roll(U, 1, axis=-1)) / (2.0 * h2)
+            assert np.array_equal(d2_field(U, h2), roll)
 
     @pytest.mark.parametrize("stencil", [d1_field, d2_field])
     @pytest.mark.parametrize("shape", [(6, 9, 17), (1, 9, 17), (9, 17),
                                        (6, 4, 4), (1, 4, 4), (4, 4)])
     def test_out_gives_the_allocated_result(self, stencil, shape):
-        U = np.random.default_rng(5).standard_normal(shape)
+        U, *others = _layouts(np.random.default_rng(5).standard_normal(shape))
         out = np.full(shape, np.nan)
         assert stencil(U, 0.37, out=out) is out
         assert np.array_equal(out, stencil(U, 0.37))
+        for V in others:
+            assert np.array_equal(stencil(V, 0.37, out=np.full(shape, np.nan)),
+                                  stencil(np.ascontiguousarray(V), 0.37))
 
     @pytest.mark.parametrize("stencil", [d1_field, d2_field])
     def test_out_sharing_memory_with_the_input_raises(self, stencil):
         U = np.random.default_rng(5).standard_normal((6, 9, 17))
         for out in (U, U[::-1], U[..., ::-1]):
             with pytest.raises(ValueError, match="share memory"):
+                stencil(U, 0.37, out=out)
+
+    @pytest.mark.parametrize("stencil", [d1_field, d2_field])
+    def test_non_contiguous_out_raises(self, stencil):
+        U = np.random.default_rng(5).standard_normal((6, 9, 17))
+        for out in _layouts(np.empty_like(U))[1:]:
+            with pytest.raises(ValueError, match="C-contiguous"):
                 stencil(U, 0.37, out=out)
 
 
