@@ -94,6 +94,15 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "unfold-d2-scale": [
         (SOLVER, "    M[:, ROWS:] /= 2.0 * grid.h2\n", ""),
     ],
+    # the field-valued d1 entries of a stage left out of its kernel
+    "drop-field-valued-d1-entries": [
+        (SOLVER, "                fields[half].append((i, j, c / (2.0 * h)))\n",
+         "                if half:\n                    fields[half].append((i, j, c / (2.0 * h)))\n"),
+    ],
+    # the lift's source without the A0 dU_tilde/dt part
+    "drop-lift-time-derivative": [
+        (SOLVER, "A0_diag * (L[:6] - dUdt)", "A0_diag * L[:6]"),
+    ],
     # the growing roots taken as the decaying basis
     "flip-decaying-selection": [
         (SPECTRAL, "dec = lam.real < 0.0", "dec = lam.real > 0.0"),

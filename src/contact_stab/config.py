@@ -305,6 +305,19 @@ def _as_refinements(key, text):
     return sizes
 
 
+def _as_eps_list(key, text):
+    """Epsilons of a sweep: at least two, each finite and nonnegative, and
+    strictly decreasing, so each run has a smaller one to compare with."""
+    eps = _as_float_list(key, text)
+    if len(eps) < 2:
+        raise ConfigError(f"{key} needs at least 2 values to compare, got {len(eps)}")
+    if not all(0.0 <= e < math.inf for e in eps):
+        raise ConfigError(f"{key} entries must be finite and nonnegative, got {text!r}")
+    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+        raise ConfigError(f"{key} must be strictly decreasing, got {text!r}")
+    return eps
+
+
 def _as_expr(key, text):
     try:
         return Expression.compile(text)
@@ -399,7 +412,7 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
     },
     "eps-sweep": {
         **_GRID_SCHEMA, **_RUN_SCHEMA, **_PHYSICS_SCHEMA, **_RT_STATE_SCHEMA,
-        "sweep.eps_list": (_as_float_list, [1e-1, 5e-2, 2.5e-2, 1.25e-2]),
+        "sweep.eps_list": (_as_eps_list, [1e-1, 5e-2, 2.5e-2, 1.25e-2]),
         "forcing.amplitude": (_as_posfloat, 1.0),
         "forcing.t_ramp": (_as_posfloat, 0.2),
         "forcing.k2": (_as_posint, 2),
@@ -414,6 +427,7 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
     },
     "mms": {
         **_GRID_SCHEMA, **_RUN_SCHEMA, **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
+        "run.seed": (_as_int, 7),
         "mms.omega2": (_as_posfloat, 2.0),
         "mms.omega_t": (_as_posfloat, 1.5),
         "mms.amplitude": (_as_posfloat, 1.0),

@@ -25,7 +25,7 @@ energy argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -467,39 +467,10 @@ def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
     return C
 
 
-def uniform_or_field(entry):
-    """A float when the coefficient (a scalar or an (N1, N2) array) is the
-    same at every grid point, otherwise the array itself."""
-    first = np.ravel(entry)[0]
-    return float(first) if np.all(entry == first) else entry
-
-
-def _nonzero_entries(M: np.ndarray) -> tuple:
-    """(i, j, c) for each entry of a (6, 6, N1, N2) field that is nonzero
-    somewhere: c is a float when the entry is the same at every grid point,
-    otherwise the (N1, N2) view M[i, j]."""
-    return tuple((i, j, uniform_or_field(M[i, j]))
-                 for i in range(M.shape[0]) for j in range(M.shape[1]) if M[i, j].any())
-
-
-def contract_entries(terms, out: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """out[i] += c * X[j] for the (i, j, c) entries of each (entries, X)
-    pair in terms, each product passing through the (N1, N2) scratch plane;
-    returns out."""
-    for entries, X in terms:
-        for i, j, c in entries:
-            np.multiply(X[j], c, out=plane)
-            out[i] += plane
-    return out
-
-
 @dataclass
 class SideCoefficients:
-    """The interior operator of one side, assembled on the grid.
-
-    The dense At1/A2/C fields are kept; apply contracts with their nonzero
-    entries only, listed once at construction.
-    """
+    """The interior operator of one side, assembled on the grid as dense
+    fields; solver.StageWork folds their nonzero entries into its kernel."""
 
     A0_diag: np.ndarray      # (6, N1, N2)
     A0_inv_diag: np.ndarray
@@ -512,19 +483,6 @@ class SideCoefficients:
     w2: np.ndarray
     div_u: np.ndarray
     d2psi: np.ndarray
-    At1_nz: tuple = field(init=False, repr=False)   # nonzero (i, j, c) entries
-    A2_nz: tuple = field(init=False, repr=False)
-    C_nz: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.At1_nz = _nonzero_entries(self.At1)
-        self.A2_nz = _nonzero_entries(self.A2)
-        self.C_nz = _nonzero_entries(self.C)
-
-    def apply(self, U: np.ndarray, d1U: np.ndarray, d2U: np.ndarray) -> np.ndarray:
-        """A1_tilde d1U + A2 d2U + C U, the spatial part of the operator."""
-        return contract_entries(((self.At1_nz, d1U), (self.A2_nz, d2U), (self.C_nz, U)),
-                                np.zeros(U.shape), np.empty(U.shape[1:]))
 
 
 def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:
@@ -571,8 +529,8 @@ def first_variation(
     perturbation dphi is lifted exactly like the background front (the lift
     is linear in phi), so the derivative fields of dPsi reuse the analytic
     cutoff slope and the boundary-line stencil.  Both parts go through one
-    SideCoefficients.apply: the transport term shifts its derivative
-    arguments by dPsi's derivatives times d1U_hat / d1Phi_hat.
+    dense contraction: the transport term shifts its derivative arguments
+    by dPsi's derivatives times d1U_hat / d1Phi_hat.
     """
     g = basic.grid
     sc = side_coefficients(basic, side)
@@ -581,8 +539,10 @@ def first_variation(
     d1psi = dgeo.side("d1_phi", side) - sgn  # d1 of the lift alone
     d2psi = dgeo.side("d2_psi", side)
     transport = basic.d1_u.side(side) / sc.d1phi
-    res = sc.apply(dU, d1_field(dU, g.h1) - d1psi * transport,
-                   d2_field(dU, g.h2) - d2psi * transport)
+    res = sum(np.einsum("ij...,j...->i...", M, X) for M, X in (
+        (sc.At1, d1_field(dU, g.h1) - d1psi * transport),
+        (sc.A2, d2_field(dU, g.h2) - d2psi * transport),
+        (sc.C, dU)))
     if dUt is not None:
         res += sc.A0_diag * dUt
     if dphi_t is not None:

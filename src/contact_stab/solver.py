@@ -41,9 +41,7 @@ from .linearization import (
     BasicState,
     SideCoefficients,
     boundary_A1_exact,
-    contract_entries,
     side_coefficients,
-    uniform_or_field,
 )
 
 
@@ -280,6 +278,22 @@ def apply_interface_conditions(
 # --- single step ------------------------------------------------------------
 
 
+def _uniform_or_field(entry):
+    """A float when the coefficient (a scalar or an (N1, N2) array) is the
+    same at every grid point, otherwise the array itself."""
+    first = np.ravel(entry)[0]
+    return float(first) if np.all(entry == first) else entry
+
+
+def _contract_entries(terms, out: np.ndarray, plane: np.ndarray) -> None:
+    """out[i] += c * X[j] for the (i, j, c) entries of each (entries, X)
+    pair in terms, each product passing through the (N1, N2) scratch plane."""
+    for entries, X in terms:
+        for i, j, c in entries:
+            np.multiply(X[j], c, out=plane)
+            out[i] += plane
+
+
 def _stage_entries(sc: SideCoefficients, epsilon: float):
     """The interior operator of one stage as (i, j, c) lists for d1, d2 and
     the undifferentiated rows, plus the A0^-1 diagonal for the source f; c
@@ -289,20 +303,21 @@ def _stage_entries(sc: SideCoefficients, epsilon: float):
     the companion transport da/dt = c1 d1a + c2 d2a + c0 a (its source term
     is added by StageWork.interior), appended after the sorted 6x6 entries.
     """
-    a0_inv = [uniform_or_field(row) for row in sc.A0_inv_diag]
+    a0_inv = [_uniform_or_field(row) for row in sc.A0_inv_diag]
 
-    def scaled(entries):
-        return [(i, j, uniform_or_field(-a0_inv[i] * c)) for i, j, c in entries]
+    def scaled(M):   # -A0^-1 times the entries of a dense field that are nonzero somewhere
+        return [(i, j, _uniform_or_field(-a0_inv[i] * M[i, j]))
+                for i in range(6) for j in range(6) if M[i, j].any()]
 
-    d1 = {(i, j): c for i, j, c in scaled(sc.At1_nz)}
+    d1 = {(i, j): c for i, j, c in scaled(sc.At1)}
     if epsilon:
         for i in range(6):
-            d1[i, i] = uniform_or_field(d1.get((i, i), 0.0) + epsilon * a0_inv[i])
-    lists = ([(i, j, c) for (i, j), c in sorted(d1.items())], scaled(sc.A2_nz), scaled(sc.C_nz))
+            d1[i, i] = _uniform_or_field(d1.get((i, i), 0.0) + epsilon * a0_inv[i])
+    lists = ([(i, j, c) for (i, j), c in sorted(d1.items())], scaled(sc.A2), scaled(sc.C))
     companion = (-sc.w1 / sc.d1phi + epsilon,
                  -sc.w2 / sc.d1phi,
                  -(sc.div_u - epsilon * sc.d11phi) / sc.d1phi)
-    for entries, c in zip(lists, map(uniform_or_field, companion)):
+    for entries, c in zip(lists, map(_uniform_or_field, companion)):
         if np.any(c):
             entries.append((6, 6, c))
     source = [(i, i, a0_inv[i]) for i in range(6)]
@@ -329,7 +344,8 @@ def _fold_differences(d1: list, d2: list, grid: Grid):
 
 class StageWork:
     """Buffers and folded stage entries of solver.step, built once per run
-    from the run's Coefficients and epsilon.
+    (and once per BoundaryLift, whose source uses interior) from the
+    Coefficients and epsilon.
 
     k holds a stage's derivatives, acc the RK4 combination and y the stage
     state, each a Snapshot written in place; deriv holds the raw d1 (rows
@@ -361,7 +377,7 @@ class StageWork:
         terms = [(d1_fields, self.d1), (d2_fields, self.d2), (C, Y)]
         if f is not None:
             terms.append((source, f))
-        contract_entries(terms, out, self.plane)
+        _contract_entries(terms, out, self.plane)
         if f is not None:
             # f_h = (f_N, d1Phi * f_H2), differentiated into the free row 6
             sc = self.coeffs.side(side)
@@ -584,6 +600,7 @@ class BoundaryLift:
         g = self.coeffs.grid
         self._profile = np.exp(-g.x1 / LIFT_DECAY_LENGTH)[:, None]
         self._phi_cache: dict[float, np.ndarray] = {}
+        self._work = StageWork(self.coeffs, self.epsilon)
 
     def _traces(self, phi_tilde: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
         """+ side trace that zeroes the four jump rows against a zero - side;
@@ -625,21 +642,20 @@ class BoundaryLift:
 
     def interior_source(self, t: float):
         """F = -L U_tilde: the (plus, minus) source the lifted field feeds
-        the interior, in the pair layout of Sources.f."""
+        the interior, in the pair layout of Sources.f.  The spatial part of
+        L is the stage kernel's, on U_tilde with a zero companion row."""
         g = self.coeffs.grid
         Ut = self.u_tilde(t)
         Up = self.u_tilde(t + LIFT_DT_PROBE)
         Um = self.u_tilde(t - LIFT_DT_PROBE)
+        Y = np.zeros((ROWS, g.N1, g.N2))
+        L = np.empty_like(Y)
         out = []
         for side in (+1, -1):
-            sc = self.coeffs.side(side)
-            U = Ut.side(side)
+            Y[:6] = Ut.side(side)
+            self._work.interior(side, Y, None, L)
             dUdt = (Up.side(side) - Um.side(side)) / (2.0 * LIFT_DT_PROBE)
-            d1U = d1_field(U, g.h1)
-            F = -(sc.A0_diag * dUdt + sc.apply(U, d1U, d2_field(U, g.h2)))
-            if self.epsilon:
-                F += self.epsilon * d1U
-            out.append(F)
+            out.append(self.coeffs.side(side).A0_diag * (L[:6] - dUdt))
         return tuple(out)
 
 

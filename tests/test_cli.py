@@ -105,6 +105,31 @@ class TestExitCodes:
         assert code == 3
         assert "blow-up at t =" in (out / "report.txt").read_text()
 
+    @pytest.mark.parametrize("eps_list", ["0.1,0.2", ",", "0.1,-0.05", "0.1"])
+    def test_unusable_eps_list_exits_two_without_artifacts(self, tmp_path, capsys, eps_list):
+        out = tmp_path / "o"
+        overrides = ("grid.N1=16", "grid.N2=16", "run.T_final=0.05", f"sweep.eps_list={eps_list}")
+        code = run_cli("eps-sweep", "configs/eps_sweep.cfg", out,
+                       extra=[a for ov in overrides for a in ("--override", ov)])
+        assert code == 2
+        assert "config error: sweep.eps_list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_expression_background_exits_two(self, tmp_path, capsys):
+        # p is NaN for 1 < x1 < 2, where the product under the root is negative
+        lines = ["state.kind = expressions", "grid.N1 = 16", "grid.N2 = 8"]
+        for side in ("plus", "minus"):
+            lines += [f"state.p_{side} = 1 + 0*sqrt((x1 - 1)*(x1 - 2))",
+                      f"state.v1_{side} = 0", f"state.v2_{side} = 0",
+                      f"state.H1_{side} = 1", f"state.H2_{side} = 0", f"state.S_{side} = 0"]
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert run_cli("validate-state", str(cfg), out) == 2
+        report = (out / "report.txt").read_text()
+        assert report.startswith("state construction failed: state.p_plus is not finite")
+        assert "PASS" not in report
+
     def test_neutral_mode_blow_up_exits_three(self, tmp_path, capsys):
         out = tmp_path / "o"
         overrides = ("grid.cfl_max=3", "run.T_final=400", "neutral.refinements=9,12")
@@ -156,6 +181,18 @@ class TestEndToEnd:
         assert plus.shape == (6, 16, 16)
         assert np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))
         assert t == pytest.approx(0.05, rel=1e-12)
+
+    def test_mms_runs_the_seed_it_records(self, tmp_path, capsys):
+        small = ["--override", "mms.refinements=9,17", "--override", "run.T_final=0.05"]
+        reports = []
+        for seed in (None, 0):
+            out = tmp_path / str(seed)
+            extra = small + (["--override", f"run.seed={seed}"] if seed is not None else [])
+            assert run_cli("mms", "configs/mms.cfg", out, extra=extra) in (0, 1)
+            expected = 7 if seed is None else seed
+            assert f"run.seed = {expected}" in (out / "manifest.txt").read_text().splitlines()
+            reports.append((out / "report.txt").read_text())
+        assert reports[0] != reports[1]
 
     def test_override_flag_reaches_the_run(self, tmp_path, capsys):
         cfg = tmp_path / "adj.cfg"

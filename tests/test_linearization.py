@@ -14,11 +14,11 @@ from contact_stab.linearization import (
     boundary_quadratic_form,
     constant_basic_state,
     first_variation,
-    side_coefficients,
     validate_basic_state,
     w_congruence_check,
     zero_order_matrix,
 )
+from contact_stab.solver import ROWS, StageWork, assemble_coefficients
 
 from conftest import boundary_traces
 
@@ -234,37 +234,37 @@ def expression_background(grid, tmp_path):
     return expression_state_from_config(parse_config(str(p), "validate-state"), grid)
 
 
-class TestSparseApply:
+class TestStageInterior:
+    """StageWork.interior, the one production contraction of the interior
+    operator, against A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U)
+    contracted densely."""
+
     @pytest.mark.parametrize("kind", ["constant", "rt", "expression"])
-    def test_matches_dense_contraction(self, kind, rng, tmp_path):
+    def test_matches_the_dense_operator(self, kind, rng, tmp_path):
         grid = Grid(24, 16, 6.0, 2.0 * np.pi)
         basic = {
             "constant": lambda: constant_basic_state(grid, v2=0.3, H2=0.4),
             "rt": lambda: rt_background(grid),
             "expression": lambda: expression_background(grid, tmp_path),
         }[kind]()
-        for side in (+1, -1):
-            sc = side_coefficients(basic, side)
-            U = rng.standard_normal((6, grid.N1, grid.N2))
-            d1U, d2U = d1_field(U, grid.h1), d2_field(U, grid.h2)
-            dense = (
-                np.einsum("ijkl,jkl->ikl", sc.At1, d1U)
-                + np.einsum("ijkl,jkl->ikl", sc.A2, d2U)
-                + np.einsum("ijkl,jkl->ikl", sc.C, U)
-            )
-            np.testing.assert_allclose(sc.apply(U, d1U, d2U), dense, rtol=1e-13,
-                                       atol=1e-13 * np.max(np.abs(dense)))
-
-    def test_entries_are_the_nonzero_ones_and_constant_ones_are_floats(self):
-        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
-        sc = side_coefficients(constant_basic_state(grid, v2=0.3, H2=0.4), +1)
-        for M, entries in ((sc.At1, sc.At1_nz), (sc.A2, sc.A2_nz), (sc.C, sc.C_nz)):
-            listed = {(i, j) for i, j, _ in entries}
-            assert listed == {(i, j) for i in range(6) for j in range(6) if M[i, j].any()}
-            assert all(isinstance(c, float) for _, _, c in entries)
-        rt = side_coefficients(rt_background(grid), +1)
-        fields = [c for _, _, c in rt.At1_nz + rt.C_nz if not isinstance(c, float)]
-        assert fields and all(c.base is not None for c in fields)  # views, not copies
+        coeffs = assemble_coefficients(basic)
+        for eps in (0.0, 1e-3):
+            work = StageWork(coeffs, eps)
+            for side in (+1, -1):
+                sc = coeffs.side(side)
+                Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
+                out = np.empty_like(Y)
+                work.interior(side, Y, None, out)
+                U = Y[:6]
+                d1U, d2U = d1_field(U, grid.h1), d2_field(U, grid.h2)
+                dense = sc.A0_inv_diag * (
+                    -np.einsum("ijkl,jkl->ikl", sc.At1, d1U)
+                    - np.einsum("ijkl,jkl->ikl", sc.A2, d2U)
+                    - np.einsum("ijkl,jkl->ikl", sc.C, U)
+                    + eps * d1U
+                )
+                np.testing.assert_allclose(out[:6], dense, rtol=1e-12,
+                                           atol=1e-13 * np.max(np.abs(dense)))
 
 
 class TestZeroOrderMatrix:

@@ -449,6 +449,39 @@ class TestLift:
         assert np.isfinite(n1) and n1 > 0.0
         assert n2 == pytest.approx(2.0 * n1, rel=1e-8)
 
+    def test_interior_source_is_the_dense_operator_on_rt_background(self):
+        # C != 0 here; the reference is -(A0 dU/dt + A1_tilde d1U + A2 d2U + C U)
+        # + eps d1U, contracted densely
+        eps = 1e-2
+        grid = build_grid(rt_basic_state(Grid(20, 16, 4.0, 2.0 * np.pi)), 0.2, epsilon=eps)
+        coeffs = assemble_coefficients(rt_basic_state(grid, rt_jump=0.5))
+        assert coeffs.plus.C.any()
+
+        def g(t):
+            rows = np.zeros((5, grid.N2))
+            rows[0] = 0.3 * np.sin(grid.x2) * np.sin(t)
+            rows[2] = 0.2 * np.cos(grid.x2) * np.cos(t)
+            return rows
+
+        lift = BoundaryLift(coeffs, g, epsilon=eps)
+        times = np.linspace(0.0, grid.T_final, 9)
+        lift.front_lift(times)
+        t = float(times[4])
+        Ut, Up, Um = (lift.u_tilde(t + d) for d in (0.0, solver.LIFT_DT_PROBE,
+                                                    -solver.LIFT_DT_PROBE))
+        source = lift.interior_source(t)
+        assert np.max(np.abs(source[0])) > 0.0
+        for side, F in zip((+1, -1), source):
+            sc, U = coeffs.side(side), Ut.side(side)
+            d1U = d1_field(U, grid.h1)
+            dUdt = (Up.side(side) - Um.side(side)) / (2.0 * solver.LIFT_DT_PROBE)
+            dense = -(sc.A0_diag * dUdt + sum(
+                np.einsum("ijkl,jkl->ikl", M, X)
+                for M, X in ((sc.At1, d1U), (sc.A2, d2_field(U, grid.h2)), (sc.C, U))
+            )) + eps * d1U
+            np.testing.assert_allclose(F, dense, rtol=1e-10,
+                                       atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
+
 
 class TestEpsSweep:
     def test_requires_decreasing_list(self):

@@ -1,6 +1,7 @@
 """solver.step against the allocating RK4 it replaces, kept here as the
-independent reference: A0^-1 (-apply + eps d1U + f), the companion formula
-written out, snap + dt k and (k1 + 2 k2 + 2 k3 + k4) / 6."""
+independent reference: A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U + f)
+contracted densely, the companion formula written out, snap + dt k and
+(k1 + 2 k2 + 2 k3 + k4) / 6."""
 
 import itertools
 
@@ -30,7 +31,8 @@ N1, N2, X1, X2 = 20, 16, 4.0, 2.0 * np.pi
 
 def _interior_rhs(U, sc, eps, f, grid):
     d1U = d1_field(U, grid.h1)
-    rhs = -sc.apply(U, d1U, d2_field(U, grid.h2))
+    rhs = -sum(np.einsum("ij...,j...->i...", M, X)
+               for M, X in ((sc.At1, d1U), (sc.A2, d2_field(U, grid.h2)), (sc.C, U)))
     if eps:
         rhs += eps * d1U
     if f is not None:
