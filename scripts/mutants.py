@@ -32,6 +32,7 @@ SOLVER = "src/contact_stab/solver.py"
 FIELDS = "src/contact_stab/fields.py"
 SPECTRAL = "src/contact_stab/spectral.py"
 GRID = "src/contact_stab/grid.py"
+LINEARIZATION = "src/contact_stab/linearization.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIMEOUT_S = 1800
@@ -105,11 +106,20 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # the growing roots taken as the decaying basis
     "flip-decaying-selection": [
-        (SPECTRAL, "dec = lam.real < 0.0", "dec = lam.real > 0.0"),
+        (SPECTRAL, "red = vecs[:, :, :2]", "red = vecs[:, :, 2:]"),
     ],
     # the pencil without the eliminated H1 equation's w2^2 / sigma coupling
     "drop-eliminated-H1-coupling": [
         (SPECTRAL, " + (w2 ** 2 / sigma) * Pc)", ")"),
+    ],
+    # the minus side's pencil with the plus side's sign, -A1^-1 M instead of +A1^-1 M
+    "drop-side-sign-fold": [
+        (SPECTRAL, "P.append([-side * b for b in blocks])", "P.append([-b for b in blocks])"),
+    ],
+    # the validator's peaks read NaN as a value, which no `m > worst` ever beats
+    "nan-blind-validation": [
+        (LINEARIZATION, "return float(np.max(arr)) if np.all(np.isfinite(arr)) else np.inf",
+         "return float(np.max(arr))"),
     ],
 }
 

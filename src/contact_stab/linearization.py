@@ -311,6 +311,13 @@ class ValidationReport:
         ]
 
 
+def _peak(arr) -> float:
+    """Largest entry of arr, or +inf when an entry is not finite, so that no
+    `<= tol` check passes a NaN or infinite field."""
+    arr = np.asarray(arr)
+    return float(np.max(arr)) if np.all(np.isfinite(arr)) else np.inf
+
+
 def _argmax_loc(arr) -> str:
     arr = np.asarray(arr)
     if arr.size == 0:
@@ -340,7 +347,7 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
         p = basic.u.side(side)[0]
         rho = basic.rho(side)
         viol = np.maximum(P_BAR0 - p, RHO_BAR0 - rho)
-        m = float(np.max(viol))
+        m = _peak(viol)
         if m > worst:
             worst, loc = m, _argmax_loc(viol)
     checks.append(CheckResult("positivity", worst <= tol, max(worst, 0.0), loc))
@@ -352,13 +359,12 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
     res.append(basic.Htau(+1)[0, :] - basic.Htau(-1)[0, :])
     res.append(basic.dt_phi - basic.vN(+1)[0, :])
     res = np.abs(np.stack(res))
-    checks.append(
-        CheckResult("interface_continuity", float(np.max(res)) <= tol, float(np.max(res)), _argmax_loc(res))
-    )
+    m = _peak(res)
+    checks.append(CheckResult("interface_continuity", m <= tol, m, _argmax_loc(res)))
 
     # normal field bounded away from zero on the interface
     hn = np.minimum(np.abs(basic.HN(+1)[0, :]), np.abs(basic.HN(-1)[0, :]))
-    short = float(np.max(KAPPA_BAR0 - hn))
+    short = _peak(KAPPA_BAR0 - hn)
     checks.append(CheckResult("normal_field", short <= tol, max(short, 0.0), _argmax_loc(KAPPA_BAR0 - hn)))
 
     # induction residual of the background
@@ -377,7 +383,7 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
             dv1 = basic.d1_u.side(side)[k - 2]
             dv2 = basic.d2_u.side(side)[k - 2]
             res = (w1 * dH1 + w2 * dH2 - (hv1 * dv1 + hv2 * dv2) + U[k] * div_u) / d1phi
-            m = float(np.max(np.abs(res)))
+            m = _peak(np.abs(res))
             if m > worst:
                 worst, loc = m, _argmax_loc(res)
     checks.append(CheckResult("induction", worst <= tol, worst, loc))
@@ -388,21 +394,21 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
     for side in (+1, -1):
         hv1, hv2 = basic.h_vec(side)
         div_h = d1_field(hv1[None], g.h1)[0] + d2_field(hv2[None], g.h2)[0]
-        m = float(np.max(np.abs(div_h)))
+        m = _peak(np.abs(div_h))
         if m > worst:
             worst, loc = m, _argmax_loc(div_h)
     hn_jump = basic.HN(+1)[0, :] - basic.HN(-1)[0, :]
-    m = float(np.max(np.abs(hn_jump)))
+    m = _peak(np.abs(hn_jump))
     if m > worst:
         worst, loc = m, _argmax_loc(hn_jump)
     checks.append(CheckResult("solenoidal", worst <= tol, worst, loc))
 
     # one-sided-sum jump of the normal derivative of v_N
     jv = normal_jump(basic.vN(+1), basic.vN(-1), g.h1)
-    m = float(np.max(np.abs(jv)))
+    m = _peak(np.abs(jv))
     checks.append(CheckResult("normal_velocity_jump", m <= tol, m, _argmax_loc(jv)))
 
-    sup = float(np.max(np.abs(basic.phi_hat)))
+    sup = _peak(np.abs(basic.phi_hat))
     checks.append(CheckResult("front_bound", sup < 1.0, sup))
 
     return ValidationReport(checks=checks, tolerance=tol)

@@ -307,7 +307,7 @@ class ManufacturedProblem:
                 E = self.exact(side, s.t, grid)
                 err += solver._weighted_l2(s.U.side(side) - E, grid) ** 2
                 norm += solver._weighted_l2(E, grid) ** 2
-            div_defect = max(div_defect, *solver.divergence_monitor(s, coeffs))
+            div_defect = float(np.max([div_defect, *solver.divergence_monitor(s, coeffs)]))
         return float(np.sqrt(err / norm)), div_defect
 
 
@@ -495,7 +495,7 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
             if solver.sampled(n, cfg["run.report_every"], grid):
                 r = solver.energy_report(snap, coeffs, prev)
                 rows.append(r.csv_row())
-                J_max = max(J_max, r.J)
+                J_max = float(np.maximum(J_max, r.J))  # keeps a NaN J
             prev = snap
     except solver.BlowUpError as exc:
         return ScenarioResult(ok=False, exit_code=3, report=[f"blow-up at t = {exc.t:.6g}"],
@@ -509,14 +509,18 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     F_norm = source_h1_norm(lift.interior_source, grid, times)
     total = f_norm + F_norm
     ratio = J_max / total ** 2 if total > 0 else float("inf")
+    bad = [name for name, v in (("sup_t J", J_max), ("normalized ratio", ratio))
+           if not np.isfinite(v)]
+    ok = not bad
     report = [
         f"grid {grid.N1}x{grid.N2}, eps={eps}, rt_jump={cfg['state.rt_jump']}",
         f"sup_t J = {J_max:.6e}",
         f"source H1 norms: f {f_norm:.6e}, lifted-g {F_norm:.6e}",
         f"normalized ratio sup J / ||F||^2 = {ratio:.6e}",
-        "overall: PASS",
+        *(f"not finite: {name}" for name in bad),
+        f"overall: {'PASS' if ok else 'FAIL'}",
     ]
-    return ScenarioResult(ok=True, exit_code=0, report=report,
+    return ScenarioResult(ok=ok, exit_code=0 if ok else 1, report=report,
                           csv={"timeseries.csv": rows},
                           snapshots=[("final", prev, grid)],
                           data={"J_max": J_max, "ratio": ratio})
@@ -579,7 +583,15 @@ def run_mms(cfg: ScenarioConfig) -> ScenarioResult:
         divs.append(div)
         hs.append(coeffs.grid.h1)
     order = _fit_order(hs, errs)
-    div_slope = _fit_order(hs, divs) if min(divs) > 0 else float("inf")
+    defects = np.asarray(divs)
+    if not np.all(np.isfinite(defects)):
+        div_slope, unfit = float("nan"), "a defect is not finite"
+    elif np.all(defects > 0.0):
+        div_slope, unfit = _fit_order(hs, divs), ""
+    elif np.all(defects == 0.0):
+        div_slope, unfit = float("inf"), "every defect is exactly zero"
+    else:
+        div_slope, unfit = float("nan"), "zero and nonzero defects have no slope"
     ok = 1.8 <= order <= 2.2 and div_slope >= 0.9
     lines = ["N,h,rel_error,div_defect"] + [
         f"{N},{h:.8e},{e:.8e},{d:.8e}"
@@ -589,7 +601,8 @@ def run_mms(cfg: ScenarioConfig) -> ScenarioResult:
         "manufactured-solution errors: " + ", ".join(f"{e:.4e}" for e in errs),
         f"space-time L2 order: {order:.3f} (window [1.8, 2.2])",
         "divergence defects: " + ", ".join(f"{d:.4e}" for d in divs),
-        f"divergence defect slope: {div_slope:.3f} (need >= 0.9)",
+        f"divergence defect slope: {div_slope:.3f} (need >= 0.9)"
+        + (f", not fitted: {unfit}" if unfit else ""),
         f"overall: {'PASS' if ok else 'FAIL'}",
     ]
     return ScenarioResult(ok=ok, exit_code=0 if ok else 1, report=report,

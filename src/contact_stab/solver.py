@@ -207,12 +207,11 @@ class Sources:
 
 def _upwind_d2(phi: np.ndarray, a: np.ndarray, h2: float) -> np.ndarray:
     """3rd-order upwind-biased periodic derivative for advection speed a."""
-    dp = (
-        2.0 * np.roll(phi, -1) + 3.0 * phi - 6.0 * np.roll(phi, 1) + np.roll(phi, 2)
-    ) / (6.0 * h2)
-    dm = (
-        -np.roll(phi, -2) + 6.0 * np.roll(phi, -1) - 3.0 * phi - 2.0 * np.roll(phi, 1)
-    ) / (6.0 * h2)
+    n = phi.shape[-1]
+    q = np.concatenate((phi[-2:], phi, phi[:2]))  # q[j + 2 + k] = phi[j + k], periodic
+    m2, m1, p1, p2 = q[:n], q[1:n + 1], q[3:n + 3], q[4:]
+    dp = (2.0 * p1 + 3.0 * phi - 6.0 * m1 + m2) / (6.0 * h2)
+    dm = (-p2 + 6.0 * p1 - 3.0 * phi - 2.0 * m1) / (6.0 * h2)
     return np.where(a >= 0.0, dp, dm)
 
 

@@ -10,17 +10,19 @@ eliminated before root-finding.  The remaining 4x4 linear pencil
 
 has four finite roots; for Re s > 0 they split two-and-two off the
 imaginary axis and the two decaying ones per side feed the interface
-determinant.  The interface conditions (jumps of p, v1, v2, H2 plus the
-front equation) applied to the decaying bases and the front amplitude give
-the 5x5 determinant whose nonvanishing for Re s > 0 expresses weak
-stability; it degenerates linearly in Re s along the neutral entropy/front
-family.
+determinant.  Each ContactPair builds its (2, 4, 4) pencil data once for
+both sides, so a point solves both sides in one stacked eig and selects
+and rebuilds the decaying modes of both at once.  The interface
+conditions (jumps of p, v1, v2, H2 plus the front equation) applied to
+the decaying bases and the front amplitude give the 5x5 determinant
+whose nonvanishing for Re s > 0 expresses weak stability; it degenerates
+linearly in Re s along the neutral entropy/front family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from . import mhd
 from .mhd import PlasmaState
 
 REDUCED = (0, 1, 2, 4)  # p, v1, v2, H2
+_SIDES = np.arange(2)[:, None]  # indexes the side axis of stacked (+, -) arrays
 
 
 class DegeneratePointError(ValueError):
@@ -64,52 +67,50 @@ class ContactPair:
     def side(self, side: int) -> PlasmaState:
         return self.plus if side == +1 else self.minus
 
+    @cached_property
+    def _pencil(self):
+        """(P0, P2, Pc, c3), stacked over the sides (+1, -1), built once.
 
-@lru_cache(maxsize=16)
-def _state_pencil(state: PlasmaState):
-    """(P0, P2, Pc): A1^-1 A0, A1^-1 A2 and (A1^-1 c3) c3^T over REDUCED.
+        P0, P2, Pc are -side times A1^-1 A0, A1^-1 A2 and (A1^-1 c3) c3^T
+        over REDUCED, each (2, 4, 4), complex and read-only; c3 = (-H2, H1)
+        is (2, 2, 1).  c3 couples the eliminated H1 equation,
+        (s + i w2 v2) x_H1 = -i w2 (-H2 x_v1 + H1 x_v2), back into the
+        others.  det A1 = H1^2 over the reduced components, which the
+        constructor keeps away from zero.
+        """
+        idx = np.ix_(REDUCED, REDUCED)
+        P, c3 = [], []
+        for side, st in ((+1, self.plus), (-1, self.minus)):
+            tri = mhd.assemble_matrices(st)
+            inv = np.linalg.inv(tri.A1[idx])
+            c = np.array([0.0, -st.H2, st.H1, 0.0])
+            blocks = (inv @ tri.A0[idx], inv @ tri.A2[idx], np.outer(inv @ c, c))
+            P.append([-side * b for b in blocks])
+            c3.append(c[1:3, None])
+        out = (*np.array(P, dtype=complex).swapaxes(0, 1), np.array(c3))
+        for m in out:
+            m.flags.writeable = False
+        return out
 
-    Everything of the pencil that depends on the state alone, built once per
-    state.  det A1 = H1^2 over the reduced components, so A1 is inverted
-    only after H1 != 0 is checked.  c3 couples the eliminated H1 equation,
-    (s + i w2 v2) x_H1 = -i w2 (-H2 x_v1 + H1 x_v2), back into the others.
+
+def dispersion_roots(point: LaplaceFourierPoint, pair: ContactPair):
+    """Finite pencil roots lambda of both sides; the two zero-speed rows are algebraic.
+
+    Returns (roots, vecs): per side (+1, -1), the four finite generalized
+    eigenvalues of (M + lambda side A1) x = 0 over REDUCED = (p, v1, v2,
+    H2) in increasing real part, shape (2, 4), and their eigenvectors as
+    columns, shape (2, 4, 4).  Both sides are solved in one stacked
+    eigenproblem of -(side A1)^-1 M = -side (s P0 + i w2 P2 + (w2^2 /
+    sigma) Pc); sigma = s + i w2 v2 is shared, since v2 does not jump.
     """
-    state.require_admissible()
-    if abs(state.H1) < 1e-12:
-        raise DegeneratePointError("normal field H1 = 0 degenerates the pencil")
-    tri = mhd.assemble_matrices(state)
-    idx = np.ix_(REDUCED, REDUCED)
-    inv = np.linalg.inv(tri.A1[idx])
-    c3 = np.array([0.0, -state.H2, state.H1, 0.0])
-    mats = inv @ tri.A0[idx], inv @ tri.A2[idx], np.outer(inv @ c3, c3)
-    for m in mats:
-        m.flags.writeable = False
-    return mats
-
-
-def dispersion_roots(point: LaplaceFourierPoint, const_state: PlasmaState, side: int):
-    """Finite pencil roots lambda; the two zero-speed rows are algebraic.
-
-    Returns (roots, modes): the four finite generalized eigenvalues of
-    (M + lambda side A1) x = 0 over (p, v1, v2, H2), in increasing real
-    part, and the corresponding reconstructed 6-component mode vectors
-    (columns).  The pencil is solved as the eigenproblem of
-    -(side A1)^-1 M = -side (s P0 + i w2 P2 + (w2^2 / sigma) Pc).
-    """
-    P0, P2, Pc = _state_pencil(const_state)
+    P0, P2, Pc, _ = pair._pencil
     s, w2 = point.s, point.omega2
-    sigma = s + 1j * w2 * const_state.v2
+    sigma = s + 1j * w2 * pair.plus.v2
     if abs(sigma) < 1e-14 * max(abs(s), abs(w2), 1.0):
         raise DegeneratePointError("transport symbol s + i w2 v2 vanishes")
-    K = -side * (s * P0 + 1j * w2 * P2 + (w2 ** 2 / sigma) * Pc)
-    lam, vecs = np.linalg.eig(K)
-    if not np.all(np.isfinite(lam)):
-        raise DegeneratePointError("reduced pencil produced non-finite roots")
-    order = np.argsort(lam.real)
-    modes = np.zeros((6, 4), dtype=complex)
-    modes[REDUCED, :] = vecs[:, order]
-    modes[3] = -1j * w2 * (-const_state.H2 * modes[1] + const_state.H1 * modes[2]) / sigma
-    return lam[order], modes
+    lam, vecs = np.linalg.eig(s * P0 + 1j * w2 * P2 + (w2 ** 2 / sigma) * Pc)
+    order = np.argsort(lam.real, axis=1)
+    return lam[_SIDES, order], vecs[_SIDES, :, order].transpose(0, 2, 1)
 
 
 @dataclass
@@ -118,21 +119,31 @@ class ModeResult:
     conditioning: float
 
 
-def decaying_modes(point: LaplaceFourierPoint, const_state: PlasmaState, side: int):
-    """Basis of modes bounded as x1 -> +infinity (Re lambda < 0).
+def decaying_modes(point: LaplaceFourierPoint, pair: ContactPair):
+    """Bases of modes bounded as x1 -> +infinity (Re lambda < 0), per side.
 
-    For Re s > 0 the Hersh splitting guarantees exactly two decaying roots
-    per side; a different count signals a degenerate point.
+    Returns (roots, modes), shapes (2, 2) and (2, 6, 2), per side (+1,
+    -1); the modes are the 6-component vectors with the eliminated H1
+    row rebuilt and S = 0.  For Re s > 0 the Hersh splitting guarantees
+    exactly two decaying roots per side; a different count, or a
+    non-finite root, signals a degenerate point.
     """
     if point.s.real <= 0.0:
         raise ValueError("decaying-mode selection requires Re s > 0")
-    lam, modes = dispersion_roots(point, const_state, side)
-    dec = lam.real < 0.0
-    if int(np.sum(dec)) != 2:
+    lam, vecs = dispersion_roots(point, pair)
+    re = lam.real.tolist()
+    if not all(-np.inf < a <= b < 0.0 <= c <= d < np.inf for a, b, c, d in re):
         raise DegeneratePointError(
-            f"expected 2 decaying roots, found {int(np.sum(dec))} at s={point.s}, w2={point.omega2}"
+            f"expected 2 decaying of 4 finite roots per side, found Re lambda {re} "
+            f"at s={point.s}, w2={point.omega2}"
         )
-    return lam[dec], modes[:, dec]
+    w2, c3 = point.omega2, pair._pencil[3]
+    sigma = point.s + 1j * w2 * pair.plus.v2
+    red = vecs[:, :, :2]
+    modes = np.zeros((2, 6, 2), dtype=complex)
+    modes[:, REDUCED] = red
+    modes[:, 3] = -1j * w2 * (c3[:, 0] * red[:, 1] + c3[:, 1] * red[:, 2]) / sigma
+    return lam[:, :2], modes
 
 
 def lopatinski_determinant(point: LaplaceFourierPoint, pair: ContactPair) -> ModeResult:
@@ -144,15 +155,12 @@ def lopatinski_determinant(point: LaplaceFourierPoint, pair: ContactPair) -> Mod
     |(s, w2)|, which makes the value scale-invariant while keeping the
     linear-in-eta degeneracy of the neutral family visible.
     """
-    _, basis_p = decaying_modes(point, pair.plus, +1)
-    _, basis_m = decaying_modes(point, pair.minus, -1)
-    basis_p = basis_p / np.linalg.norm(basis_p, axis=0)
-    basis_m = basis_m / np.linalg.norm(basis_m, axis=0)
+    _, modes = decaying_modes(point, pair)
+    basis = modes[:, REDUCED] / np.linalg.norm(modes, axis=1)[:, None, :]
     s, w2 = point.s, point.omega2
     Mat = np.zeros((5, 5), dtype=complex)
-    Mat[:4, :2] = basis_p[REDUCED, :]
-    Mat[4, :2] = -basis_p[1]  # front equation sees -v1 trace of the + side
-    Mat[:4, 2:4] = -basis_m[REDUCED, :]
+    Mat[:4, :4] = np.concatenate((basis[0], -basis[1]), axis=1)
+    Mat[4, :2] = -basis[0, 1]  # front equation sees -v1 trace of the + side
     Mat[4, 4] = s + 1j * w2 * pair.plus.v2
     scale = np.sqrt(abs(s) ** 2 + w2 ** 2)
     delta = np.linalg.det(Mat) / scale

@@ -1,9 +1,11 @@
+import dataclasses
 import importlib.util
 import platform
 
 import numpy as np
 import pytest
 
+from contact_stab import scenarios, solver
 from contact_stab.cli import main, read_snapshot, write_snapshot
 from contact_stab.grid import Grid
 from contact_stab.solver import Snapshot
@@ -138,6 +140,49 @@ class TestExitCodes:
         assert code == 3
         assert "blow-up at t =" in (out / "report.txt").read_text()
         assert "exit_code = 3" in (out / "manifest.txt").read_text()
+
+
+class TestNonFiniteVerdicts:
+    """A verdict fails, naming the quantity, when what it judges is not finite."""
+
+    RT = ("grid.N1=16", "grid.N2=16", "run.T_final=0.05")
+    MMS = ("mms.refinements=9,17", "run.T_final=0.05")
+
+    @staticmethod
+    def _run(kind, config, out, overrides):
+        return run_cli(kind, config, out, extra=[a for ov in overrides for a in ("--override", ov)])
+
+    def test_rt_run_fails_on_a_nan_energy(self, tmp_path, capsys, monkeypatch):
+        report = solver.energy_report
+        monkeypatch.setattr(solver, "energy_report",
+                            lambda *a: dataclasses.replace(report(*a), J=np.nan))
+        out = tmp_path / "o"
+        assert self._run("rt-run", "configs/rt_stable.cfg", out, self.RT) == 1
+        text = (out / "report.txt").read_text()
+        assert "not finite: sup_t J" in text and "overall: FAIL" in text
+
+    def test_rt_run_fails_on_a_nan_source_norm(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenarios, "source_h1_norm", lambda *a: np.nan)
+        out = tmp_path / "o"
+        assert self._run("rt-run", "configs/rt_stable.cfg", out, self.RT) == 1
+        text = (out / "report.txt").read_text()
+        assert "not finite: normalized ratio" in text and "not finite: sup_t J" not in text
+        assert "overall: FAIL" in text
+
+    def test_mms_fails_on_a_nan_divergence_defect(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "divergence_monitor", lambda *a: (np.nan, np.nan))
+        out = tmp_path / "o"
+        assert self._run("mms", "configs/mms.cfg", out, self.MMS) == 1
+        text = (out / "report.txt").read_text()
+        assert "not fitted: a defect is not finite" in text and "overall: FAIL" in text
+
+    def test_mms_reports_all_zero_defects(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenarios.ManufacturedProblem, "run_error",
+                            lambda self, coeffs: (coeffs.grid.h1 ** 2, 0.0))
+        out = tmp_path / "o"
+        assert self._run("mms", "configs/mms.cfg", out, self.MMS) == 0
+        text = (out / "report.txt").read_text()
+        assert "not fitted: every defect is exactly zero" in text and "overall: PASS" in text
 
 
 class TestEndToEnd:

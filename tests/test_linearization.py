@@ -205,6 +205,18 @@ class TestValidation:
         report = validate_basic_state(basic)
         assert not report["positivity"].passed
 
+    def test_nan_background_fails_at_its_location(self):
+        grid = Grid(8, 8, 6.0, 2.0 * np.pi)
+        up, um = np.zeros((6, 8, 8)), np.zeros((6, 8, 8))
+        up[0] = um[0] = 1.0
+        up[3] = um[3] = 1.0
+        up[0, 3:5] = um[0, 3:5] = np.nan  # two x1 rows away from the interface
+        report = validate_basic_state(basic_state_from_arrays(grid, up, um))
+        assert not report.all_passed
+        check = report["positivity"]
+        assert not check.passed and check.max_residual == np.inf
+        assert check.location == "idx(3, 0)"
+
 
 def rt_background(grid):
     from contact_stab.scenarios import rt_basic_state

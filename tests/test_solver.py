@@ -332,6 +332,18 @@ class TestFrontAdvection:
         rate = np.sum(phi * -a * solver._upwind_d2(phi, a, 0.4))
         assert rate < -0.1 * np.sum(phi ** 2)
 
+    @pytest.mark.parametrize("n", [4, 5, 33, 200])
+    def test_padded_stencil_equals_the_rolled_one(self, n):
+        """The periodic padding reproduces the np.roll form bit for bit."""
+        rng = np.random.default_rng(n)
+        phi, a, h2 = rng.standard_normal(n), rng.standard_normal(n), 2.0 * np.pi / n
+        a[:4] = 0.0, 0.7, -0.0, -0.7  # both branches, and a = +-0 takes dp
+        dp = (2.0 * np.roll(phi, -1) + 3.0 * phi - 6.0 * np.roll(phi, 1)
+              + np.roll(phi, 2)) / (6.0 * h2)
+        dm = (-np.roll(phi, -2) + 6.0 * np.roll(phi, -1) - 3.0 * phi
+              - 2.0 * np.roll(phi, 1)) / (6.0 * h2)
+        assert np.array_equal(solver._upwind_d2(phi, a, h2), np.where(a >= 0.0, dp, dm))
+
 
 class TestEnergyAtInterface:
     def test_pulse_through_the_interface_keeps_the_boundary_form_zero(self):
