@@ -102,7 +102,16 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # the lift's source without the A0 dU_tilde/dt part
     "drop-lift-time-derivative": [
-        (SOLVER, "A0_diag * (L[:6] - dUdt)", "A0_diag * L[:6]"),
+        (SOLVER, "plus = self.coeffs.plus.A0_diag * (L[:6] - dUdt)",
+         "plus = self.coeffs.plus.A0_diag * L[:6]"),
+    ],
+    # the rows whose A0^-1 is a field left unscaled by it
+    "drop-row-rescale": [
+        (SOLVER, "        for i, a0_inv in rescale:\n            out[i] *= a0_inv\n", ""),
+    ],
+    # the source H1 norm without its centred time difference
+    "drop-source-norm-time-term": [
+        (SOLVER, "                s += sq(scratch) / (2.0 * dt) ** 2\n", ""),
     ],
     # the growing roots taken as the decaying basis
     "flip-decaying-selection": [

@@ -319,6 +319,7 @@ def _peak(arr) -> float:
 
 
 def _argmax_loc(arr) -> str:
+    """Index of the largest |arr|; pass a margin's positive part, not the margin."""
     arr = np.asarray(arr)
     if arr.size == 0:
         return ""
@@ -349,7 +350,7 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
         viol = np.maximum(P_BAR0 - p, RHO_BAR0 - rho)
         m = _peak(viol)
         if m > worst:
-            worst, loc = m, _argmax_loc(viol)
+            worst, loc = m, _argmax_loc(np.maximum(viol, 0.0))
     checks.append(CheckResult("positivity", worst <= tol, max(worst, 0.0), loc))
 
     # interface continuity
@@ -364,8 +365,10 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
 
     # normal field bounded away from zero on the interface
     hn = np.minimum(np.abs(basic.HN(+1)[0, :]), np.abs(basic.HN(-1)[0, :]))
-    short = _peak(KAPPA_BAR0 - hn)
-    checks.append(CheckResult("normal_field", short <= tol, max(short, 0.0), _argmax_loc(KAPPA_BAR0 - hn)))
+    margin = KAPPA_BAR0 - hn
+    short = _peak(margin)
+    checks.append(CheckResult("normal_field", short <= tol, max(short, 0.0),
+                              _argmax_loc(np.maximum(margin, 0.0))))
 
     # induction residual of the background
     worst = 0.0
@@ -440,9 +443,9 @@ def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
 
     Column k is the directional derivative of the coefficient matrices in
     the k-th unit state direction, contracted with the gradients of the
-    static background: dA1_tilde d1U_hat + dA2 d2U_hat.  A gradient that
-    vanishes identically contributes nothing and is skipped, so a constant
-    background returns zeros without differentiating anything.
+    static background: dA1_tilde d1U_hat + dA2 d2U_hat.  A gradient component
+    that vanishes identically contributes nothing and is skipped, so a
+    constant background returns zeros without differentiating anything.
     """
     U = basic.u.side(side)
     d1phi = basic.d1phi_map(side)
@@ -450,8 +453,8 @@ def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
     C = np.zeros((6, 6) + U.shape[1:])
     d1U = basic.d1_u.side(side)
     d2U = basic.d2_u.side(side)
-    use_1, use_2 = d1U.any(), d2U.any()
-    if not (use_1 or use_2):
+    nz1, nz2 = (np.flatnonzero(dU.reshape(6, -1).any(axis=1)) for dU in (d1U, d2U))
+    if not (nz1.size or nz2.size):
         return C
     rho = basic.rho(side)
     g = basic.gamma
@@ -463,12 +466,12 @@ def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
         dA0 = mhd.da0_matrix(U[0], rho, Y, g)
         dA2 = mhd.da2_matrix(U[0], U[2], rho, Y, g)
         terms = []
-        if use_1:
+        if nz1.size:
             dA1 = mhd.da1_matrix(U[0], U[1], rho, Y, g)
-            dA1t = (dA1 - dA0 * dtpsi - dA2 * d2psi) / d1phi
-            terms.append(np.einsum("ij...,j...->i...", dA1t, d1U))
-        if use_2:
-            terms.append(np.einsum("ij...,j...->i...", dA2, d2U))
+            dA1t = (dA1[:, nz1] - dA0[:, nz1] * dtpsi - dA2[:, nz1] * d2psi) / d1phi
+            terms.append(np.einsum("ij...,j...->i...", dA1t, d1U[nz1]))
+        if nz2.size:
+            terms.append(np.einsum("ij...,j...->i...", dA2[:, nz2], d2U[nz2]))
         C[:, k] = sum(terms)
     return C
 

@@ -295,23 +295,27 @@ def _contract_entries(terms, out: np.ndarray, plane: np.ndarray) -> None:
 
 def _stage_entries(sc: SideCoefficients, epsilon: float):
     """The interior operator of one stage as (i, j, c) lists for d1, d2 and
-    the undifferentiated rows, plus the A0^-1 diagonal for the source f; c
-    stays a float where it is constant.
+    the undifferentiated rows, the (6, 1, 1) weights of the source f and the
+    (i, A0^-1 row) scalings left to StageWork.interior; c stays a float where
+    it is constant.
 
-    Rows 0-5 are -A0^-1 (A1_tilde d1 + A2 d2 + C) + eps A0^-1 d1.  Row 6 is
-    the companion transport da/dt = c1 d1a + c2 d2a + c0 a (its source term
-    is added by StageWork.interior), appended after the sorted 6x6 entries.
+    Rows 0-5 are -A0^-1 (A1_tilde d1 + A2 d2 + C - eps d1), with A0^-1 folded
+    in where it is uniform and listed as the row's scaling where it is a
+    field.  Row 6 is the companion transport da/dt = c1 d1a + c2 d2a + c0 a,
+    appended after the sorted 6x6 entries.
     """
     a0_inv = [_uniform_or_field(row) for row in sc.A0_inv_diag]
+    rescale = [(i, a) for i, a in enumerate(a0_inv) if not isinstance(a, float)]
+    fold = [a if isinstance(a, float) else 1.0 for a in a0_inv]
 
-    def scaled(M):   # -A0^-1 times the entries of a dense field that are nonzero somewhere
-        return [(i, j, _uniform_or_field(-a0_inv[i] * M[i, j]))
+    def scaled(M):   # the folded -A0^-1 times the entries of a dense field nonzero somewhere
+        return [(i, j, _uniform_or_field(-fold[i] * M[i, j]))
                 for i in range(6) for j in range(6) if M[i, j].any()]
 
     d1 = {(i, j): c for i, j, c in scaled(sc.At1)}
     if epsilon:
         for i in range(6):
-            d1[i, i] = _uniform_or_field(d1.get((i, i), 0.0) + epsilon * a0_inv[i])
+            d1[i, i] = _uniform_or_field(d1.get((i, i), 0.0) + epsilon * fold[i])
     lists = ([(i, j, c) for (i, j), c in sorted(d1.items())], scaled(sc.A2), scaled(sc.C))
     companion = (-sc.w1 / sc.d1phi + epsilon,
                  -sc.w2 / sc.d1phi,
@@ -319,8 +323,7 @@ def _stage_entries(sc: SideCoefficients, epsilon: float):
     for entries, c in zip(lists, map(_uniform_or_field, companion)):
         if np.any(c):
             entries.append((6, 6, c))
-    source = [(i, i, a0_inv[i]) for i in range(6)]
-    return lists + (source,)
+    return lists + (np.array(fold)[:, None, None], rescale)
 
 
 def _fold_differences(d1: list, d2: list, grid: Grid):
@@ -356,9 +359,9 @@ class StageWork:
         self.coeffs = coeffs
         self.entries = {}
         for s in (+1, -1):
-            d1, d2, C, source = _stage_entries(coeffs.side(s), epsilon)
+            d1, d2, C, source, rescale = _stage_entries(coeffs.side(s), epsilon)
             M, (d1_fields, d2_fields) = _fold_differences(d1, d2, grid)
-            self.entries[s] = (M, d1_fields, d2_fields, C, source)
+            self.entries[s] = (M, d1_fields, d2_fields, C, source, rescale)
         self.deriv = np.empty((2 * ROWS, grid.N1, grid.N2))
         self.d1, self.d2 = self.deriv[:ROWS], self.deriv[ROWS:]
         self.plane = np.empty((grid.N1, grid.N2))
@@ -368,16 +371,18 @@ class StageWork:
                  out: np.ndarray) -> None:
         """The stage derivatives of one side's rows Y into out: rows 0-5
         A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U + f), row 6 the
-        companion transport plus div f_h / d1Phi."""
-        M, d1_fields, d2_fields, C, source = self.entries[side]
+        companion transport plus div f_h / d1Phi.  A row whose A0^-1 is a
+        field is scaled by it once, after its terms are summed."""
+        M, d1_fields, d2_fields, C, source, rescale = self.entries[side]
         d1_diff(Y, out=self.d1)
         d2_diff(Y, out=self.d2)
         np.matmul(M, self.deriv.reshape(2 * ROWS, -1), out=out.reshape(ROWS, -1))
-        terms = [(d1_fields, self.d1), (d2_fields, self.d2), (C, Y)]
+        _contract_entries([(d1_fields, self.d1), (d2_fields, self.d2), (C, Y)],
+                          out, self.plane)
         if f is not None:
-            terms.append((source, f))
-        _contract_entries(terms, out, self.plane)
-        if f is not None:
+            weighted = self.deriv[:6]   # the differences are consumed by now
+            np.multiply(f, source, out=weighted)
+            out[:6] += weighted
             # f_h = (f_N, d1Phi * f_H2), differentiated into the free row 6
             sc = self.coeffs.side(side)
             fh, div = self.plane, self.d1[6]
@@ -388,6 +393,8 @@ class StageWork:
             div += d2_field(fh, self.grid.h2, out=self.d2[6])
             div /= sc.d1phi
             out[6] += div
+        for i, a0_inv in rescale:
+            out[i] *= a0_inv
 
 
 def _stage(y: Snapshot, t: float, work: StageWork, sources: Sources, out: Snapshot) -> None:
@@ -634,28 +641,28 @@ class BoundaryLift:
             return self._phi_cache[key]
         return np.zeros(self.coeffs.grid.N2)
 
+    def _trace_at(self, t: float) -> np.ndarray:
+        return self._traces(self._phi_at(t), np.asarray(self.g_func(t), dtype=float))
+
     def u_tilde(self, t: float) -> TwoSidedField:
-        tr = self._traces(self._phi_at(t), np.asarray(self.g_func(t), dtype=float))
-        plus = tr[:, None, :] * self._profile[None, :, :]
+        plus = self._trace_at(t)[:, None, :] * self._profile[None, :, :]
         return TwoSidedField(plus, np.zeros_like(plus))
 
     def interior_source(self, t: float):
         """F = -L U_tilde: the (plus, minus) source the lifted field feeds
         the interior, in the pair layout of Sources.f.  The spatial part of
-        L is the stage kernel's, on U_tilde with a zero companion row."""
+        L is the stage kernel's, on U_tilde with a zero companion row; the
+        - side of U_tilde is zero, and so is its source."""
         g = self.coeffs.grid
-        Ut = self.u_tilde(t)
-        Up = self.u_tilde(t + LIFT_DT_PROBE)
-        Um = self.u_tilde(t - LIFT_DT_PROBE)
         Y = np.zeros((ROWS, g.N1, g.N2))
+        Y[:6] = self.u_tilde(t).plus
         L = np.empty_like(Y)
-        out = []
-        for side in (+1, -1):
-            Y[:6] = Ut.side(side)
-            self._work.interior(side, Y, None, L)
-            dUdt = (Up.side(side) - Um.side(side)) / (2.0 * LIFT_DT_PROBE)
-            out.append(self.coeffs.side(side).A0_diag * (L[:6] - dUdt))
-        return tuple(out)
+        self._work.interior(+1, Y, None, L)
+        d_trace = (self._trace_at(t + LIFT_DT_PROBE)
+                   - self._trace_at(t - LIFT_DT_PROBE)) / (2.0 * LIFT_DT_PROBE)
+        dUdt = d_trace[:, None, :] * self._profile[None, :, :]
+        plus = self.coeffs.plus.A0_diag * (L[:6] - dUdt)
+        return plus, np.zeros_like(plus)
 
 
 # --- source norm ------------------------------------------------------------
@@ -667,21 +674,23 @@ def source_h1_norm(f_func, grid: Grid, times: np.ndarray) -> float:
     f_func(t) returns a (plus, minus) pair of (6, N1, N2) arrays, as
     Sources.f and BoundaryLift.interior_source do.
     """
-    levels = [f_func(t) for t in times]
+    levels = [[np.asarray(A, dtype=float) for A in f_func(t)] for t in times]
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
+    w = grid.p_weights1 * grid.h2
+    scratch = np.empty_like(levels[0][0])   # one difference at a time
+
+    def sq(A):   # squared weighted L2 norm
+        return float(w @ np.einsum("ijk,ijk->j", A, A))
+
     total = 0.0
     for n, pair in enumerate(levels):
-        for k in range(2):
-            A = np.asarray(pair[k], dtype=float)
-            sq = (
-                _weighted_l2(A, grid) ** 2
-                + _weighted_l2(d1_field(A, grid.h1), grid) ** 2
-                + _weighted_l2(d2_field(A, grid.h2), grid) ** 2
-            )
+        for k, A in enumerate(pair):
+            s = (sq(A) + sq(d1_diff(A, out=scratch)) / (2.0 * grid.h1) ** 2
+                 + sq(d2_diff(A, out=scratch)) / (2.0 * grid.h2) ** 2)
             if 0 < n < len(levels) - 1:
-                dA = (np.asarray(levels[n + 1][k]) - np.asarray(levels[n - 1][k])) / (2 * dt)
-                sq += _weighted_l2(dA, grid) ** 2
-            total += sq * dt
+                np.subtract(levels[n + 1][k], levels[n - 1][k], out=scratch)
+                s += sq(scratch) / (2.0 * dt) ** 2
+            total += s * dt
     return float(np.sqrt(total))
 
 

@@ -217,6 +217,18 @@ class TestValidation:
         assert not check.passed and check.max_residual == np.inf
         assert check.location == "idx(3, 0)"
 
+    def test_violation_located_past_a_larger_admissible_margin(self):
+        # p = 50 has the largest |P_BAR0 - p| but is admissible; p = 1e-4 is not
+        grid = Grid(8, 8, 6.0, 2.0 * np.pi)
+        up, um = np.zeros((6, 8, 8)), np.zeros((6, 8, 8))
+        up[0] = um[0] = 1.0
+        up[3] = um[3] = 1.0
+        up[0, 6, 2] = um[0, 6, 2] = 50.0
+        up[0, 2, 5] = um[0, 2, 5] = 1e-4
+        check = validate_basic_state(basic_state_from_arrays(grid, up, um))["positivity"]
+        assert not check.passed
+        assert check.location == "idx(2, 5)"
+
 
 def rt_background(grid):
     from contact_stab.scenarios import rt_basic_state
@@ -277,6 +289,29 @@ class TestStageInterior:
                 )
                 np.testing.assert_allclose(out[:6], dense, rtol=1e-12,
                                            atol=1e-13 * np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_rt_takes_the_uniform_product_and_rescales_the_field_rows(self, eps):
+        # on RT only A0^-1 of rows 0-2 varies: every d1/d2 entry is uniform
+        coeffs = assemble_coefficients(rt_background(Grid(24, 16, 6.0, 2.0 * np.pi)))
+        work = StageWork(coeffs, eps)
+        for side in (+1, -1):
+            a0_inv = coeffs.side(side).A0_inv_diag
+            _, d1_fields, d2_fields, _, source, rescale = work.entries[side]
+            assert d1_fields == [] and d2_fields == []
+            field_rows = [i for i in range(6) if np.any(a0_inv[i] != a0_inv[i].flat[0])]
+            assert field_rows == [0, 1, 2]
+            assert [i for i, _ in rescale] == field_rows
+            for i, scale in rescale:
+                assert np.array_equal(scale, a0_inv[i])
+            assert np.array_equal(source.ravel(), [1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+
+    def test_expression_background_keeps_field_valued_d1_entries(self, tmp_path):
+        coeffs = assemble_coefficients(
+            expression_background(Grid(24, 16, 6.0, 2.0 * np.pi), tmp_path))
+        work = StageWork(coeffs, 1e-3)
+        for side in (+1, -1):
+            assert work.entries[side][1]
 
 
 class TestZeroOrderMatrix:

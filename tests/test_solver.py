@@ -495,6 +495,58 @@ class TestLift:
                                        atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
 
 
+def _reference_source_h1_norm(f_func, grid, times):
+    """The space-time H1 norm term by term: _weighted_l2 of each level, of its
+    d1_field and d2_field, and of the centred time difference."""
+    levels = [f_func(t) for t in times]
+    dt = float(times[1] - times[0])
+    total = 0.0
+    for n, pair in enumerate(levels):
+        for k in range(2):
+            A = np.asarray(pair[k], dtype=float)
+            sq = (solver._weighted_l2(A, grid) ** 2
+                  + solver._weighted_l2(d1_field(A, grid.h1), grid) ** 2
+                  + solver._weighted_l2(d2_field(A, grid.h2), grid) ** 2)
+            if 0 < n < len(levels) - 1:
+                dA = (np.asarray(levels[n + 1][k]) - np.asarray(levels[n - 1][k])) / (2 * dt)
+                sq += solver._weighted_l2(dA, grid) ** 2
+            total += sq * dt
+    return float(np.sqrt(total))
+
+
+class TestSourceNorm:
+    def test_matches_the_term_by_term_reference_on_a_random_source(self, rng):
+        grid = Grid(20, 16, 4.0, 2.0 * np.pi)
+        shape = (6, grid.N1, grid.N2)
+        base = [rng.standard_normal(shape) for _ in range(2)]
+        drift = [rng.standard_normal(shape) for _ in range(2)]
+
+        def f(t):   # both sides vary in time
+            return tuple(b * np.cos(3.0 * t) + d * t ** 2 for b, d in zip(base, drift))
+
+        times = np.linspace(0.0, 0.4, 9)
+        ref = _reference_source_h1_norm(f, grid, times)
+        assert source_h1_norm(f, grid, times) == pytest.approx(ref, rel=1e-12)
+
+    def test_matches_the_reference_on_the_rt_lift(self):
+        grid = build_grid(rt_basic_state(Grid(20, 16, 4.0, 2.0 * np.pi)), 0.2, epsilon=1e-2)
+        coeffs = assemble_coefficients(rt_basic_state(grid, rt_jump=0.5))
+
+        def g(t):
+            rows = np.zeros((5, grid.N2))
+            rows[0] = 0.3 * np.sin(grid.x2) * np.sin(t)
+            rows[3] = 0.1 * np.cos(2 * grid.x2) * np.sin(t)
+            return rows
+
+        lift = BoundaryLift(coeffs, g, epsilon=1e-2)
+        times = np.linspace(0.0, grid.T_final, 9)
+        lift.front_lift(times)
+        assert not np.any(lift.interior_source(float(times[4]))[1])
+        ref = _reference_source_h1_norm(lift.interior_source, grid, times)
+        assert ref > 0.0
+        assert source_h1_norm(lift.interior_source, grid, times) == pytest.approx(ref, rel=1e-12)
+
+
 class TestEpsSweep:
     def test_requires_decreasing_list(self):
         basic, _ = small_basic()
