@@ -88,8 +88,15 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # d2_diff keeps its flattened pass's differences across line ends at x2 = 0, X2
     "drop-d2-wrap-columns": [
-        (GRID, "    np.subtract(U[..., 1], U[..., -1], out=out[..., 0])\n"
-               "    np.subtract(U[..., 0], U[..., -2], out=out[..., -1])\n", ""),
+        (GRID, "    np.subtract(V[..., 1], V[..., -1], out=out[..., 0])\n"
+               "    np.subtract(V[..., 0], V[..., -2], out=out[..., -1])\n", ""),
+    ],
+    # a row range's d1 past the first block reads its own first row, not the halo row above
+    "block-halo-own-first-row": [
+        (GRID, "                out=out[..., lo - r0:hi - r0, :])\n",
+         "                out=out[..., lo - r0:hi - r0, :])\n"
+         "    if r0 > 0:\n"
+         "        np.subtract(U[..., r0 + 1, :], U[..., r0, :], out=out[..., 0, :])\n"),
     ],
     # the uniform d2 entries act on raw differences without the stencil's 1/(2 h2)
     "unfold-d2-scale": [

@@ -64,9 +64,9 @@ class Grid:
         return w
 
 
-def _stencil_out(U: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _stencil_out(U: np.ndarray, out: np.ndarray | None, rows: tuple[int, int]) -> np.ndarray:
     if out is None:
-        return np.empty_like(U, order="C")
+        return np.empty(U.shape[:-2] + (rows[1] - rows[0], U.shape[-1]), dtype=U.dtype)
     if np.may_share_memory(out, U):
         raise ValueError("a stencil's output must not share memory with its input")
     if not out.flags.c_contiguous:
@@ -74,34 +74,45 @@ def _stencil_out(U: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def d1_diff(U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def d1_diff(U: np.ndarray, out: np.ndarray | None = None,
+            rows: tuple[int, int] | None = None) -> np.ndarray:
     """2 h1 times the x1-derivative along axis -2: U[i+1] - U[i-1] on the
     interior rows, twice the one-sided difference on the end rows.
 
-    Writes into out when it is given (C-contiguous, not overlapping U)."""
-    out = _stencil_out(U, out)
-    n, u = U.shape[-1], U.reshape(-1)
-    # one pass over the flattened array; the rows where it straddles two
-    # leading slices are end rows, overwritten below
-    np.subtract(u[2 * n:], u[:-2 * n], out=out.reshape(-1)[n:-n])
-    for row, hi, lo in ((0, 1, 0), (-1, -1, -2)):
-        end = out[..., row, :]
-        np.subtract(U[..., hi, :], U[..., lo, :], out=end)
-        end *= 2.0
+    rows = (r0, r1) gives only the output rows r0 <= i < r1, reading the
+    rows next to the range as halo; out then has r1 - r0 rows.  Writes
+    into out when it is given (C-contiguous, not overlapping U)."""
+    n1 = U.shape[-2]
+    r0, r1 = rows or (0, n1)
+    out = _stencil_out(U, out, (r0, r1))
+    lo, hi = max(r0, 1), min(r1, n1 - 1)   # the interior rows of the range
+    np.subtract(U[..., lo + 1:hi + 1, :], U[..., lo - 1:hi - 1, :],
+                out=out[..., lo - r0:hi - r0, :])
+    for row, above, below in ((0, 1, 0), (n1 - 1, n1 - 1, n1 - 2)):
+        if r0 <= row < r1:
+            end = out[..., row - r0, :]
+            np.subtract(U[..., above, :], U[..., below, :], out=end)
+            end *= 2.0
     return out
 
 
-def d2_diff(U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def d2_diff(U: np.ndarray, out: np.ndarray | None = None,
+            rows: tuple[int, int] | None = None) -> np.ndarray:
     """2 h2 times the periodic centered x2-derivative along the last axis.
 
-    Writes into out when it is given (C-contiguous, not overlapping U)."""
-    out = _stencil_out(U, out)
-    # one pass over the flattened array, then the two wrap columns, where
-    # that pass reached into the neighbouring line
-    u = U.reshape(-1)
-    np.subtract(u[2:], u[:-2], out=out.reshape(-1)[1:-1])
-    np.subtract(U[..., 1], U[..., -1], out=out[..., 0])
-    np.subtract(U[..., 0], U[..., -2], out=out[..., -1])
+    rows = (r0, r1) gives only the rows r0 <= i < r1 of axis -2; out then
+    has r1 - r0 rows.  Writes into out when it is given (C-contiguous, not
+    overlapping U)."""
+    r0, r1 = rows or (0, U.shape[-2])
+    out = _stencil_out(U, out, (r0, r1))
+    # one pass over the range's rows flattened, per leading slice, then each
+    # row's two wrap columns, where that pass reached into the neighbouring row
+    V = U[..., r0:r1, :]
+    n = V.shape[-2] * V.shape[-1]
+    u, o = V.reshape(-1, n), out.reshape(-1, n)
+    np.subtract(u[:, 2:], u[:, :-2], out=o[:, 1:-1])
+    np.subtract(V[..., 1], V[..., -1], out=out[..., 0])
+    np.subtract(V[..., 0], V[..., -2], out=out[..., -1])
     return out
 
 

@@ -216,6 +216,10 @@ def characteristic_speeds(state: PlasmaState, n1: float, n2: float) -> np.ndarra
     B = n1 * tri.A1 + n2 * tri.A2
     d = np.sqrt(np.diag(tri.A0))
     sym = B / d[:, None] / d[None, :]
+    # An entry below sqrt(tiny) |sym| cannot move an eigenvalue by a
+    # representable amount, but eigvalsh mishandles entries whose products
+    # are subnormal (a fast speed off by 4e-3 with v1 ~ 1e-183, H2 ~ 1e-161).
+    sym[np.abs(sym) < np.sqrt(np.finfo(float).tiny) * np.max(np.abs(sym))] = 0.0
     return np.sort(np.linalg.eigvalsh(sym))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from contact_stab import mhd
+from contact_stab import mhd, solver
 from contact_stab.geometry import build_lifted_geometry
 from contact_stab.grid import Grid, d1_field, d2_field
 from contact_stab.linearization import (
@@ -18,7 +18,13 @@ from contact_stab.linearization import (
     w_congruence_check,
     zero_order_matrix,
 )
-from contact_stab.solver import ROWS, StageWork, assemble_coefficients
+from contact_stab.solver import (
+    ROWS,
+    BoundaryLift,
+    StageWork,
+    assemble_coefficients,
+    build_grid,
+)
 
 from conftest import boundary_traces
 
@@ -258,6 +264,23 @@ def expression_background(grid, tmp_path):
     return expression_state_from_config(parse_config(str(p), "validate-state"), grid)
 
 
+def background(kind, grid, tmp_path):
+    return {
+        "constant": lambda: constant_basic_state(grid, v2=0.3, H2=0.4),
+        "rt": lambda: rt_background(grid),
+        "expression": lambda: expression_background(grid, tmp_path),
+    }[kind]()
+
+
+# forced interior block sizes on a grid of 23 x 16 = 368 points, and the
+# row counts of the blocks they give
+BLOCKINGS = {
+    "one-row": (1, [1] * 23),
+    "uneven-last": (368 // 5, [5, 5, 5, 5, 3]),
+    "two": (368 // 2, [12, 11]),
+}
+
+
 class TestStageInterior:
     """StageWork.interior, the one production contraction of the interior
     operator, against A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U)
@@ -266,12 +289,7 @@ class TestStageInterior:
     @pytest.mark.parametrize("kind", ["constant", "rt", "expression"])
     def test_matches_the_dense_operator(self, kind, rng, tmp_path):
         grid = Grid(24, 16, 6.0, 2.0 * np.pi)
-        basic = {
-            "constant": lambda: constant_basic_state(grid, v2=0.3, H2=0.4),
-            "rt": lambda: rt_background(grid),
-            "expression": lambda: expression_background(grid, tmp_path),
-        }[kind]()
-        coeffs = assemble_coefficients(basic)
+        coeffs = assemble_coefficients(background(kind, grid, tmp_path))
         for eps in (0.0, 1e-3):
             work = StageWork(coeffs, eps)
             for side in (+1, -1):
@@ -312,6 +330,58 @@ class TestStageInterior:
         work = StageWork(coeffs, 1e-3)
         for side in (+1, -1):
             assert work.entries[side][1]
+
+    @pytest.mark.parametrize("blocking", BLOCKINGS)
+    @pytest.mark.parametrize("kind", ["constant", "rt", "expression"])
+    def test_row_blocks_give_the_one_block_result(self, kind, blocking, rng, tmp_path,
+                                                  monkeypatch):
+        grid = Grid(23, 16, 6.0, 2.0 * np.pi)
+        coeffs = assemble_coefficients(background(kind, grid, tmp_path))
+        Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
+        f = rng.standard_normal((6, grid.N1, grid.N2))
+        points, rows = BLOCKINGS[blocking]
+        for eps in (0.0, 1e-3):
+            monkeypatch.setattr(solver, "_BLOCK_POINTS", grid.N1 * grid.N2)
+            whole = StageWork(coeffs, eps)
+            monkeypatch.setattr(solver, "_BLOCK_POINTS", points)
+            blocked = StageWork(coeffs, eps)
+            assert whole.blocks == [(0, grid.N1)]
+            assert [r1 - r0 for r0, r1 in blocked.blocks] == rows
+            for side in (+1, -1):
+                for forcing in (None, f):
+                    expected, got = np.empty_like(Y), np.empty_like(Y)
+                    whole.interior(side, Y, forcing, expected)
+                    blocked.interior(side, Y, forcing, got)
+                    assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("blocking", BLOCKINGS)
+    def test_lift_source_is_the_one_block_result(self, blocking, monkeypatch):
+        eps = 1e-2
+        grid = build_grid(rt_background(Grid(23, 16, 4.0, 2.0 * np.pi)), 0.2, epsilon=eps)
+        coeffs = assemble_coefficients(rt_background(grid))
+        assert coeffs.plus.C.any()
+
+        def g(t):
+            rows = np.zeros((5, grid.N2))
+            rows[0] = 0.3 * np.sin(grid.x2) * np.sin(t)
+            rows[2] = 0.2 * np.cos(grid.x2) * np.cos(t)
+            return rows
+
+        times = np.linspace(0.0, grid.T_final, 9)
+        sources = []
+        for points in (grid.N1 * grid.N2, BLOCKINGS[blocking][0]):
+            monkeypatch.setattr(solver, "_BLOCK_POINTS", points)
+            lift = BoundaryLift(coeffs, g, epsilon=eps)
+            lift.front_lift(times)
+            sources.append(lift.interior_source(float(times[4]))[0])
+        assert np.max(np.abs(sources[0])) > 0.0
+        assert np.array_equal(sources[1], sources[0])
+
+    def test_large_grids_split_and_small_ones_do_not(self):
+        blocks = solver._row_blocks(200, 200)
+        assert len(blocks) > 1
+        assert [r for b in blocks for r in range(*b)] == list(range(200))
+        assert solver._row_blocks(96, 96) == [(0, 96)]
 
 
 class TestZeroOrderMatrix:

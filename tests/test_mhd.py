@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contact_stab import mhd
@@ -68,6 +68,9 @@ class TestCoefficientMatrices:
         assert np.allclose(A[0, 1], 1.0)
 
     @given(admissible_states(), st.floats(0.0, 2.0 * np.pi))
+    @example(  # entries whose products are subnormal
+        mhd.PlasmaState(p=0.5, v1=8.768593515218235e-184, v2=0.0, H1=0.0,
+                        H2=6.78985749624897e-162, S=0.0), 0.0)
     @settings(max_examples=60)
     def test_characteristic_speeds_match_closed_form(self, state, angle):
         n1, n2 = np.cos(angle), np.sin(angle)

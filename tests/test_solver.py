@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -392,6 +394,13 @@ class TestLift:
         U = lift.u_tilde(0.3)
         assert np.all(U.plus == 0.0) and np.all(U.minus == 0.0)
 
+    def test_source_allocates_no_rk4_snapshots(self):
+        basic, grid = small_basic()
+        lift = BoundaryLift(assemble_coefficients(basic), lambda t: np.ones((5, grid.N2)))
+        lift.interior_source(0.1)
+        snapshots = [v for v in vars(lift._work).values() if isinstance(v, (Snapshot, tuple))]
+        assert snapshots == []
+
     def test_plus_side_carries_the_jump(self):
         basic, grid = small_basic(v2=0.0)
 
@@ -527,6 +536,21 @@ class TestSourceNorm:
         times = np.linspace(0.0, 0.4, 9)
         ref = _reference_source_h1_norm(f, grid, times)
         assert source_h1_norm(f, grid, times) == pytest.approx(ref, rel=1e-12)
+
+    def test_holds_three_levels_at_a_time(self):
+        grid = Grid(20, 16, 4.0, 2.0 * np.pi)
+        refs = []
+        held = []   # arrays still alive at each call
+
+        def f(t):
+            held.append(sum(r() is not None for r in refs))
+            pair = tuple(np.full((6, grid.N1, grid.N2), t) for _ in range(2))
+            refs.extend(map(weakref.ref, pair))
+            return pair
+
+        source_h1_norm(f, grid, np.linspace(0.0, 0.4, 9))
+        assert len(held) == 9
+        assert max(held) == 4   # the two levels before, both sides
 
     def test_matches_the_reference_on_the_rt_lift(self):
         grid = build_grid(rt_basic_state(Grid(20, 16, 4.0, 2.0 * np.pi)), 0.2, epsilon=1e-2)
