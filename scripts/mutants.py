@@ -33,6 +33,7 @@ FIELDS = "src/contact_stab/fields.py"
 SPECTRAL = "src/contact_stab/spectral.py"
 GRID = "src/contact_stab/grid.py"
 LINEARIZATION = "src/contact_stab/linearization.py"
+CONFIG = "src/contact_stab/config.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIMEOUT_S = 1800
@@ -136,6 +137,14 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "nan-blind-validation": [
         (LINEARIZATION, "return float(np.max(arr)) if np.all(np.isfinite(arr)) else np.inf",
          "return float(np.max(arr))"),
+    ],
+    # an expression's ^ left to Python, where it is the unsupported bitwise xor
+    "caret-as-xor": [
+        (CONFIG, '.replace("^", "**")', ""),
+    ],
+    # number literals kept as Python reads them, so 3^34 is integer arithmetic
+    "integer-constants": [
+        (CONFIG, "        value = float(literal)\n", "        value = node.value\n"),
     ],
 }
 

@@ -1,19 +1,22 @@
 """Structured-text configs and closed-form field expressions.
 
 Config files are flat `section.key = value` lines with `#` comments.  Values
-are numbers, booleans, words, comma-separated lists, or arithmetic
-expressions in the variables (t, x1, x2) parsed by a small recursive-descent
-parser (functions sin, cos, exp, tanh, sqrt, log, abs; constants pi, e;
-operators + - * / ^ with ** as a synonym).  Every scenario kind declares its
-schema; unknown keys and missing required keys are rejected before any
-compute, with errors naming the offending key or line.
+are numbers, booleans, words, comma-separated lists, or expressions in (t, x1,
+x2) read by `ast.parse` and checked node by node (functions sin, cos, exp,
+tanh, sqrt, log, abs; constants pi, e; + - * / and ^ or **).  Every scenario
+kind declares its schema; unknown keys and missing required keys are rejected
+before any compute, with errors naming the offending key or line.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,143 +36,44 @@ _FUNCTIONS = {
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _VARIABLES = ("t", "x1", "x2")
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|([A-Za-z_][A-Za-z_0-9]*)"
-    r"|(\*\*|[()+\-*/^,]))"
-)
+_NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_MAX_DEPTH = 100
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ConfigError(f"unexpected character {rest[0]!r} in expression {text!r}")
-        num, name, op = m.groups()
-        if num is not None:
-            tokens.append(("num", float(num)))
-        elif name is not None:
-            tokens.append(("name", name))
-        else:
-            tokens.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    """expr := term (('+'|'-') term)* ; term := factor (('*'|'/') factor)* ;
-    factor := ('-'|'+') factor | power ; power := atom ('^' factor)? ;
-    atom := number | name | name '(' expr ')' | '(' expr ')'."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ConfigError(f"expected {op!r} in expression {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ConfigError(f"trailing input in expression {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek() == ("op", "-"):
-            self.next()
-            return ("neg", self.factor())
-        if self.peek() == ("op", "+"):
-            self.next()
-            return self.factor()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            return ("pow", base, self.factor())
-        return base
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                if val not in _FUNCTIONS:
-                    raise ConfigError(f"unknown function {val!r} in expression {self.text!r}")
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", val, arg)
-            if val in _CONSTANTS:
-                return ("num", _CONSTANTS[val])
-            if val in _VARIABLES:
-                return ("var", val)
-            raise ConfigError(f"unknown name {val!r} in expression {self.text!r}")
-        if (kind, val) == ("op", "("):
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ConfigError(f"unexpected token in expression {self.text!r}")
-
-
-def _eval_node(node, env):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        return env[node[1]]
-    if op == "neg":
-        return -_eval_node(node[1], env)
-    if op == "call":
-        return _FUNCTIONS[node[1]](_eval_node(node[2], env))
-    a = _eval_node(node[1], env)
-    b = _eval_node(node[2], env)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b
-    raise AssertionError(op)
+def _build(node, src: str, text: str, depth: int = 0):
+    """Closure env -> value of an ast node of the grammar, else a ConfigError."""
+    if depth > _MAX_DEPTH:
+        raise ConfigError(f"expression {text!r} is nested deeper than {_MAX_DEPTH}")
+    sub = functools.partial(_build, src=src, text=text, depth=depth + 1)
+    if isinstance(node, ast.Constant):
+        literal = ast.get_source_segment(src, node)
+        if not _NUMBER_RE.fullmatch(literal):
+            raise ConfigError(f"unsupported literal {literal} in expression {text!r}")
+        value = float(literal)
+        return lambda env: value
+    if isinstance(node, ast.Name):
+        if node.id not in _CONSTANTS and node.id not in _VARIABLES:
+            raise ConfigError(f"unknown name {node.id!r} in expression {text!r}")
+        return operator.itemgetter(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        operand = sub(node.operand)
+        return operand if isinstance(node.op, ast.UAdd) else lambda env: -operand(env)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op, left, right = _BINARY[type(node.op)], sub(node.left), sub(node.right)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        name = node.func.id
+        if name not in _FUNCTIONS:
+            raise ConfigError(f"unknown function {name!r} in expression {text!r}")
+        # one positional argument, and a bare name: `sin(x1)`, not `(sin)(x1)`
+        if len(node.args) != 1 or node.keywords or node.func.col_offset != node.col_offset:
+            raise ConfigError(f"call {name} as {name}(argument) in expression {text!r}")
+        fn, arg = _FUNCTIONS[name], sub(node.args[0])
+        return lambda env: fn(arg(env))
+    what = f"operator {type(node.op).__name__}" if hasattr(node, "op") else type(node).__name__
+    raise ConfigError(f"unsupported {what} in expression {text!r}")
 
 
 @dataclass(frozen=True)
@@ -177,18 +81,42 @@ class Expression:
     """Compiled closed-form scalar field of (t, x1, x2)."""
 
     text: str
-    _node: tuple = field(repr=False, default=None)
+    _fn: Callable = field(repr=False, compare=False, default=None)
 
     @staticmethod
     def compile(text: str) -> "Expression":
-        return Expression(text=text.strip(), _node=_Parser(text).parse())
+        text = text.strip()
+        # in Python's spelling ^ is **, and a decimal literal has no leading zeros
+        src = re.sub(r"(?<![\w.])0+(?=\d)", "", " ".join(text.split()).replace("^", "**"))
+        if "#" in src or not (src.isascii() and src.isprintable()):
+            raise ConfigError(f"unexpected character in expression {text!r}")
+        try:
+            tree = ast.parse(src, mode="eval")
+        except SyntaxError as exc:
+            raise ConfigError(f"syntax error in expression {text!r}: {exc.msg}") from None
+        except (RecursionError, MemoryError):
+            raise ConfigError(f"expression {text!r} is nested deeper than {_MAX_DEPTH}") from None
+        return Expression(text=text, _fn=_build(tree.body, src, text))
 
     def __call__(self, t=0.0, x1=0.0, x2=0.0):
-        out = _eval_node(self._node, {"t": t, "x1": x1, "x2": x2})
-        return out
+        return self._fn({**_CONSTANTS, "t": t, "x1": x1, "x2": x2})
 
 
 # --- config file parsing ----------------------------------------------------
+
+_KEY_RE = re.compile(r"[A-Za-z_]\w*\.[A-Za-z_]\w*")
+
+
+def _entry(text: str, where: str) -> tuple[str, str]:
+    """(key, value) of one `section.key = value` entry of a file or an override."""
+    key, eq, value = (part.strip() for part in text.partition("="))
+    if not eq:
+        raise ConfigError(f"{where}: must look like section.key = value")
+    if not _KEY_RE.fullmatch(key):
+        raise ConfigError(f"{where}: malformed key {key!r}")
+    if not value:
+        raise ConfigError(f"{where}: empty value for {key}")
+    return key, value
 
 
 def read_raw_config(path: str) -> dict[str, str]:
@@ -200,15 +128,7 @@ def read_raw_config(path: str) -> dict[str, str]:
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'section.key = value'")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not re.fullmatch(r"[A-Za-z_][\w]*\.[A-Za-z_][\w]*", key):
-                raise ConfigError(f"{path}:{lineno}: malformed key {key!r}")
-            if not value:
-                raise ConfigError(f"{path}:{lineno}: empty value for {key}")
+            key, value = _entry(text, f"{path}:{lineno}")
             if key in first_line:
                 raise ConfigError(
                     f"{path}:{lineno}: duplicate key {key} (first set on line {first_line[key]})"
@@ -221,13 +141,8 @@ def read_raw_config(path: str) -> dict[str, str]:
 def apply_overrides(raw: dict[str, str], overrides) -> dict[str, str]:
     out = dict(raw)
     for ov in overrides or ():
-        if "=" not in ov:
-            raise ConfigError(f"override {ov!r} must look like section.key=value")
-        key, _, value = ov.partition("=")
-        key = key.strip()
-        if not re.fullmatch(r"[A-Za-z_][\w]*\.[A-Za-z_][\w]*", key):
-            raise ConfigError(f"override key {key!r} malformed")
-        out[key] = value.strip()
+        key, value = _entry(ov, f"override {ov!r}")
+        out[key] = value
     return out
 
 

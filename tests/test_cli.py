@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,17 @@ from contact_stab.solver import Snapshot
 
 def run_cli(kind, config, out, extra=()):
     return main([kind, config, "--out", str(out), *extra])
+
+
+def expressions_config(tmp_path, p="1", phi="0"):
+    """Path of a 16x8 expressions validate-state config with pressure p and front phi."""
+    lines = ["state.kind = expressions", "grid.N1 = 16", "grid.N2 = 8", f"front.phi = {phi}"]
+    for side in ("plus", "minus"):
+        lines += [f"state.p_{side} = {p}", f"state.v1_{side} = 0", f"state.v2_{side} = 0",
+                  f"state.H1_{side} = 1", f"state.H2_{side} = 0", f"state.S_{side} = 0"]
+    cfg = tmp_path / "expressions.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    return str(cfg)
 
 
 class TestSnapshotIO:
@@ -119,18 +131,28 @@ class TestExitCodes:
 
     def test_non_finite_expression_background_exits_two(self, tmp_path, capsys):
         # p is NaN for 1 < x1 < 2, where the product under the root is negative
-        lines = ["state.kind = expressions", "grid.N1 = 16", "grid.N2 = 8"]
-        for side in ("plus", "minus"):
-            lines += [f"state.p_{side} = 1 + 0*sqrt((x1 - 1)*(x1 - 2))",
-                      f"state.v1_{side} = 0", f"state.v2_{side} = 0",
-                      f"state.H1_{side} = 1", f"state.H2_{side} = 0", f"state.S_{side} = 0"]
-        cfg = tmp_path / "nan.cfg"
-        cfg.write_text("\n".join(lines) + "\n")
+        cfg = expressions_config(tmp_path, p="1 + 0*sqrt((x1 - 1)*(x1 - 2))")
         out = tmp_path / "o"
-        assert run_cli("validate-state", str(cfg), out) == 2
+        assert run_cli("validate-state", cfg, out) == 2
         report = (out / "report.txt").read_text()
         assert report.startswith("state construction failed: state.p_plus is not finite")
         assert "PASS" not in report
+
+    def test_deeply_nested_expression_exits_two_without_traceback(self, tmp_path, capsys):
+        cfg = expressions_config(tmp_path, phi="-" * 5000 + "0")
+        out = tmp_path / "o"
+        assert run_cli("validate-state", cfg, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: front.phi: ") and "nested" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_empty_override_exits_two_without_artifacts(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "adjoint_check.cfg")
+        assert main(["adjoint-check", config, "--override", "run.out="]) == 2
+        assert "empty value for run.out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_neutral_mode_blow_up_exits_three(self, tmp_path, capsys):
         out = tmp_path / "o"
