@@ -133,6 +133,12 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "drop-side-sign-fold": [
         (SPECTRAL, "P.append([-side * b for b in blocks])", "P.append([-b for b in blocks])"),
     ],
+    # the coefficients' compaction takes a background input that varies in x2 for one that
+    # varies in x1 only, keeping its first column
+    "compact-x2-as-x1": [
+        (LINEARIZATION, "            return cut.copy()\n    return a\n",
+         "            return cut.copy()\n    return a[..., :1].copy()\n"),
+    ],
     # the validator's peaks read NaN as a value, which no `m > worst` ever beats
     "nan-blind-validation": [
         (LINEARIZATION, "return float(np.max(arr)) if np.all(np.isfinite(arr)) else np.inf",
@@ -144,7 +150,7 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # number literals kept as Python reads them, so 3^34 is integer arithmetic
     "integer-constants": [
-        (CONFIG, "        value = float(literal)\n", "        value = node.value\n"),
+        (CONFIG, "        value = np.float64(literal)\n", "        value = node.value\n"),
     ],
 }
 

@@ -14,6 +14,7 @@ headers, and an execution manifest into the output directory.
 from __future__ import annotations
 
 import argparse
+import os
 import platform
 import sys
 import time
@@ -33,6 +34,9 @@ try:
     from threadpoolctl import threadpool_limits
 except ImportError:  # --threads is then recorded but not applied
     threadpool_limits = None
+
+# the BLAS and OpenMP thread settings the manifest records as the run saw them
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,6 +119,7 @@ def write_artifacts(outdir: Path, cfg, result: ScenarioResult,
         f"wall_time_seconds = {wall_time:.3f}",
         f"threads = {threads}",
         f"threads_applied = {'no' if threadpool_limits is None else 'yes'}",
+        *(f"{var} = {os.environ.get(var, 'unset')}" for var in _THREAD_VARIABLES),
         f"python = {platform.python_version()}",
         f"numpy = {np.__version__}",
         f"exit_code = {result.exit_code}",

@@ -33,7 +33,7 @@ _FUNCTIONS = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
     "sqrt": np.sqrt, "log": np.log, "abs": np.abs,
 }
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 _VARIABLES = ("t", "x1", "x2")
 
 _NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
@@ -51,7 +51,7 @@ def _build(node, src: str, text: str, depth: int = 0):
         literal = ast.get_source_segment(src, node)
         if not _NUMBER_RE.fullmatch(literal):
             raise ConfigError(f"unsupported literal {literal} in expression {text!r}")
-        value = float(literal)
+        value = np.float64(literal)
         return lambda env: value
     if isinstance(node, ast.Name):
         if node.id not in _CONSTANTS and node.id not in _VARIABLES:
@@ -99,7 +99,10 @@ class Expression:
         return Expression(text=text, _fn=_build(tree.body, src, text))
 
     def __call__(self, t=0.0, x1=0.0, x2=0.0):
-        return self._fn({**_CONSTANTS, "t": t, "x1": x1, "x2": x2})
+        # every leaf is numpy, so 1/0 is inf and (-1)^0.5 is nan, as on a grid
+        env = {name: np.float64(v) if np.ndim(v) == 0 else v
+               for name, v in (("t", t), ("x1", x1), ("x2", x2))}
+        return self._fn({**_CONSTANTS, **env})
 
 
 # --- config file parsing ----------------------------------------------------

@@ -417,76 +417,36 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
     return ValidationReport(checks=checks, tolerance=tol)
 
 
-# --- effective matrices and the zero-order operator -------------------------
+# --- the interior operator of one side --------------------------------------
 
 
-def _require_geometry(d1phi: np.ndarray) -> None:
-    if float(np.min(np.abs(d1phi))) < MIN_D1PHI:
-        raise GeometryError("|d1 Phi_hat| dropped below 1/4; lift not usable")
-
-
-def a1_tilde_grid(basic: BasicState, side: int) -> np.ndarray:
-    """A1_tilde = (A1 - A0 dtPsi - A2 d2Psi)/d1Phi on the grid, (6,6,N1,N2)."""
-    U = basic.u.side(side)
-    rho = basic.rho(side)
-    g = basic.gamma
-    d1phi = basic.d1phi_map(side)
-    _require_geometry(d1phi)
-    A0 = mhd.a0_matrix(U[0], rho, g)
-    A1 = mhd.a1_matrix(U[0], U[1], U[3], U[4], rho, g)
-    A2 = mhd.a2_matrix(U[0], U[2], U[3], U[4], rho, g)
-    return (A1 - A0 * basic.dtpsi(side) - A2 * basic.d2psi(side)) / d1phi
-
-
-def zero_order_matrix(basic: BasicState, side: int) -> np.ndarray:
-    """Pointwise matrix of the zero-order operator C, shape (6,6,N1,N2).
-
-    Column k is the directional derivative of the coefficient matrices in
-    the k-th unit state direction, contracted with the gradients of the
-    static background: dA1_tilde d1U_hat + dA2 d2U_hat.  A gradient component
-    that vanishes identically contributes nothing and is skipped, so a
-    constant background returns zeros without differentiating anything.
-    """
-    U = basic.u.side(side)
-    d1phi = basic.d1phi_map(side)
-    _require_geometry(d1phi)
-    C = np.zeros((6, 6) + U.shape[1:])
-    d1U = basic.d1_u.side(side)
-    d2U = basic.d2_u.side(side)
-    nz1, nz2 = (np.flatnonzero(dU.reshape(6, -1).any(axis=1)) for dU in (d1U, d2U))
-    if not (nz1.size or nz2.size):
-        return C
-    rho = basic.rho(side)
-    g = basic.gamma
-    dtpsi = basic.dtpsi(side)
-    d2psi = basic.d2psi(side)
-    eye = np.eye(6)
-    for k in range(6):
-        Y = eye[k]
-        dA0 = mhd.da0_matrix(U[0], rho, Y, g)
-        dA2 = mhd.da2_matrix(U[0], U[2], rho, Y, g)
-        terms = []
-        if nz1.size:
-            dA1 = mhd.da1_matrix(U[0], U[1], rho, Y, g)
-            dA1t = (dA1[:, nz1] - dA0[:, nz1] * dtpsi - dA2[:, nz1] * d2psi) / d1phi
-            terms.append(np.einsum("ij...,j...->i...", dA1t, d1U[nz1]))
-        if nz2.size:
-            terms.append(np.einsum("ij...,j...->i...", dA2[:, nz2], d2U[nz2]))
-        C[:, k] = sum(terms)
-    return C
+def _compact(a: np.ndarray) -> np.ndarray:
+    """a cut along its last two (x1, x2) axes to the smallest shape that
+    broadcasts back to it: a (1, 1) copy when a is uniform on the grid, an
+    (N1, 1) copy when it varies in x1 only, otherwise a itself."""
+    for cut in (a[..., :1, :1], a[..., :1]):
+        if np.all(a == cut):
+            return cut.copy()
+    return a
 
 
 @dataclass
 class SideCoefficients:
-    """The interior operator of one side, assembled on the grid as dense
-    fields; solver.StageWork folds their nonzero entries into its kernel."""
+    """The interior operator of one side on the background's grid.
+
+    Every field but A0_diag has the background's own broadcast shape:
+    (1, 1) when the background is uniform, (N1, 1) when it varies in x1
+    only, as the RT state does, and (N1, N2) otherwise.  A0_diag is stored
+    at the full (N1, N2) for the energy monitors.  solver.StageWork folds
+    the nonzero entries of the 6x6 fields into its kernel.
+    """
 
     A0_diag: np.ndarray      # (6, N1, N2)
-    A0_inv_diag: np.ndarray
-    At1: np.ndarray          # (6, 6, N1, N2)
+    A0_inv_diag: np.ndarray  # (6,) + the broadcast shape
+    At1: np.ndarray          # (6, 6) + the broadcast shape
     A2: np.ndarray
     C: np.ndarray
-    d1phi: np.ndarray        # (N1, N2)
+    d1phi: np.ndarray        # the broadcast shape
     d11phi: np.ndarray
     w1: np.ndarray           # background transport field components
     w2: np.ndarray
@@ -495,27 +455,50 @@ class SideCoefficients:
 
 
 def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:
-    """Assemble the interior operator of one side on the background's grid."""
+    """Assemble the interior operator of one side from the background's
+    inputs, each compacted once to its smallest broadcast shape.
+
+    At1 is the effective normal matrix (A1 - A0 dtPsi - A2 d2Psi) / d1Phi.
+    Column k of the zero-order matrix C is the directional derivative of the
+    coefficient matrices in the k-th unit state direction, contracted with
+    the gradients of the static background: dA1_tilde d1U_hat + dA2 d2U_hat.
+    """
     g = basic.grid
-    U = basic.u.side(side)
-    rho = basic.rho(side)
-    A0 = np.stack([1.0 / (basic.gamma * U[0]), rho, rho,
-                   np.ones_like(rho), np.ones_like(rho), np.ones_like(rho)])
-    u1, u2 = basic.u_vec(side)
-    w1, w2 = basic.w_vec(side)
-    div_u = d1_field(u1[None], g.h1)[0] + d2_field(u2[None], g.h2)[0]
+    gamma = basic.gamma
+    p, v1, v2, H1, H2, S = _compact(basic.u.side(side))
+    d1U, d2U = _compact(basic.d1_u.side(side)), _compact(basic.d2_u.side(side))
+    d1phi, d2psi, dtpsi, d11phi = (_compact(basic.geometry.side(name, side))
+                                   for name in ("d1_phi", "d2_psi", "dt_psi", "d11_phi"))
+    if float(np.min(np.abs(d1phi))) < MIN_D1PHI:
+        raise GeometryError("|d1 Phi_hat| dropped below 1/4; lift not usable")
+    rho = mhd.eos_density(p, S, gamma)
+    A2 = mhd.a2_matrix(p, v2, H1, H2, rho, gamma)
+    At1 = (mhd.a1_matrix(p, v1, H1, H2, rho, gamma) - mhd.a0_matrix(p, rho, gamma) * dtpsi
+           - A2 * d2psi) / d1phi
+    columns = []
+    for Y in np.eye(6):
+        dA0 = mhd.da0_matrix(p, rho, Y, gamma)
+        dA2 = mhd.da2_matrix(p, v2, rho, Y, gamma)
+        dA1t = (mhd.da1_matrix(p, v1, rho, Y, gamma) - dA0 * dtpsi - dA2 * d2psi) / d1phi
+        columns.append(np.einsum("ij...,j...->i...", dA1t, d1U)
+                       + np.einsum("ij...,j...->i...", dA2, d2U))
+    A0 = np.stack([1.0 / (gamma * p), rho, rho] + [np.ones_like(rho)] * 3)
+    u1, u2 = normal_component(v1, v2, d2psi), v2 * d1phi
+    full = (g.N1, g.N2)
+    div_u = (d1_field(np.broadcast_to(u1, full)[None], g.h1)[0]
+             + d2_field(np.broadcast_to(u2, full)[None], g.h2)[0])
     return SideCoefficients(
-        A0_diag=A0,
+        A0_diag=np.broadcast_to(A0, (6,) + full).copy(),
         A0_inv_diag=1.0 / A0,
-        At1=a1_tilde_grid(basic, side),
-        A2=mhd.a2_matrix(U[0], U[2], U[3], U[4], rho, basic.gamma),
-        C=zero_order_matrix(basic, side),
-        d1phi=basic.d1phi_map(side),
-        d11phi=basic.geometry.side("d11_phi", side),
-        w1=w1,
-        w2=w2,
-        div_u=div_u,
-        d2psi=basic.d2psi(side),
+        At1=At1,
+        A2=A2,
+        C=np.stack(columns, axis=1),
+        d1phi=d1phi,
+        d11phi=d11phi,
+        w1=u1 - dtpsi,
+        w2=u2,
+        div_u=_compact(div_u),
+        d2psi=d2psi,
     )
 
 
@@ -538,7 +521,7 @@ def first_variation(
     perturbation dphi is lifted exactly like the background front (the lift
     is linear in phi), so the derivative fields of dPsi reuse the analytic
     cutoff slope and the boundary-line stencil.  Both parts go through one
-    dense contraction: the transport term shifts its derivative arguments
+    contraction: the transport term shifts its derivative arguments
     by dPsi's derivatives times d1U_hat / d1Phi_hat.
     """
     g = basic.grid

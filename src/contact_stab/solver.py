@@ -279,8 +279,8 @@ def apply_interface_conditions(
 
 
 def _uniform_or_field(entry):
-    """A float when the coefficient (a scalar or an (N1, N2) array) is the
-    same at every grid point, otherwise the array itself."""
+    """A float when the coefficient (a scalar or an array of the background's
+    broadcast shape) is the same at every grid point, otherwise the array."""
     first = np.ravel(entry)[0]
     return float(first) if np.all(entry == first) else entry
 
@@ -310,7 +310,7 @@ def _stage_entries(sc: SideCoefficients, epsilon: float):
     rescale = [(i, a) for i, a in enumerate(a0_inv) if not isinstance(a, float)]
     fold = [a if isinstance(a, float) else 1.0 for a in a0_inv]
 
-    def scaled(M):   # the folded -A0^-1 times the entries of a dense field nonzero somewhere
+    def scaled(M):   # the folded -A0^-1 times the entries of a 6x6 field nonzero somewhere
         return [(i, j, _uniform_or_field(-fold[i] * M[i, j]))
                 for i in range(6) for j in range(6) if M[i, j].any()]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import os
 import platform
 from pathlib import Path
 
@@ -138,6 +139,14 @@ class TestExitCodes:
         assert report.startswith("state construction failed: state.p_plus is not finite")
         assert "PASS" not in report
 
+    def test_variable_free_division_by_zero_exits_two(self, tmp_path, capsys):
+        cfg = expressions_config(tmp_path, p="1 + 0*(1/0)")
+        out = tmp_path / "o"
+        assert run_cli("validate-state", cfg, out) == 2
+        report = (out / "report.txt").read_text()
+        assert report.startswith("state construction failed: state.p_plus is not finite")
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_deeply_nested_expression_exits_two_without_traceback(self, tmp_path, capsys):
         cfg = expressions_config(tmp_path, phi="-" * 5000 + "0")
         out = tmp_path / "o"
@@ -208,7 +217,9 @@ class TestNonFiniteVerdicts:
 
 
 class TestEndToEnd:
-    def test_adjoint_check_artifacts(self, tmp_path, capsys):
+    def test_adjoint_check_artifacts(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = tmp_path / "adj.cfg"
         cfg.write_text("grid.N1 = 12\ngrid.N2 = 8\nadjoint.trials = 3\n")
         out = tmp_path / "o"
@@ -222,6 +233,9 @@ class TestEndToEnd:
         assert f"threads_applied = {applied}" in manifest.splitlines()
         assert f"python = {platform.python_version()}" in manifest.splitlines()
         assert f"numpy = {np.__version__}" in manifest.splitlines()
+        openblas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+        assert {"OMP_NUM_THREADS = 3", f"OPENBLAS_NUM_THREADS = {openblas}",
+                "MKL_NUM_THREADS = unset"} <= set(manifest.splitlines())
 
     def test_spectrum_artifacts_and_dat_copies(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +10,15 @@ from contact_stab.geometry import build_lifted_geometry
 from contact_stab.grid import Grid, d1_field, d2_field
 from contact_stab.linearization import (
     BoundaryTrace,
-    a1_tilde_grid,
     basic_state_from_arrays,
     bc_residual,
     boundary_A1_exact,
     boundary_quadratic_form,
     constant_basic_state,
     first_variation,
+    side_coefficients,
     validate_basic_state,
     w_congruence_check,
-    zero_order_matrix,
 )
 from contact_stab.solver import (
     ROWS,
@@ -68,7 +70,7 @@ class TestBoundaryAlgebra:
         d2phi = basic.geometry.d2_phi_boundary
         worst = 0.0
         for side in (+1, -1):
-            At = a1_tilde_grid(basic, side)
+            At = side_coefficients(basic, side).At1
             for i2 in range(0, grid.N2, 5):
                 tr = BoundaryTrace(
                     H1=basic.u.plus[3, 0, i2], H2=basic.u.plus[4, 0, i2],
@@ -384,15 +386,64 @@ class TestStageInterior:
         assert solver._row_blocks(96, 96) == [(0, 96)]
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+COEFFICIENT_FIELDS = ("A0_inv_diag", "At1", "A2", "C", "d1phi", "d11phi",
+                      "w1", "w2", "div_u", "d2psi")
+
+
+class TestCompactCoefficients:
+    """The operator is stored at the background's own broadcast shape."""
+
+    def test_stored_shapes_follow_the_background(self):
+        from contact_stab.config import parse_config
+        from contact_stab.scenarios import constant_state_from_config, grid_from_config
+
+        cfg = parse_config(str(CONFIGS / "energy_test.cfg"), "energy-test")
+        _, constant = grid_from_config(cfg, constant_state_from_config)
+        small = Grid(24, 16, 6.0, 2.0 * np.pi)
+        for basic, shape in ((constant, (1, 1)),
+                             (rt_background(small), (small.N1, 1)),
+                             (curved_background(small), (small.N1, small.N2))):
+            coeffs = assemble_coefficients(basic)
+            for side in (+1, -1):
+                sc = coeffs.side(side)
+                for M in (sc.At1, sc.A2, sc.C):
+                    assert M.shape == (6, 6) + shape
+                assert sc.A0_diag.shape == (6, basic.grid.N1, basic.grid.N2)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_stage_on_compact_rt_equals_the_stage_on_full_fields(self, eps, rng):
+        grid = Grid(23, 16, 6.0, 2.0 * np.pi)
+        coeffs = assemble_coefficients(rt_background(grid))
+
+        def expanded(sc):
+            return dataclasses.replace(sc, **{
+                name: np.broadcast_to(getattr(sc, name),
+                                      getattr(sc, name).shape[:-2] + (grid.N1, grid.N2))
+                for name in COEFFICIENT_FIELDS})
+
+        full = dataclasses.replace(coeffs, plus=expanded(coeffs.plus),
+                                   minus=expanded(coeffs.minus))
+        assert coeffs.plus.At1.shape[-1] == 1 and full.plus.At1.shape[-1] == grid.N2
+        compact_work, full_work = StageWork(coeffs, eps), StageWork(full, eps)
+        Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
+        f = rng.standard_normal((6, grid.N1, grid.N2))
+        for side in (+1, -1):
+            want, got = np.empty_like(Y), np.empty_like(Y)
+            full_work.interior(side, Y, f, want)
+            compact_work.interior(side, Y, f, got)
+            assert np.array_equal(got, want)
+
+
 class TestZeroOrderMatrix:
     def test_exactly_zero_on_constant_background(self):
         grid = Grid(24, 16, 6.0, 2.0 * np.pi)
         basic = constant_basic_state(grid, v2=0.3, H2=0.4)
         for side in (+1, -1):
-            assert not zero_order_matrix(basic, side).any()
+            assert not side_coefficients(basic, side).C.any()
 
     @pytest.mark.parametrize("kind", ["rt", "expression"])
-    def test_skipping_zero_gradients_keeps_the_full_sum(self, kind, tmp_path):
+    def test_compact_matrix_is_the_full_field_sum(self, kind, tmp_path):
         grid = Grid(24, 16, 6.0, 2.0 * np.pi)
         basic = rt_background(grid) if kind == "rt" else expression_background(grid, tmp_path)
         for side in (+1, -1):
@@ -410,4 +461,5 @@ class TestZeroOrderMatrix:
                     np.einsum("ij...,j...->i...", dA1t, basic.d1_u.side(side))
                     + np.einsum("ij...,j...->i...", dA2, basic.d2_u.side(side))
                 )
-            assert np.array_equal(zero_order_matrix(basic, side), full)
+            C = side_coefficients(basic, side).C
+            assert np.array_equal(np.broadcast_to(C, full.shape), full)
