@@ -117,9 +117,20 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "drop-row-rescale": [
         (SOLVER, "        for i, a0_inv in rescale:\n            out[i] *= a0_inv\n", ""),
     ],
+    # the sampled reports' dtU taken against the previous sample, not the step before
+    "report-prev-from-last-sample": [
+        (SOLVER, "        yield n, snap, energy, report\n        prev = snap\n",
+         "        yield n, snap, energy, report\n        if report is not None:\n"
+         "            prev = snap\n"),
+    ],
+    # the symmetrizer energy on a background uniform in x2 left unweighted by A0
+    "symmetrizer-drops-a0": [
+        (SOLVER, 'np.einsum("ij,ij->j", A0[..., 0], np.einsum("ijk,ijk->ij", U, U))',
+         'np.einsum("ijk,ijk->j", U, U)'),
+    ],
     # the source H1 norm without its centred time difference
     "drop-source-norm-time-term": [
-        (SOLVER, "                s += sq(scratch) / (2.0 * dt) ** 2\n", ""),
+        (SOLVER, "                s += _sq_norm(scratch, grid) / (2.0 * dt) ** 2\n", ""),
     ],
     # the growing roots taken as the decaying basis
     "flip-decaying-selection": [

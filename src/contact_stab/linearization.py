@@ -434,15 +434,14 @@ def _compact(a: np.ndarray) -> np.ndarray:
 class SideCoefficients:
     """The interior operator of one side on the background's grid.
 
-    Every field but A0_diag has the background's own broadcast shape:
-    (1, 1) when the background is uniform, (N1, 1) when it varies in x1
-    only, as the RT state does, and (N1, N2) otherwise.  A0_diag is stored
-    at the full (N1, N2) for the energy monitors.  solver.StageWork folds
-    the nonzero entries of the 6x6 fields into its kernel.
+    Every field has the background's own broadcast shape: (1, 1) when the
+    background is uniform, (N1, 1) when it varies in x1 only, as the RT
+    state does, and (N1, N2) otherwise.  solver.StageWork folds the nonzero
+    entries of the 6x6 fields into its kernel.
     """
 
-    A0_diag: np.ndarray      # (6, N1, N2)
-    A0_inv_diag: np.ndarray  # (6,) + the broadcast shape
+    A0_diag: np.ndarray      # (6,) + the broadcast shape
+    A0_inv_diag: np.ndarray
     At1: np.ndarray          # (6, 6) + the broadcast shape
     A2: np.ndarray
     C: np.ndarray
@@ -456,7 +455,8 @@ class SideCoefficients:
 
 def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:
     """Assemble the interior operator of one side from the background's
-    inputs, each compacted once to its smallest broadcast shape.
+    inputs, each compacted once to its smallest broadcast shape, which every
+    stored field, A0_diag included, then has.
 
     At1 is the effective normal matrix (A1 - A0 dtPsi - A2 d2Psi) / d1Phi.
     Column k of the zero-order matrix C is the directional derivative of the
@@ -488,7 +488,7 @@ def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:
     div_u = (d1_field(np.broadcast_to(u1, full)[None], g.h1)[0]
              + d2_field(np.broadcast_to(u2, full)[None], g.h2)[0])
     return SideCoefficients(
-        A0_diag=np.broadcast_to(A0, (6,) + full).copy(),
+        A0_diag=A0,
         A0_inv_diag=1.0 / A0,
         At1=At1,
         A2=A2,

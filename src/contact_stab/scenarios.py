@@ -411,12 +411,12 @@ def run_energy_test(cfg: ScenarioConfig) -> ScenarioResult:
         k2=cfg["pulse.k2"], amplitude=cfg["pulse.amplitude"], seed=cfg["run.seed"],
     )
     coeffs = solver.assemble_coefficients(basic)
-    energies, rows, prev = [], [solver.EnergyReport.CSV_HEADER], None
-    for n, snap, energy in solver.run(coeffs, eps, initial=init):
+    energies, rows = [], [solver.EnergyReport.CSV_HEADER]
+    for _, _, energy, report in solver.monitored(solver.run(coeffs, eps, initial=init),
+                                                 coeffs, cfg["run.report_every"]):
         energies.append(energy)
-        if solver.sampled(n, cfg["run.report_every"], grid):
-            rows.append(solver.energy_report(snap, coeffs, prev).csv_row())
-        prev = snap
+        if report is not None:
+            rows.append(report.csv_row())
     energies = np.array(energies)
     E0 = energies[0]
     drift = float(np.max(np.abs(energies - E0)) / E0)
@@ -489,14 +489,13 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     sources = make_forcing(grid, cfg["run.seed"], cfg["forcing.amplitude"],
                            cfg["forcing.t_ramp"], cfg["forcing.k2"])
     coeffs = solver.assemble_coefficients(basic)
-    rows, J_max, prev = [solver.EnergyReport.CSV_HEADER], 0.0, None
+    rows, J_max = [solver.EnergyReport.CSV_HEADER], 0.0
     try:
-        for n, snap, _ in solver.run(coeffs, eps, sources=sources):
-            if solver.sampled(n, cfg["run.report_every"], grid):
-                r = solver.energy_report(snap, coeffs, prev)
+        for _, final, _, r in solver.monitored(solver.run(coeffs, eps, sources=sources),
+                                               coeffs, cfg["run.report_every"]):
+            if r is not None:
                 rows.append(r.csv_row())
                 J_max = float(np.maximum(J_max, r.J))  # keeps a NaN J
-            prev = snap
     except solver.BlowUpError as exc:
         return ScenarioResult(ok=False, exit_code=3, report=[f"blow-up at t = {exc.t:.6g}"],
                               csv={"timeseries.csv": rows})
@@ -522,7 +521,7 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     ]
     return ScenarioResult(ok=ok, exit_code=0 if ok else 1, report=report,
                           csv={"timeseries.csv": rows},
-                          snapshots=[("final", prev, grid)],
+                          snapshots=[("final", final, grid)],
                           data={"J_max": J_max, "ratio": ratio})
 
 

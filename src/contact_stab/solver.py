@@ -30,7 +30,7 @@ the interface.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -165,10 +165,6 @@ class Snapshot:
 
     def copy(self) -> "Snapshot":
         return Snapshot(self._sides.shape[2:], self.data.copy(), self.t)
-
-    def f7(self, coeffs: Coefficients, side: int) -> np.ndarray:
-        a = self.a_plus if side == +1 else self.a_minus
-        return a * coeffs.side(side).d1phi
 
     def check_finite(self) -> None:
         if not np.all(np.isfinite(self.data)):
@@ -493,40 +489,54 @@ def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
 # --- monitoring -------------------------------------------------------------
 
 
+def _weigh(rows: np.ndarray, grid: Grid) -> float:
+    """The quadrature of per-x1-row sums over x2: sum_j p_weights1[j] h2 rows[j]."""
+    return float((grid.p_weights1 * grid.h2) @ rows)
+
+
+def _sq_norm(field: np.ndarray, grid: Grid) -> float:
+    """The squared weighted L2 norm of a (..., N1, N2) field, from its
+    per-x1-row sums of squares."""
+    F = field.reshape((-1,) + field.shape[-2:])
+    return _weigh(np.einsum("ijk,ijk->j", F, F), grid)
+
+
 def _weighted_l2(field: np.ndarray, grid: Grid) -> float:
-    w1 = grid.p_weights1
-    sq = field ** 2
-    while sq.ndim > 2:
-        sq = sq.sum(axis=0)
-    return float(np.sqrt(np.sum(sq * w1[:, None]) * grid.h2))
+    return float(np.sqrt(_sq_norm(field, grid)))
 
 
 def _line_l2(line: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(np.sum(line ** 2) * grid.h2))
 
 
+# The monitors sum a blown-up state to inf or NaN quietly; run and the runners judge it.
+@np.errstate(over="ignore", invalid="ignore")
 def symmetrizer_energy(snapshot: Snapshot, coeffs: Coefficients) -> float:
     """The conserved quadratic integral sum_pm int (A0 U, U) dx."""
-    g = coeffs.grid
-    total = 0.0
+    rows = np.zeros(coeffs.grid.N1)
     for side in (+1, -1):
-        U = snapshot.U.side(side)
-        dens = np.einsum("ijk,ijk,ijk->jk", coeffs.side(side).A0_diag, U, U)
-        total += float(np.sum(dens * g.p_weights1[:, None]) * g.h2)
-    return total
+        A0, U = coeffs.side(side).A0_diag, snapshot.U.side(side)
+        if A0.shape[-1] == 1:   # uniform in x2: A0 weights the (6, N1) row sums of U^2
+            rows += np.einsum("ij,ij->j", A0[..., 0], np.einsum("ijk,ijk->ij", U, U))
+        else:
+            rows += np.einsum("ijk,ijk,ijk->j", A0, U, U)
+    return _weigh(rows, coeffs.grid)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def divergence_monitor(snapshot: Snapshot, coeffs: Coefficients):
-    """L2 defect of div h_dot against the tracked companion field, per side."""
+    """L2 defect of div h_dot against the tracked companion field
+    f7 = a d1Phi, per side."""
     g = coeffs.grid
+    h, div, d2h = np.empty((3, g.N1, g.N2))   # planes shared by the sides
     out = []
-    for side in (+1, -1):
-        sc = coeffs.side(side)
-        U = snapshot.U.side(side)
-        hN = U[3] - U[4] * sc.d2psi
-        h2c = U[4] * sc.d1phi
-        div_h = d1_field(hN[None], g.h1)[0] + d2_field(h2c[None], g.h2)[0]
-        out.append(_weighted_l2(div_h - snapshot.f7(coeffs, side), g))
+    for side, a in ((+1, snapshot.a_plus), (-1, snapshot.a_minus)):
+        sc, U = coeffs.side(side), snapshot.U.side(side)
+        np.subtract(U[3], np.multiply(U[4], sc.d2psi, out=h), out=h)   # h_N
+        d1_field(h, g.h1, out=div)
+        div += d2_field(np.multiply(U[4], sc.d1phi, out=h), g.h2, out=d2h)
+        div -= np.multiply(a, sc.d1phi, out=h)
+        out.append(_weighted_l2(div, g))
     return tuple(out)
 
 
@@ -545,28 +555,24 @@ class EnergyReport:
     CSV_HEADER = "t,I_plus,I_minus,J,Q_boundary,div_defect_plus,div_defect_minus,phi_l2,phi_d2_l2"
 
     def csv_row(self) -> str:
-        return ",".join(
-            f"{v:.16e}" for v in (
-                self.t, self.I_plus, self.I_minus, self.J, self.Q_boundary,
-                self.div_defect_plus, self.div_defect_minus, self.phi_l2, self.phi_d2_l2,
-            )
-        )
+        return ",".join(f"{v:.16e}" for v in astuple(self))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def energy_report(snapshot: Snapshot, coeffs: Coefficients,
                   prev: Snapshot | None = None) -> EnergyReport:
     """Per-side energies I (L2 of U, dtU, d2U), the front-augmented J, the
     interface quadratic form, and divergence defects.  dtU is a backward
     difference against prev, the previous step (zero when prev is None)."""
     g = coeffs.grid
+    scratch = np.empty((6, g.N1, g.N2))   # the d2 difference, then U - prev
     I = {}
     for side in (+1, -1):
         U = snapshot.U.side(side)
-        val = _weighted_l2(U, g) ** 2 + _weighted_l2(d2_field(U, g.h2), g) ** 2
+        I[side] = _sq_norm(U, g) + _sq_norm(d2_diff(U, out=scratch), g) / (2.0 * g.h2) ** 2
         if prev is not None and snapshot.t > prev.t:
-            dtU = (U - prev.U.side(side)) / (snapshot.t - prev.t)
-            val += _weighted_l2(dtU, g) ** 2
-        I[side] = val
+            np.subtract(U, prev.U.side(side), out=scratch)
+            I[side] += _sq_norm(scratch, g) / (snapshot.t - prev.t) ** 2
     phi = snapshot.phi
     phi_l2 = _line_l2(phi, g)
     phi_d2 = _line_l2(d2_line(phi, g.h2, order=2), g)
@@ -577,12 +583,9 @@ def energy_report(snapshot: Snapshot, coeffs: Coefficients,
         tr = snapshot.U.side(side)[:, 0, :]
         q -= side * 0.5 * np.einsum("ik,ijk,jk->k", tr, coeffs.A1_exact, tr)
     dp, dm = divergence_monitor(snapshot, coeffs)
-    return EnergyReport(
-        t=snapshot.t, I_plus=I[+1], I_minus=I[-1], J=J,
-        Q_boundary=float(np.sum(q) * g.h2),
-        div_defect_plus=dp, div_defect_minus=dm,
-        phi_l2=phi_l2, phi_d2_l2=phi_d2,
-    )
+    return EnergyReport(t=snapshot.t, I_plus=I[+1], I_minus=I[-1], J=J,
+                        Q_boundary=float(np.sum(q) * g.h2), div_defect_plus=dp,
+                        div_defect_minus=dm, phi_l2=phi_l2, phi_d2_l2=phi_d2)
 
 
 # --- run orchestration ------------------------------------------------------
@@ -617,6 +620,18 @@ def run(coeffs: Coefficients, epsilon: float, sources: Sources | None = None,
         if not np.isfinite(energy):
             raise BlowUpError(snap.t, f"non-finite symmetrizer energy at t = {snap.t:.6g}")
         yield n, snap, energy
+
+
+def monitored(levels: Iterator[tuple[int, Snapshot, float]], coeffs: Coefficients,
+              every: int) -> Iterator[tuple[int, Snapshot, float, EnergyReport | None]]:
+    """run's levels passed through as (n, snapshot, energy, report): report
+    is the EnergyReport of a level sampled every every-th step, against the
+    level just before it, and None on the other levels."""
+    prev = None
+    for n, snap, energy in levels:
+        report = energy_report(snap, coeffs, prev) if sampled(n, every, coeffs.grid) else None
+        yield n, snap, energy, report
+        prev = snap
 
 
 # --- homogenization lift ----------------------------------------------------
@@ -717,21 +732,16 @@ def source_h1_norm(f_func, grid: Grid, times: np.ndarray) -> float:
     levels = ([np.asarray(A, dtype=float) for A in f_func(t)] for t in times)
     prev, cur = None, next(levels)
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
-    w = grid.p_weights1 * grid.h2
     scratch = np.empty_like(cur[0])   # one difference at a time
-
-    def sq(A):   # squared weighted L2 norm
-        return float(w @ np.einsum("ijk,ijk->j", A, A))
-
     total = 0.0
     while cur is not None:
         nxt = next(levels, None)
         for k, A in enumerate(cur):
-            s = (sq(A) + sq(d1_diff(A, out=scratch)) / (2.0 * grid.h1) ** 2
-                 + sq(d2_diff(A, out=scratch)) / (2.0 * grid.h2) ** 2)
+            s = (_sq_norm(A, grid) + _sq_norm(d1_diff(A, out=scratch), grid) / (2.0 * grid.h1) ** 2
+                 + _sq_norm(d2_diff(A, out=scratch), grid) / (2.0 * grid.h2) ** 2)
             if prev is not None and nxt is not None:
                 np.subtract(nxt[k], prev[k], out=scratch)
-                s += sq(scratch) / (2.0 * dt) ** 2
+                s += _sq_norm(scratch, grid) / (2.0 * dt) ** 2
             total += s * dt
         prev, cur = cur, nxt
     return float(np.sqrt(total))
@@ -770,21 +780,17 @@ def eps_sweep(coeffs: Coefficients, eps_list, sources: Sources | None = None) ->
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     grid = coeffs.grid
-    report_every = max(grid.n_steps // 50, 1)
-    sols = []
-    J_max = []
-    trace_bound = []
-    truncated = False
+    sols, J_max, trace_bound, truncated = [], [], [], False
     for eps in eps_list:
-        levels, jm, tb, prev = [], 0.0, 0.0, None
+        levels, jm, tb = [], 0.0, 0.0
         try:
-            for n, snap, _ in run(coeffs, eps, sources=sources):
-                if sampled(n, report_every, grid):
-                    jm = max(jm, energy_report(snap, coeffs, prev).J)
+            for n, snap, _, report in monitored(run(coeffs, eps, sources=sources),
+                                                coeffs, max(grid.n_steps // 50, 1)):
+                if report is not None:
+                    jm = max(jm, report.J)
                 if sampled(n, EPS_SWEEP_STORE_EVERY, grid):
                     levels.append(snap)
-                    tb = max(tb, eps * _line_l2(snap.f7(coeffs, +1)[0], grid))
-                prev = snap
+                    tb = max(tb, eps * _line_l2(snap.a_plus[0] * coeffs.plus.d1phi[0], grid))
         except BlowUpError:
             truncated = True
             break
@@ -793,14 +799,9 @@ def eps_sweep(coeffs: Coefficients, eps_list, sources: Sources | None = None) ->
         trace_bound.append(tb)
     diffs = []
     for s1, s2 in zip(sols, sols[1:]):
-        acc = 0.0
         dt_eff = (s1[1].t - s1[0].t) if len(s1) > 1 else 1.0
-        for a, b in zip(s1, s2):
-            acc += (
-                _weighted_l2(a.U.plus - b.U.plus, grid) ** 2
-                + _weighted_l2(a.U.minus - b.U.minus, grid) ** 2
-            ) * dt_eff
-        diffs.append(float(np.sqrt(acc)))
+        acc = sum(_sq_norm(a.sides[:, :6] - b.sides[:, :6], grid) for a, b in zip(s1, s2))
+        diffs.append(float(np.sqrt(acc * dt_eff)))
     ratios = [d2 / d1 if d1 > 0 else float("inf") for d1, d2 in zip(diffs, diffs[1:])]
     return EpsSweepResult(
         eps_list=eps_list[: len(sols)], diffs=diffs, ratios=ratios,

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import os
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,15 @@ from contact_stab.solver import Snapshot
 
 def run_cli(kind, config, out, extra=()):
     return main([kind, config, "--out", str(out), *extra])
+
+
+def run_cli_warned(kind, config, out, overrides):
+    """(exit code, messages of the RuntimeWarnings) of a run with overrides;
+    a script run would print those warnings to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(kind, config, out, extra=[a for ov in overrides for a in ("--override", ov)])
+    return code, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def expressions_config(tmp_path, p="1", phi="0"):
@@ -115,10 +125,12 @@ class TestExitCodes:
     ])
     def test_energy_test_blow_up_exits_three(self, tmp_path, capsys, overrides):
         out = tmp_path / "o"
-        code = run_cli("energy-test", "configs/energy_test.cfg", out,
-                       extra=[a for ov in overrides for a in ("--override", ov)])
+        code, runtime_warnings = run_cli_warned("energy-test", "configs/energy_test.cfg", out,
+                                                overrides)
         assert code == 3
         assert "blow-up at t =" in (out / "report.txt").read_text()
+        assert runtime_warnings == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps_list", ["0.1,0.2", ",", "0.1,-0.05", "0.1"])
     def test_unusable_eps_list_exits_two_without_artifacts(self, tmp_path, capsys, eps_list):
@@ -166,11 +178,13 @@ class TestExitCodes:
     def test_neutral_mode_blow_up_exits_three(self, tmp_path, capsys):
         out = tmp_path / "o"
         overrides = ("grid.cfl_max=3", "run.T_final=400", "neutral.refinements=9,12")
-        code = run_cli("neutral-mode", "configs/neutral_mode.cfg", out,
-                       extra=[a for ov in overrides for a in ("--override", ov)])
+        code, runtime_warnings = run_cli_warned("neutral-mode", "configs/neutral_mode.cfg", out,
+                                                overrides)
         assert code == 3
         assert "blow-up at t =" in (out / "report.txt").read_text()
         assert "exit_code = 3" in (out / "manifest.txt").read_text()
+        assert runtime_warnings == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 class TestNonFiniteVerdicts:

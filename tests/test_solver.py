@@ -5,7 +5,7 @@ import pytest
 
 from contact_stab import solver
 from contact_stab.fields import TwoSidedField
-from contact_stab.grid import Grid, d1_field, d2_field
+from contact_stab.grid import Grid, d1_field, d2_field, d2_line
 from contact_stab.linearization import (
     basic_state_from_arrays,
     bc_residual,
@@ -25,12 +25,15 @@ from contact_stab.solver import (
     divergence_monitor,
     energy_report,
     eps_sweep,
+    monitored,
     run,
     source_h1_norm,
     speed_bound,
     step,
     symmetrizer_energy,
 )
+
+from test_linearization import curved_background
 
 
 def small_basic(N1=20, N2=16, v2=0.2, T=0.2, eps=1e-2):
@@ -259,6 +262,96 @@ class TestDivergence:
         snap.U.plus[3] += 0.5 * np.exp(-(grid.x1[:, None] - 2.0) ** 2)
         dp, _ = divergence_monitor(snap, assemble_coefficients(basic))
         assert dp > 1e-3
+
+
+def _direct_sq_norm(field, grid):
+    """The squared weighted L2 norm summed directly: field ** 2 summed over
+    the leading axes, then over the grid with the trapezoid x1 weights."""
+    sq = field ** 2
+    while sq.ndim > 2:
+        sq = sq.sum(axis=0)
+    return float(np.sum(sq * grid.p_weights1[:, None]) * grid.h2)
+
+
+MONITOR_BACKGROUNDS = {
+    "constant": lambda grid: constant_basic_state(grid, v2=0.2, H1=1.0, H2=0.3,
+                                                  S_plus=0.2, S_minus=-0.1),
+    "rt": rt_basic_state,
+    "curved": curved_background,
+}
+
+
+class TestMonitorsAgainstDirectSums:
+    """The row-sum monitors against their formulas summed directly, with A0
+    broadcast to full shape in a three-operand contraction, on a random
+    state (and a random previous level) over each background."""
+
+    @pytest.fixture(params=sorted(MONITOR_BACKGROUNDS))
+    def case(self, request, rng):
+        grid = Grid(20, 16, 4.0, 2.0 * np.pi)
+        coeffs = assemble_coefficients(MONITOR_BACKGROUNDS[request.param](grid))
+        n = Snapshot.zeros(grid).data.size
+        snap = Snapshot((grid.N1, grid.N2), rng.standard_normal(n), t=0.3)
+        prev = Snapshot((grid.N1, grid.N2), snap.data + 0.1 * rng.standard_normal(n), t=0.25)
+        return request.param, coeffs, snap, prev
+
+    def test_a0_is_uniform_in_x2_but_on_the_curved_background(self, case):
+        name, coeffs, _, _ = case
+        assert (coeffs.plus.A0_diag.shape[-1] == 1) == (name != "curved")
+
+    def test_symmetrizer_energy(self, case):
+        _, coeffs, snap, _ = case
+        g = coeffs.grid
+        want = 0.0
+        for side in (+1, -1):
+            U = snap.U.side(side)
+            A0 = np.broadcast_to(coeffs.side(side).A0_diag, U.shape)
+            dens = np.einsum("ijk,ijk,ijk->jk", A0, U, U)
+            want += float(np.sum(dens * g.p_weights1[:, None]) * g.h2)
+        assert symmetrizer_energy(snap, coeffs) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("with_prev", [False, True])
+    def test_energy_report(self, case, with_prev):
+        _, coeffs, snap, prev = case
+        g = coeffs.grid
+        I, defect = {}, {}
+        for side in (+1, -1):
+            sc, U = coeffs.side(side), snap.U.side(side)
+            I[side] = _direct_sq_norm(U, g) + _direct_sq_norm(d2_field(U, g.h2), g)
+            if with_prev:
+                I[side] += _direct_sq_norm((U - prev.U.side(side)) / (snap.t - prev.t), g)
+            hN = U[3] - U[4] * sc.d2psi
+            div_h = d1_field(hN[None], g.h1)[0] + d2_field((U[4] * sc.d1phi)[None], g.h2)[0]
+            a = snap.a_plus if side == +1 else snap.a_minus
+            defect[side] = np.sqrt(_direct_sq_norm(div_h - a * sc.d1phi, g))
+        rep = energy_report(snap, coeffs, prev if with_prev else None)
+        phi_sq = (np.sum(snap.phi ** 2) + np.sum(d2_line(snap.phi, g.h2, order=2) ** 2)) * g.h2
+        for got, want in ((rep.I_plus, I[+1]), (rep.I_minus, I[-1]),
+                          (rep.J, I[+1] + I[-1] + phi_sq),
+                          (rep.div_defect_plus, defect[+1]), (rep.div_defect_minus, defect[-1])):
+            assert got == pytest.approx(want, rel=1e-13)
+        assert divergence_monitor(snap, coeffs) == (rep.div_defect_plus, rep.div_defect_minus)
+
+
+class TestMonitoredLevels:
+    def test_reports_the_sampled_levels_against_the_step_before(self):
+        basic, grid = small_basic()
+        coeffs = assemble_coefficients(basic)
+        every = 2
+        assert grid.n_steps > 2 * every and grid.n_steps % every
+        init = divergence_free_pulse(grid, seed=4)
+        levels = list(monitored(run(coeffs, 1e-2, initial=init), coeffs, every))
+        bare = list(run(coeffs, 1e-2, initial=init))
+        assert [n for n, *_ in levels] == list(range(grid.n_steps + 1))
+        for (n, snap, energy, report), (_, bare_snap, bare_energy) in zip(levels, bare):
+            assert energy == bare_energy and np.array_equal(snap.data, bare_snap.data)
+            if not solver.sampled(n, every, grid):
+                assert report is None
+                continue
+            prev = levels[n - 1][1] if n else None
+            assert report == energy_report(snap, coeffs, prev)
+            if n:
+                assert report != energy_report(snap, coeffs, None)
 
 
 def sloped_background(grid):
@@ -505,20 +598,19 @@ class TestLift:
 
 
 def _reference_source_h1_norm(f_func, grid, times):
-    """The space-time H1 norm term by term: _weighted_l2 of each level, of its
-    d1_field and d2_field, and of the centred time difference."""
+    """The space-time H1 norm term by term: the direct squared norm of each
+    level, of its d1_field and d2_field, and of the centred time difference."""
     levels = [f_func(t) for t in times]
     dt = float(times[1] - times[0])
     total = 0.0
     for n, pair in enumerate(levels):
         for k in range(2):
             A = np.asarray(pair[k], dtype=float)
-            sq = (solver._weighted_l2(A, grid) ** 2
-                  + solver._weighted_l2(d1_field(A, grid.h1), grid) ** 2
-                  + solver._weighted_l2(d2_field(A, grid.h2), grid) ** 2)
+            sq = (_direct_sq_norm(A, grid) + _direct_sq_norm(d1_field(A, grid.h1), grid)
+                  + _direct_sq_norm(d2_field(A, grid.h2), grid))
             if 0 < n < len(levels) - 1:
                 dA = (np.asarray(levels[n + 1][k]) - np.asarray(levels[n - 1][k])) / (2 * dt)
-                sq += solver._weighted_l2(dA, grid) ** 2
+                sq += _direct_sq_norm(dA, grid)
             total += sq * dt
     return float(np.sqrt(total))
 
