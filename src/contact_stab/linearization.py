@@ -216,12 +216,7 @@ class BasicState:
         return normal_jump(self.u.plus[0], self.u.minus[0], self.grid.h1)
 
     def jump_d1_Htau(self) -> np.ndarray:
-        out = []
-        for side in (+1, -1):
-            U = self.u.side(side)
-            ht = tangential_component(U[3], U[4], self.d2psi(side))
-            out.append(ht)
-        return normal_jump(out[0], out[1], self.grid.h1)
+        return normal_jump(self.Htau(+1), self.Htau(-1), self.grid.h1)
 
     def d1_vN_plus_wall(self) -> np.ndarray:
         return one_sided_d1_at_wall(self.vN(+1), self.grid.h1)

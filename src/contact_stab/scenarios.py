@@ -269,10 +269,7 @@ class ManufacturedProblem:
             trp = c2[+1] * self._t_vector(+1, t)[:, None]
             trm = c2[-1] * self._t_vector(-1, t)[:, None]
             rows = np.zeros((5, grid.N2))
-            rows[0] = trp[0] - trm[0]
-            rows[1] = trp[1] - trm[1]
-            rows[2] = trp[2] - trm[2]
-            rows[3] = trp[4] - trm[4]
+            rows[:4] = trp[[0, 1, 2, 4]] - trm[[0, 1, 2, 4]]   # the jumps of p, v1, v2, H2
             rows[4] = self.front(t, x2, dt_order=1) + v2h * self.front(t, x2, d2_order=1) - trp[1]
             return rows
 

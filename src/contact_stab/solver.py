@@ -30,7 +30,7 @@ the interface.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -518,7 +518,7 @@ def symmetrizer_energy(snapshot: Snapshot, coeffs: Coefficients) -> float:
         A0, U = coeffs.side(side).A0_diag, snapshot.U.side(side)
         if A0.shape[-1] == 1:   # uniform in x2: A0 weights the (6, N1) row sums of U^2
             rows += np.einsum("ij,ij->j", A0[..., 0], np.einsum("ijk,ijk->ij", U, U))
-        else:
+        else:   # covers every shape, but takes twice the time on a uniform A0
             rows += np.einsum("ijk,ijk,ijk->j", A0, U, U)
     return _weigh(rows, coeffs.grid)
 
@@ -528,15 +528,13 @@ def divergence_monitor(snapshot: Snapshot, coeffs: Coefficients):
     """L2 defect of div h_dot against the tracked companion field
     f7 = a d1Phi, per side."""
     g = coeffs.grid
-    h, div, d2h = np.empty((3, g.N1, g.N2))   # planes shared by the sides
     out = []
     for side, a in ((+1, snapshot.a_plus), (-1, snapshot.a_minus)):
         sc, U = coeffs.side(side), snapshot.U.side(side)
-        np.subtract(U[3], np.multiply(U[4], sc.d2psi, out=h), out=h)   # h_N
-        d1_field(h, g.h1, out=div)
-        div += d2_field(np.multiply(U[4], sc.d1phi, out=h), g.h2, out=d2h)
-        div -= np.multiply(a, sc.d1phi, out=h)
-        out.append(_weighted_l2(div, g))
+        div_h = d1_field(U[3] - U[4] * sc.d2psi, g.h1)   # d1 of h_N
+        div_h += d2_field(U[4] * sc.d1phi, g.h2)
+        div_h -= a * sc.d1phi
+        out.append(_weighted_l2(div_h, g))
     return tuple(out)
 
 
@@ -555,7 +553,12 @@ class EnergyReport:
     CSV_HEADER = "t,I_plus,I_minus,J,Q_boundary,div_defect_plus,div_defect_minus,phi_l2,phi_d2_l2"
 
     def csv_row(self) -> str:
-        return ",".join(f"{v:.16e}" for v in astuple(self))
+        return ",".join(
+            f"{v:.16e}" for v in (
+                self.t, self.I_plus, self.I_minus, self.J, self.Q_boundary,
+                self.div_defect_plus, self.div_defect_minus, self.phi_l2, self.phi_d2_l2,
+            )
+        )
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -566,26 +569,25 @@ def energy_report(snapshot: Snapshot, coeffs: Coefficients,
     difference against prev, the previous step (zero when prev is None)."""
     g = coeffs.grid
     scratch = np.empty((6, g.N1, g.N2))   # the d2 difference, then U - prev
-    I = {}
+    I, q = {}, np.zeros(g.N2)
     for side in (+1, -1):
         U = snapshot.U.side(side)
         I[side] = _sq_norm(U, g) + _sq_norm(d2_diff(U, out=scratch), g) / (2.0 * g.h2) ** 2
         if prev is not None and snapshot.t > prev.t:
             np.subtract(U, prev.U.side(side), out=scratch)
             I[side] += _sq_norm(scratch, g) / (snapshot.t - prev.t) ** 2
+        q -= side * 0.5 * np.einsum("ik,ijk,jk->k", U[:, 0, :], coeffs.A1_exact, U[:, 0, :])
     phi = snapshot.phi
     phi_l2 = _line_l2(phi, g)
     phi_d2 = _line_l2(d2_line(phi, g.h2, order=2), g)
     J = I[+1] + I[-1] + phi_l2 ** 2 + phi_d2 ** 2
-
-    q = np.zeros(g.N2)
-    for side in (+1, -1):
-        tr = snapshot.U.side(side)[:, 0, :]
-        q -= side * 0.5 * np.einsum("ik,ijk,jk->k", tr, coeffs.A1_exact, tr)
     dp, dm = divergence_monitor(snapshot, coeffs)
-    return EnergyReport(t=snapshot.t, I_plus=I[+1], I_minus=I[-1], J=J,
-                        Q_boundary=float(np.sum(q) * g.h2), div_defect_plus=dp,
-                        div_defect_minus=dm, phi_l2=phi_l2, phi_d2_l2=phi_d2)
+    return EnergyReport(
+        t=snapshot.t, I_plus=I[+1], I_minus=I[-1], J=J,
+        Q_boundary=float(np.sum(q) * g.h2),
+        div_defect_plus=dp, div_defect_minus=dm,
+        phi_l2=phi_l2, phi_d2_l2=phi_d2,
+    )
 
 
 # --- run orchestration ------------------------------------------------------
@@ -780,12 +782,16 @@ def eps_sweep(coeffs: Coefficients, eps_list, sources: Sources | None = None) ->
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     grid = coeffs.grid
-    sols, J_max, trace_bound, truncated = [], [], [], False
+    report_every = max(grid.n_steps // 50, 1)
+    sols = []
+    J_max = []
+    trace_bound = []
+    truncated = False
     for eps in eps_list:
         levels, jm, tb = [], 0.0, 0.0
         try:
             for n, snap, _, report in monitored(run(coeffs, eps, sources=sources),
-                                                coeffs, max(grid.n_steps // 50, 1)):
+                                                coeffs, report_every):
                 if report is not None:
                     jm = max(jm, report.J)
                 if sampled(n, EPS_SWEEP_STORE_EVERY, grid):
@@ -799,9 +805,14 @@ def eps_sweep(coeffs: Coefficients, eps_list, sources: Sources | None = None) ->
         trace_bound.append(tb)
     diffs = []
     for s1, s2 in zip(sols, sols[1:]):
+        acc = 0.0
         dt_eff = (s1[1].t - s1[0].t) if len(s1) > 1 else 1.0
-        acc = sum(_sq_norm(a.sides[:, :6] - b.sides[:, :6], grid) for a, b in zip(s1, s2))
-        diffs.append(float(np.sqrt(acc * dt_eff)))
+        for a, b in zip(s1, s2):
+            acc += (
+                _weighted_l2(a.U.plus - b.U.plus, grid) ** 2
+                + _weighted_l2(a.U.minus - b.U.minus, grid) ** 2
+            ) * dt_eff
+        diffs.append(float(np.sqrt(acc)))
     ratios = [d2 / d1 if d1 > 0 else float("inf") for d1, d2 in zip(diffs, diffs[1:])]
     return EpsSweepResult(
         eps_list=eps_list[: len(sols)], diffs=diffs, ratios=ratios,
@@ -840,10 +851,10 @@ def discrete_adjoint_check(basic_const: BasicState, epsilon: float,
     fields), since each difference operator satisfies summation by parts.
     """
     g = basic_const.grid
-    tri, trim = (
-        mhd.assemble_matrices(mhd.PlasmaState.from_vector(U[:, 0, 0], gamma=basic_const.gamma))
-        for U in (basic_const.u.plus, basic_const.u.minus)
-    )
+    tri = {side: mhd.assemble_matrices(mhd.PlasmaState.from_vector(U[:, 0, 0],
+                                                                    gamma=basic_const.gamma))
+           for side, U in ((+1, basic_const.u.plus), (-1, basic_const.u.minus))}
+    B = {side: side * tri[side].A1 - epsilon * np.eye(6) for side in (+1, -1)}
     Nt, dt = 12, 0.05   # time levels and step of the random space-time fields
     w1 = g.p_weights1
 
@@ -855,11 +866,9 @@ def discrete_adjoint_check(basic_const: BasicState, epsilon: float,
         return out
 
     def apply_L(F, side):
-        tri_s = tri if side == +1 else trim
-        B = side * tri_s.A1 - epsilon * np.eye(6)
-        out = np.einsum("ij,tjkl->tikl", tri_s.A0, dt_central(F))
-        out += np.einsum("ij,tjkl->tikl", B, d1_field(F, g.h1))
-        out += np.einsum("ij,tjkl->tikl", tri_s.A2, d2_field(F, g.h2))
+        out = np.einsum("ij,tjkl->tikl", tri[side].A0, dt_central(F))
+        out += np.einsum("ij,tjkl->tikl", B[side], d1_field(F, g.h1))
+        out += np.einsum("ij,tjkl->tikl", tri[side].A2, d2_field(F, g.h2))
         return out
 
     def inner(F, G):
@@ -878,9 +887,7 @@ def discrete_adjoint_check(basic_const: BasicState, epsilon: float,
             LU = apply_L(U, side)
             LV = apply_L(V, side)
             defect_terms += inner(LU, V) + inner(U, LV)
-            tri_s = tri if side == +1 else trim
-            B = side * tri_s.A1 - epsilon * np.eye(6)
-            bt = -np.einsum("tik,ij,tjk->", U[:, :, 0, :], B, V[:, :, 0, :]) * dt * g.h2
+            bt = -np.einsum("tik,ij,tjk->", U[:, :, 0, :], B[side], V[:, :, 0, :]) * dt * g.h2
             btotal += float(bt)
             scale += abs(inner(LU, V)) + abs(inner(U, LV))
         scale = max(scale, 1e-30)
