@@ -64,7 +64,16 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # the companion row 6 without its source term div f_h / d1Phi
     "drop-companion-source": [
-        (SOLVER, "            out[6] += div\n", ""),
+        (SOLVER, "            div /= sc.d1phi\n", "            div[...] = 0.0\n"),
+    ],
+    # the forced term never refilled after its first fill, whatever the stage time
+    "stale-source-term": [
+        (SOLVER, "        if held_t != t or held_f is not f:\n", "        if held_f is None:\n"),
+    ],
+    # the rows a stage differences stop one short of the last row its operator reads
+    "drop-last-derivative-row": [
+        (SOLVER, "lo, hi = (min(read), max(read) + 1) if read else (0, 0)",
+         "lo, hi = (min(read), max(read)) if read else (0, 0)"),
     ],
     # the companion row 6 without its far-wall extrapolation
     "drop-companion-far-wall": [
@@ -110,8 +119,8 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # the lift's source without the A0 dU_tilde/dt part
     "drop-lift-time-derivative": [
-        (SOLVER, "plus = self.coeffs.plus.A0_diag * (L[:6] - dUdt)",
-         "plus = self.coeffs.plus.A0_diag * L[:6]"),
+        (SOLVER, "        np.subtract(self._L[:6], rate, out=rate)\n",
+         "        np.copyto(rate, self._L[:6])\n"),
     ],
     # the rows whose A0^-1 is a field left unscaled by it
     "drop-row-rescale": [

@@ -179,7 +179,9 @@ class Sources:
     either may be None for homogeneous data.  Each callback's last value is
     kept and returned again for the same t, so an RK4 step evaluates each
     callback once per distinct stage time; callers must not modify the
-    returned arrays.
+    returned arrays.  A callback returns new arrays on each call: the
+    forced term of StageWork.forced_term is keyed on the arrays of f, and
+    source_h1_norm holds three of f's levels at once.
     """
 
     f: object = None
@@ -326,9 +328,13 @@ def _stage_entries(sc: SideCoefficients, epsilon: float):
 
 def _fold_differences(d1: list, d2: list, grid: Grid):
     """The d1 and d2 entry lists recast to act on the raw differences of
-    d1_diff and d2_diff: the uniform entries as one (ROWS, 2 ROWS) matrix on
-    the stacked differences, the field-valued ones as two entry lists, all
-    with the stencils' 1/(2h) folded in."""
+    d1_diff and d2_diff, with the stencils' 1/(2h) folded in.
+
+    Returns M, spans, fields: spans are the slices of rows that d1 and d2
+    must difference, from the first to the last row that a nonzero column
+    or a field-valued entry reads; M holds the uniform entries as a matrix
+    on the two spans' differences stacked, and fields the field-valued
+    entries as two lists, with j counted from the start of its span."""
     M = np.zeros((ROWS, 2 * ROWS))
     fields = ([], [])
     for half, entries, h in ((0, d1, grid.h1), (1, d2, grid.h2)):
@@ -339,7 +345,15 @@ def _fold_differences(d1: list, d2: list, grid: Grid):
                 fields[half].append((i, j, c / (2.0 * h)))
     M[:, :ROWS] /= 2.0 * grid.h1
     M[:, ROWS:] /= 2.0 * grid.h2
-    return M, fields
+    spans, cols, shifted = [], [], []
+    for half in (0, 1):
+        read = [j for j in range(ROWS) if M[:, half * ROWS + j].any()]
+        read += [j for _, j, _ in fields[half]]
+        lo, hi = (min(read), max(read) + 1) if read else (0, 0)
+        spans.append(slice(lo, hi))
+        cols.extend(range(half * ROWS + lo, half * ROWS + hi))
+        shifted.append([(i, j - lo, c) for i, j, c in fields[half]])
+    return M[:, cols], spans, shifted
 
 
 # Grid points per block of StageWork.interior.  A block's working set is
@@ -362,72 +376,95 @@ class StageWork:
     (and once per BoundaryLift, whose source uses interior) from the
     Coefficients and epsilon.
 
-    interior works through blocks, the (r0, r1) ranges of x1 rows that
-    tile the grid.  deriv, of shape (14, N1, N2), holds the raw d1 (rows
-    0-6) and d2 (rows 7-13) differences of one side's ROWS rows; a block
-    writes only the head of its memory, as a (14, r1 - r0, N2) array, so
-    that a large grid's block stays in cache.  The forced-source terms use
-    deriv whole, after the blocks.  rk4 holds step's snapshots k (a stage's
-    derivatives), acc (the RK4 combination) and y (the stage state),
-    allocated when step first needs them.
+    Per side, spans holds the slices of Y rows that d1 and d2 difference,
+    from the first to the last row the operator reads, and entries the
+    matrix M that acts on just those differences, stacked: (7, 11) on the
+    RT background, whose d2 reads rows 0-3 only, (7, 14) where every row's
+    d2 is read.  interior works through blocks, the (r0, r1) ranges of x1
+    rows that tile the grid; a block writes its differences at the head of
+    the (14, N1, N2) buffer deriv, as an (M columns, r1 - r0, N2) array, so
+    that a large grid's block stays in cache.  forced_term fills one
+    (ROWS, N1, N2) term buffer per side, allocated on the first forced
+    stage, once per stage time and source.  rk4 holds step's snapshots k (a
+    stage's derivatives), acc (the RK4 combination) and y (the stage
+    state), allocated when step first needs them.
     """
 
     def __init__(self, coeffs: Coefficients, epsilon: float):
         grid = self.grid = coeffs.grid
         self.coeffs = coeffs
-        self.entries = {}
+        self.entries, self.spans = {}, {}
         for s in (+1, -1):
             d1, d2, C, source, rescale = _stage_entries(coeffs.side(s), epsilon)
-            M, (d1_fields, d2_fields) = _fold_differences(d1, d2, grid)
+            M, self.spans[s], (d1_fields, d2_fields) = _fold_differences(d1, d2, grid)
             self.entries[s] = (M, d1_fields, d2_fields, C, source, rescale)
         self.deriv = np.empty((2 * ROWS, grid.N1, grid.N2))
-        self.d1, self.d2 = self.deriv[:ROWS], self.deriv[ROWS:]
         self.plane = np.empty((grid.N1, grid.N2))
         self.blocks = _row_blocks(grid.N1, grid.N2)
-        # per block: its rows, and its differences and plane at the head of
-        # deriv and plane
-        self._block_views = []
-        for r0, r1 in self.blocks:
-            n = (r1 - r0) * grid.N2
-            deriv = self.deriv.reshape(-1)[:2 * ROWS * n].reshape(2 * ROWS, r1 - r0, grid.N2)
-            plane = self.plane.reshape(-1)[:n].reshape(r1 - r0, grid.N2)
-            self._block_views.append((r0, r1, deriv, plane))
+        # per side and block: its rows, and its differences and plane at the
+        # head of deriv and plane
+        self._block_views = {}
+        for s in (+1, -1):
+            cols = self.entries[s][0].shape[1]
+            self._block_views[s] = views = []
+            for r0, r1 in self.blocks:
+                n = (r1 - r0) * grid.N2
+                deriv = self.deriv.reshape(-1)[:cols * n].reshape(cols, r1 - r0, grid.N2)
+                plane = self.plane.reshape(-1)[:n].reshape(r1 - r0, grid.N2)
+                views.append((r0, r1, deriv, plane))
+        self._terms = {}   # side -> (term buffer, the t and f it holds)
 
     @cached_property
     def rk4(self) -> tuple[Snapshot, Snapshot, Snapshot]:
         return tuple(Snapshot.zeros(self.grid) for _ in range(3))
 
-    def interior(self, side: int, Y: np.ndarray, f: np.ndarray | None,
-                 out: np.ndarray) -> None:
-        """The stage derivatives of one side's rows Y into out: rows 0-5
-        A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U + f), row 6 the
-        companion transport plus div f_h / d1Phi.  A row whose A0^-1 is a
-        field is scaled by it once, after its terms are summed."""
-        M, d1_fields, d2_fields, C, source, rescale = self.entries[side]
-        flat = out.reshape(ROWS, -1)
-        N2 = self.grid.N2
-        for r0, r1, deriv, plane in self._block_views:
-            d1, d2 = deriv[:ROWS], deriv[ROWS:]
-            d1_diff(Y, out=d1, rows=(r0, r1))
-            d2_diff(Y, out=d2, rows=(r0, r1))
-            np.matmul(M, deriv.reshape(2 * ROWS, -1), out=flat[:, r0 * N2:r1 * N2])
-            rows = slice(r0, r1)
-            _contract_entries([(d1_fields, d1), (d2_fields, d2), (C, Y[:, rows])],
-                              out[:, rows], plane, rows)
-        if f is not None:
-            weighted = self.deriv[:6]   # the differences are consumed by now
-            np.multiply(f, source, out=weighted)
-            out[:6] += weighted
-            # f_h = (f_N, d1Phi * f_H2), differentiated into the free row 6
-            sc = self.coeffs.side(side)
-            fh, div = self.plane, self.d1[6]
+    def forced_term(self, side: int, t: float, f: np.ndarray) -> np.ndarray:
+        """The forced part of one side's stage at t for that side's source
+        f: rows 0-5 the weighted f, row 6 div f_h / d1Phi.
+
+        The side's term buffer is filled again only when t or f (held by
+        reference, and compared by identity) differs from what it holds, so
+        an RK4 step fills it once per distinct stage time; this relies on a
+        source callback returning new arrays on each call."""
+        term, held_t, held_f = self._terms.get(side, (None, None, None))
+        if term is None:
+            term = np.empty((ROWS, self.grid.N1, self.grid.N2))
+        if held_t != t or held_f is not f:
+            sc, source = self.coeffs.side(side), self.entries[side][4]
+            np.multiply(f, source, out=term[:6])
+            # f_h = (f_N, d1Phi * f_H2), differentiated into row 6
+            fh, div = self.plane, term[6]
             np.multiply(f[4], sc.d2psi, out=fh)
             np.subtract(f[3], fh, out=fh)
             d1_field(fh, self.grid.h1, out=div)
             np.multiply(sc.d1phi, f[4], out=fh)
-            div += d2_field(fh, self.grid.h2, out=self.d2[6])
+            div += d2_field(fh, self.grid.h2, out=self.deriv[0])
             div /= sc.d1phi
-            out[6] += div
+            self._terms[side] = (term, t, f)
+        return term
+
+    def interior(self, side: int, Y: np.ndarray, term: np.ndarray | None,
+                 out: np.ndarray) -> None:
+        """The stage derivatives of one side's rows Y into out: rows 0-5
+        A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U), row 6 the companion
+        transport, each plus its row of term, the forced_term, when it is
+        given.  A row whose A0^-1 is a field is scaled by it once, after its
+        terms are summed."""
+        M, d1_fields, d2_fields, C, _, rescale = self.entries[side]
+        s1, s2 = self.spans[side]
+        n1 = s1.stop - s1.start
+        flat = out.reshape(ROWS, -1)
+        N2 = self.grid.N2
+        for r0, r1, deriv, plane in self._block_views[side]:
+            d1, d2 = deriv[:n1], deriv[n1:]
+            d1_diff(Y[s1], out=d1, rows=(r0, r1))
+            d2_diff(Y[s2], out=d2, rows=(r0, r1))
+            np.matmul(M, deriv.reshape(len(deriv), -1), out=flat[:, r0 * N2:r1 * N2])
+            rows = slice(r0, r1)
+            _contract_entries([(d1_fields, d1), (d2_fields, d2), (C, Y[:, rows])],
+                              out[:, rows], plane, rows)
+        if term is not None:
+            out += term
         for i, a0_inv in rescale:
             out[i] *= a0_inv
 
@@ -436,9 +473,9 @@ def _stage(y: Snapshot, t: float, work: StageWork, sources: Sources, out: Snapsh
     """The stage derivatives at y, written into out."""
     fpm = sources.f_eval(t)
     g_rows = sources.g_eval(t)
-    fp, fm = fpm if fpm is not None else (None, None)
-    work.interior(+1, y.sides[0], fp, out.sides[0])
-    work.interior(-1, y.sides[1], fm, out.sides[1])
+    for k, side in enumerate((+1, -1)):
+        term = None if fpm is None else work.forced_term(side, t, fpm[k])
+        work.interior(side, y.sides[k], term, out.sides[k])
     out.phi[:] = _front_rhs(y.phi, y.U.plus[:, 0, :], work.coeffs, g_rows, work.grid)
 
 
@@ -663,6 +700,13 @@ class BoundaryLift:
         self._profile = np.exp(-g.x1 / LIFT_DECAY_LENGTH)[:, None]
         self._phi_cache: dict[float, np.ndarray] = {}
         self._work = StageWork(self.coeffs, self.epsilon)
+        # interior_source's buffers: U_tilde with a zero companion row, the
+        # operator on it, and dU_tilde/dt; and the - side's source
+        self._Y = np.zeros((ROWS, g.N1, g.N2))
+        self._L = np.empty_like(self._Y)
+        self._rate = np.empty((6, g.N1, g.N2))
+        self._zero = np.zeros((6, g.N1, g.N2))
+        self._zero.flags.writeable = False
 
     def _traces(self, phi_tilde: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
         """+ side trace that zeroes the four jump rows against a zero - side;
@@ -700,25 +744,25 @@ class BoundaryLift:
     def _trace_at(self, t: float) -> np.ndarray:
         return self._traces(self._phi_at(t), np.asarray(self.g_func(t), dtype=float))
 
-    def u_tilde(self, t: float) -> TwoSidedField:
-        plus = self._trace_at(t)[:, None, :] * self._profile[None, :, :]
-        return TwoSidedField(plus, np.zeros_like(plus))
+    def u_tilde(self, t: float, out: np.ndarray | None = None) -> TwoSidedField:
+        """U_tilde at t, with its + side written into out when given; the
+        - side is a shared read-only zero array."""
+        plus = np.multiply(self._trace_at(t)[:, None, :], self._profile, out=out)
+        return TwoSidedField(plus, self._zero)
 
     def interior_source(self, t: float):
         """F = -L U_tilde: the (plus, minus) source the lifted field feeds
         the interior, in the pair layout of Sources.f.  The spatial part of
         L is the stage kernel's, on U_tilde with a zero companion row; the
-        - side of U_tilde is zero, and so is its source."""
-        g = self.coeffs.grid
-        Y = np.zeros((ROWS, g.N1, g.N2))
-        Y[:6] = self.u_tilde(t).plus
-        L = np.empty_like(Y)
-        self._work.interior(+1, Y, None, L)
+        - side of U_tilde is zero, and so is its source, the shared zero
+        array.  Only the returned + array is new."""
+        self.u_tilde(t, out=self._Y[:6])
+        self._work.interior(+1, self._Y, None, self._L)
         d_trace = (self._trace_at(t + LIFT_DT_PROBE)
                    - self._trace_at(t - LIFT_DT_PROBE)) / (2.0 * LIFT_DT_PROBE)
-        dUdt = d_trace[:, None, :] * self._profile[None, :, :]
-        plus = self.coeffs.plus.A0_diag * (L[:6] - dUdt)
-        return plus, np.zeros_like(plus)
+        rate = np.multiply(d_trace[:, None, :], self._profile, out=self._rate)
+        np.subtract(self._L[:6], rate, out=rate)
+        return np.multiply(self.coeffs.plus.A0_diag, rate), self._zero
 
 
 # --- source norm ------------------------------------------------------------

@@ -271,6 +271,7 @@ def background(kind, grid, tmp_path):
         "constant": lambda: constant_basic_state(grid, v2=0.3, H2=0.4),
         "rt": lambda: rt_background(grid),
         "expression": lambda: expression_background(grid, tmp_path),
+        "curved": lambda: curved_background(grid),
     }[kind]()
 
 
@@ -288,7 +289,7 @@ class TestStageInterior:
     operator, against A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U)
     contracted densely."""
 
-    @pytest.mark.parametrize("kind", ["constant", "rt", "expression"])
+    @pytest.mark.parametrize("kind", ["constant", "rt", "expression", "curved"])
     def test_matches_the_dense_operator(self, kind, rng, tmp_path):
         grid = Grid(24, 16, 6.0, 2.0 * np.pi)
         coeffs = assemble_coefficients(background(kind, grid, tmp_path))
@@ -326,6 +327,35 @@ class TestStageInterior:
                 assert np.array_equal(scale, a0_inv[i])
             assert np.array_equal(source.ravel(), [1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("name, kind, d2_rows, cols", [
+        ("rt_stable", "rt-run", 4, 11), ("energy_test", "energy-test", 7, 14),
+        ("mms", "mms", 7, 14)])
+    def test_shipped_backgrounds_difference_only_the_rows_they_read(self, name, kind,
+                                                                     d2_rows, cols):
+        # on RT v2 = 0, so d2 reads p, v1, v2 and H1 (rows 0-3) alone
+        from contact_stab import scenarios
+        from contact_stab.config import parse_config
+
+        cfg = parse_config(str(CONFIGS / f"{name}.cfg"), kind,
+                           overrides=["grid.N1=17", "grid.N2=17"])
+        builder = (scenarios.rt_state_from_config if name == "rt_stable"
+                   else scenarios.constant_state_from_config)
+        _, basic = scenarios.grid_from_config(cfg, builder)
+        work = StageWork(assemble_coefficients(basic), cfg["run.epsilon"])
+        for side in (+1, -1):
+            assert work.spans[side] == [slice(0, ROWS), slice(0, d2_rows)]
+            assert work.entries[side][0].shape == (ROWS, cols)
+
+    def test_curved_background_at_zero_eps_leaves_the_companion_d1_out(self):
+        # its transport field vanishes: without eps no row reads d1 of rows 5 and 6,
+        # while its d1 entries are field-valued
+        coeffs = assemble_coefficients(curved_background(Grid(24, 16, 6.0, 2.0 * np.pi)))
+        work = StageWork(coeffs, 0.0)
+        for side in (+1, -1):
+            assert work.spans[side] == [slice(0, 5), slice(0, ROWS)]
+            assert work.entries[side][0].shape == (ROWS, 12)
+            assert work.entries[side][1]
+
     def test_expression_background_keeps_field_valued_d1_entries(self, tmp_path):
         coeffs = assemble_coefficients(
             expression_background(Grid(24, 16, 6.0, 2.0 * np.pi), tmp_path))
@@ -334,7 +364,7 @@ class TestStageInterior:
             assert work.entries[side][1]
 
     @pytest.mark.parametrize("blocking", BLOCKINGS)
-    @pytest.mark.parametrize("kind", ["constant", "rt", "expression"])
+    @pytest.mark.parametrize("kind", ["constant", "rt", "expression", "curved"])
     def test_row_blocks_give_the_one_block_result(self, kind, blocking, rng, tmp_path,
                                                   monkeypatch):
         grid = Grid(23, 16, 6.0, 2.0 * np.pi)
@@ -352,8 +382,9 @@ class TestStageInterior:
             for side in (+1, -1):
                 for forcing in (None, f):
                     expected, got = np.empty_like(Y), np.empty_like(Y)
-                    whole.interior(side, Y, forcing, expected)
-                    blocked.interior(side, Y, forcing, got)
+                    for work, res in ((whole, expected), (blocked, got)):
+                        term = None if forcing is None else work.forced_term(side, 0.0, forcing)
+                        work.interior(side, Y, term, res)
                     assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("blocking", BLOCKINGS)
@@ -430,8 +461,8 @@ class TestCompactCoefficients:
         f = rng.standard_normal((6, grid.N1, grid.N2))
         for side in (+1, -1):
             want, got = np.empty_like(Y), np.empty_like(Y)
-            full_work.interior(side, Y, f, want)
-            compact_work.interior(side, Y, f, got)
+            for work, res in ((full_work, want), (compact_work, got)):
+                work.interior(side, Y, work.forced_term(side, 0.0, f), res)
             assert np.array_equal(got, want)
 
 

@@ -494,6 +494,15 @@ class TestLift:
         snapshots = [v for v in vars(lift._work).values() if isinstance(v, (Snapshot, tuple))]
         assert snapshots == []
 
+    def test_source_is_a_new_plus_array_and_a_shared_read_only_zero(self):
+        # source_h1_norm holds three levels at once, so no level may be overwritten
+        basic, grid = small_basic()
+        lift = BoundaryLift(assemble_coefficients(basic),
+                            lambda t: np.full((5, grid.N2), 1.0 + t))
+        (p1, m1), (p2, m2) = lift.interior_source(0.1), lift.interior_source(0.2)
+        assert not np.shares_memory(p1, p2) and not np.array_equal(p1, p2)
+        assert m1 is m2 and not m1.flags.writeable and not m1.any()
+
     def test_plus_side_carries_the_jump(self):
         basic, grid = small_basic(v2=0.0)
 

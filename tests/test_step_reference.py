@@ -187,3 +187,34 @@ class TestWorkspaceBelongsToOneRun:
         for shape in ((N1 + 2, N2), (N1, N2 + 2)):
             with pytest.raises(ValueError, match="shape"):
                 step(Snapshot.zeros(Grid(*shape, X1, X2)), work, Sources())
+
+
+class TestForcedTerm:
+    """The forced part of a stage is filled once per stage time and source."""
+
+    def test_a_step_fills_each_side_once_per_new_stage_time(self, monkeypatch):
+        basic, eps, src, snap = mms_case()
+        work = StageWork(assemble_coefficients(basic), eps)
+        first = step(snap, work, src)
+        fills = []
+
+        def counted(*args, **kwargs):   # one call per side and fill, for div f_h
+            fills.append(None)
+            return d1_field(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "d1_field", counted)
+        step(first, work, src)
+        # t + dt/2 (stages 2 and 3) and t + dt (stage 4); stage 1's t is the
+        # last step's t + dt
+        assert len(fills) == 4
+
+    def test_another_source_at_the_held_time_gets_its_own_term(self):
+        basic, eps, src, snap = mms_case()
+        coeffs = assemble_coefficients(basic)
+        other = Sources(f=lambda t: tuple(0.5 * a for a in src.f(t)), g=src.g)
+        work = StageWork(coeffs, eps)
+        first = step(snap, work, src)   # holds the terms of src at first.t
+        got = step(first, work, other)
+        want = step(first, StageWork(coeffs, eps), other)
+        assert np.array_equal(got.data, want.data)
+        assert not np.array_equal(got.data, step(first, StageWork(coeffs, eps), src).data)
