@@ -58,7 +58,7 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "swap-upwind-branches": [
         (SOLVER, "return np.where(a >= 0.0, dp, dm)", "return np.where(a >= 0.0, dm, dp)"),
     ],
-    # the companion's c0 entry in the stage lists without its - eps * d11phi part
+    # the companion's c0 entry of the side operator without its - eps * d11phi part
     "drop-eps-d11phi-in-c0": [
         (SOLVER, "-(sc.div_u - epsilon * sc.d11phi) / sc.d1phi)", "-sc.div_u / sc.d1phi)"),
     ],
@@ -110,12 +110,17 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # the uniform d2 entries act on raw differences without the stencil's 1/(2 h2)
     "unfold-d2-scale": [
-        (SOLVER, "    M[:, ROWS:] /= 2.0 * grid.h2\n", ""),
+        (SOLVER, "M[i, k * ROWS + j] = c / h\n", "M[i, k * ROWS + j] = c / h if k == 0 else c\n"),
     ],
     # the field-valued d1 entries of a stage left out of its kernel
     "drop-field-valued-d1-entries": [
-        (SOLVER, "                fields[half].append((i, j, c / (2.0 * h)))\n",
-         "                if half:\n                    fields[half].append((i, j, c / (2.0 * h)))\n"),
+        (SOLVER, "                fields[k].append((i, j, c / h))\n",
+         "                if k:\n                    fields[k].append((i, j, c / h))\n"),
+    ],
+    # the -eps d1 regularization put on the diagonal of d2 instead
+    "eps-diagonal-on-d2": [
+        (SOLVER, "eps = epsilon * fold[i] if k == 0 and i == j else 0.0",
+         "eps = epsilon * fold[i] if k == 1 and i == j else 0.0"),
     ],
     # the lift's source without the A0 dU_tilde/dt part
     "drop-lift-time-derivative": [

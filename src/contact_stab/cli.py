@@ -106,7 +106,6 @@ def _csv_to_dat(lines: list[str]) -> list[str]:
 
 def write_artifacts(outdir: Path, cfg, result: ScenarioResult,
                     wall_time: float, threads: int) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.txt").write_text("\n".join(result.report) + "\n")
     for name, lines in result.csv.items():
         (outdir / name).write_text("\n".join(lines) + "\n")
@@ -141,6 +140,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.out) if args.out else Path(cfg.get("run.out", "out"))
+    try:   # before the run, so that an unusable --out costs no computation
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory {outdir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     limiter = threadpool_limits(limits=args.threads) if threadpool_limits else None
     t0 = time.perf_counter()
     try:

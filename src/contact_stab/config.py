@@ -213,13 +213,17 @@ def _as_int_list(key, text):
 
 
 def _as_refinements(key, text):
-    """Grid sizes of a convergence study: at least two, each a valid grid."""
+    """Grid sizes of a convergence study: at least two, each a valid grid,
+    and no size twice, which would fit an order to a zero step."""
     sizes = _as_int_list(key, text)
     if len(sizes) < 2:
         raise ConfigError(f"{key} needs at least 2 grid sizes to fit an order, got {len(sizes)}")
     small = [n for n in sizes if n < MIN_NODES]
     if small:
         raise ConfigError(f"{key} entries must be at least {MIN_NODES}, got {small[0]}")
+    repeated = [n for i, n in enumerate(sizes) if n in sizes[:i]]
+    if repeated:
+        raise ConfigError(f"{key} entries must be distinct, got {repeated[0]} twice")
     return sizes
 
 

@@ -505,14 +505,13 @@ def first_variation(
     dphi: np.ndarray,
     basic: BasicState,
     side: int,
-    dUt: np.ndarray | None = None,
-    dphi_t: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Full first variation of the nonlinear interior operator.
+    """Full first variation of the nonlinear interior operator, for a
+    perturbation that does not depend on time.
 
     Equals the production operator applied to dU plus the front-transport
-    term -(A0 dt dPsi + A1_tilde d1 dPsi + A2 d2 dPsi) d1U_hat / d1Phi_hat,
-    which the production form absorbs into the good unknown.  The front
+    term -(A1_tilde d1 dPsi + A2 d2 dPsi) d1U_hat / d1Phi_hat, which the
+    production form absorbs into the good unknown.  The front
     perturbation dphi is lifted exactly like the background front (the lift
     is linear in phi), so the derivative fields of dPsi reuse the analytic
     cutoff slope and the boundary-line stencil.  Both parts go through one
@@ -521,20 +520,15 @@ def first_variation(
     """
     g = basic.grid
     sc = side_coefficients(basic, side)
-    dgeo = build_lifted_geometry(dphi, g, dt_phi=dphi_t, skip_admissibility=True)
+    dgeo = build_lifted_geometry(dphi, g, skip_admissibility=True)
     sgn = 1.0 if side == +1 else -1.0
     d1psi = dgeo.side("d1_phi", side) - sgn  # d1 of the lift alone
     d2psi = dgeo.side("d2_psi", side)
     transport = basic.d1_u.side(side) / sc.d1phi
-    res = sum(np.einsum("ij...,j...->i...", M, X) for M, X in (
+    return sum(np.einsum("ij...,j...->i...", M, X) for M, X in (
         (sc.At1, d1_field(dU, g.h1) - d1psi * transport),
         (sc.A2, d2_field(dU, g.h2) - d2psi * transport),
         (sc.C, dU)))
-    if dUt is not None:
-        res += sc.A0_diag * dUt
-    if dphi_t is not None:
-        res -= sc.A0_diag * dgeo.side("dt_psi", side) * transport
-    return res
 
 
 # --- linearized interface conditions ----------------------------------------
@@ -577,21 +571,24 @@ def bc_residual(
 # --- boundary quadratic form ------------------------------------------------
 
 
+TRACE_TOL_V = 1e-8   # the velocity jump boundary_quadratic_form accepts as continuous
+
+
 def boundary_quadratic_form(
     trace_plus: np.ndarray,
     trace_minus: np.ndarray,
     basic: BasicState,
-    tol_v: float = 1e-8,
 ):
     """-1/2 sum_pm (A1_tilde U, U)|_0 in matrix and closed form.
 
-    Requires continuous velocity traces; under that constraint the matrix
-    form collapses to -v_N^+ [p] + (H_N^+ v2^+ - H2^+ v_N^+) [H_tau].
+    Requires continuous velocity traces (a jump of at most TRACE_TOL_V);
+    under that constraint the matrix form collapses to
+    -v_N^+ [p] + (H_N^+ v2^+ - H2^+ v_N^+) [H_tau].
     Returns (matrix_form, closed_form) as boundary grid functions.
     """
     jv = np.max(np.abs(trace_plus[1:3] - trace_minus[1:3]))
-    if jv > tol_v:
-        raise ValueError(f"velocity traces must agree ([v] max {jv:.3g} > {tol_v:.3g})")
+    if jv > TRACE_TOL_V:
+        raise ValueError(f"velocity traces must agree ([v] max {jv:.3g} > {TRACE_TOL_V:.3g})")
     d2phi_hat = basic.geometry.d2_phi_boundary
     A = boundary_A1_exact(basic.boundary_trace(), +1)
     matrix_form = np.zeros(basic.grid.N2)

@@ -283,77 +283,60 @@ def _uniform_or_field(entry):
     return float(first) if np.all(entry == first) else entry
 
 
-def _contract_entries(terms, out: np.ndarray, plane: np.ndarray, rows: slice) -> None:
-    """out[i] += c * X[j] for the (i, j, c) entries of each (entries, X)
-    pair in terms, each product passing through the scratch plane; out, X
-    and plane hold the grid rows rows, and a field-valued c is cut to them."""
-    for entries, X in terms:
-        for i, j, c in entries:
-            np.multiply(X[j], c if isinstance(c, float) else c[rows], out=plane)
-            out[i] += plane
+def _side_operator(sc: SideCoefficients, epsilon: float, grid: Grid):
+    """One side's stage operator, from one walk over its entries, as spans
+    and (M, d1_fields, d2_fields, C, source, rescale).
 
-
-def _stage_entries(sc: SideCoefficients, epsilon: float):
-    """The interior operator of one stage as (i, j, c) lists for d1, d2 and
-    the undifferentiated rows, the (6, 1, 1) weights of the source f and the
-    (i, A0^-1 row) scalings left to StageWork.interior; c stays a float where
-    it is constant.
-
-    Rows 0-5 are -A0^-1 (A1_tilde d1 + A2 d2 + C - eps d1), with A0^-1 folded
-    in where it is uniform and listed as the row's scaling where it is a
-    field.  Row 6 is the companion transport da/dt = c1 d1a + c2 d2a + c0 a,
-    appended after the sorted 6x6 entries.
+    Rows 0-5 are -A0^-1 (A1_tilde d1 + A2 d2 + C - eps d1) and row 6 the
+    companion transport da/dt = c1 d1a + c2 d2a + c0 a, taken as the (6, 6)
+    entry of each block.  A row's A0^-1 is folded into its entries and its
+    source weight where it is uniform, and listed in rescale as (i, A0^-1
+    row) where it is a field.  A nonzero d1 or d2 entry goes into M with
+    the stencil's 1/(2h) folded in where it is the same at every grid point,
+    and to d1_fields or d2_fields where it is a field; a C entry goes to C;
+    each as (i, j, c), c a float where it is uniform.  spans are the slices
+    of rows that d1 and d2 must difference, from the first to the last row
+    an entry reads; M keeps the spans' columns, so it acts on their raw
+    differences stacked, and a field entry's j counts from its span's start.
     """
     a0_inv = [_uniform_or_field(row) for row in sc.A0_inv_diag]
     rescale = [(i, a) for i, a in enumerate(a0_inv) if not isinstance(a, float)]
     fold = [a if isinstance(a, float) else 1.0 for a in a0_inv]
-
-    def scaled(M):   # the folded -A0^-1 times the entries of a 6x6 field nonzero somewhere
-        return [(i, j, _uniform_or_field(-fold[i] * M[i, j]))
-                for i in range(6) for j in range(6) if M[i, j].any()]
-
-    d1 = {(i, j): c for i, j, c in scaled(sc.At1)}
-    if epsilon:
-        for i in range(6):
-            d1[i, i] = _uniform_or_field(d1.get((i, i), 0.0) + epsilon * fold[i])
-    lists = ([(i, j, c) for (i, j), c in sorted(d1.items())], scaled(sc.A2), scaled(sc.C))
-    companion = (-sc.w1 / sc.d1phi + epsilon,
-                 -sc.w2 / sc.d1phi,
+    companion = (-sc.w1 / sc.d1phi + epsilon, -sc.w2 / sc.d1phi,
                  -(sc.div_u - epsilon * sc.d11phi) / sc.d1phi)
-    for entries, c in zip(lists, map(_uniform_or_field, companion)):
-        if np.any(c):
-            entries.append((6, 6, c))
-    return lists + (np.array(fold)[:, None, None], rescale)
-
-
-def _fold_differences(d1: list, d2: list, grid: Grid):
-    """The d1 and d2 entry lists recast to act on the raw differences of
-    d1_diff and d2_diff, with the stencils' 1/(2h) folded in.
-
-    Returns M, spans, fields: spans are the slices of rows that d1 and d2
-    must difference, from the first to the last row that a nonzero column
-    or a field-valued entry reads; M holds the uniform entries as a matrix
-    on the two spans' differences stacked, and fields the field-valued
-    entries as two lists, with j counted from the start of its span."""
     M = np.zeros((ROWS, 2 * ROWS))
-    fields = ([], [])
-    for half, entries, h in ((0, d1, grid.h1), (1, d2, grid.h2)):
-        for i, j, c in entries:
-            if isinstance(c, float):
-                M[i, half * ROWS + j] = c
+    fields, C, reads = ([], []), [], ([], [])
+    ij = [*np.ndindex(6, 6), (6, 6)]
+    for k, A in enumerate((sc.At1, sc.A2, sc.C)):
+        for i, j in ij:
+            if i == 6:
+                c = companion[k]
             else:
-                fields[half].append((i, j, c / (2.0 * h)))
-    M[:, :ROWS] /= 2.0 * grid.h1
-    M[:, ROWS:] /= 2.0 * grid.h2
-    spans, cols, shifted = [], [], []
-    for half in (0, 1):
-        read = [j for j in range(ROWS) if M[:, half * ROWS + j].any()]
-        read += [j for _, j, _ in fields[half]]
+                eps = epsilon * fold[i] if k == 0 and i == j else 0.0   # the -eps d1 diagonal
+                if not (eps or A[i, j].any()):
+                    continue
+                c = -fold[i] * A[i, j]
+                if eps:
+                    c = c + eps
+            c = _uniform_or_field(c)
+            if isinstance(c, float) and not c:   # a field is never zero everywhere
+                continue
+            if k == 2:
+                C.append((i, j, c))
+                continue
+            reads[k].append(j)
+            h = 2.0 * (grid.h1, grid.h2)[k]
+            if isinstance(c, float):
+                M[i, k * ROWS + j] = c / h
+            else:
+                fields[k].append((i, j, c / h))
+    spans, cols = [], []
+    for k, read in enumerate(reads):
         lo, hi = (min(read), max(read) + 1) if read else (0, 0)
         spans.append(slice(lo, hi))
-        cols.extend(range(half * ROWS + lo, half * ROWS + hi))
-        shifted.append([(i, j - lo, c) for i, j, c in fields[half]])
-    return M[:, cols], spans, shifted
+        cols.extend(range(k * ROWS + lo, k * ROWS + hi))
+        fields[k][:] = [(i, j - lo, c) for i, j, c in fields[k]]
+    return spans, (M[:, cols], *fields, C, np.array(fold)[:, None, None], rescale)
 
 
 # Grid points per block of StageWork.interior.  A block's working set is
@@ -376,14 +359,14 @@ class StageWork:
     (and once per BoundaryLift, whose source uses interior) from the
     Coefficients and epsilon.
 
-    Per side, spans holds the slices of Y rows that d1 and d2 difference,
-    from the first to the last row the operator reads, and entries the
-    matrix M that acts on just those differences, stacked: (7, 11) on the
-    RT background, whose d2 reads rows 0-3 only, (7, 14) where every row's
-    d2 is read.  interior works through blocks, the (r0, r1) ranges of x1
-    rows that tile the grid; a block writes its differences at the head of
-    the (14, N1, N2) buffer deriv, as an (M columns, r1 - r0, N2) array, so
-    that a large grid's block stays in cache.  forced_term fills one
+    Per side, spans and entries are what _side_operator builds: the slices
+    of Y rows that d1 and d2 difference, and (M, d1_fields, d2_fields, C,
+    source, rescale), M acting on just those differences, stacked: (7, 11)
+    on the RT background, whose d2 reads rows 0-3 only, (7, 14) where every
+    row's d2 is read.  interior works through blocks, the (r0, r1) ranges
+    of x1 rows that tile the grid; a block writes its differences at the
+    head of the (14, N1, N2) buffer deriv, as an (M columns, r1 - r0, N2)
+    array, so that a large grid's block stays in cache.  forced_term fills one
     (ROWS, N1, N2) term buffer per side, allocated on the first forced
     stage, once per stage time and source.  rk4 holds step's snapshots k (a
     stage's derivatives), acc (the RK4 combination) and y (the stage
@@ -395,9 +378,7 @@ class StageWork:
         self.coeffs = coeffs
         self.entries, self.spans = {}, {}
         for s in (+1, -1):
-            d1, d2, C, source, rescale = _stage_entries(coeffs.side(s), epsilon)
-            M, self.spans[s], (d1_fields, d2_fields) = _fold_differences(d1, d2, grid)
-            self.entries[s] = (M, d1_fields, d2_fields, C, source, rescale)
+            self.spans[s], self.entries[s] = _side_operator(coeffs.side(s), epsilon, grid)
         self.deriv = np.empty((2 * ROWS, grid.N1, grid.N2))
         self.plane = np.empty((grid.N1, grid.N2))
         self.blocks = _row_blocks(grid.N1, grid.N2)
@@ -461,8 +442,10 @@ class StageWork:
             d2_diff(Y[s2], out=d2, rows=(r0, r1))
             np.matmul(M, deriv.reshape(len(deriv), -1), out=flat[:, r0 * N2:r1 * N2])
             rows = slice(r0, r1)
-            _contract_entries([(d1_fields, d1), (d2_fields, d2), (C, Y[:, rows])],
-                              out[:, rows], plane, rows)
+            for entries, X in ((d1_fields, d1), (d2_fields, d2), (C, Y[:, rows])):
+                for i, j, c in entries:
+                    np.multiply(X[j], c if isinstance(c, float) else c[rows], out=plane)
+                    out[i, rows] += plane
         if term is not None:
             out += term
         for i, a0_inv in rescale:
@@ -701,12 +684,10 @@ class BoundaryLift:
         self._phi_cache: dict[float, np.ndarray] = {}
         self._work = StageWork(self.coeffs, self.epsilon)
         # interior_source's buffers: U_tilde with a zero companion row, the
-        # operator on it, and dU_tilde/dt; and the - side's source
+        # operator on it, and dU_tilde/dt
         self._Y = np.zeros((ROWS, g.N1, g.N2))
         self._L = np.empty_like(self._Y)
         self._rate = np.empty((6, g.N1, g.N2))
-        self._zero = np.zeros((6, g.N1, g.N2))
-        self._zero.flags.writeable = False
 
     def _traces(self, phi_tilde: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
         """+ side trace that zeroes the four jump rows against a zero - side;
@@ -744,35 +725,35 @@ class BoundaryLift:
     def _trace_at(self, t: float) -> np.ndarray:
         return self._traces(self._phi_at(t), np.asarray(self.g_func(t), dtype=float))
 
-    def u_tilde(self, t: float, out: np.ndarray | None = None) -> TwoSidedField:
-        """U_tilde at t, with its + side written into out when given; the
-        - side is a shared read-only zero array."""
-        plus = np.multiply(self._trace_at(t)[:, None, :], self._profile, out=out)
-        return TwoSidedField(plus, self._zero)
+    def u_tilde(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """The + side of U_tilde at t, (6, N1, N2), written into out when
+        given; its - side is zero."""
+        return np.multiply(self._trace_at(t)[:, None, :], self._profile, out=out)
 
-    def interior_source(self, t: float):
-        """F = -L U_tilde: the (plus, minus) source the lifted field feeds
-        the interior, in the pair layout of Sources.f.  The spatial part of
-        L is the stage kernel's, on U_tilde with a zero companion row; the
-        - side of U_tilde is zero, and so is its source, the shared zero
-        array.  Only the returned + array is new."""
+    def interior_source(self, t: float) -> tuple[np.ndarray]:
+        """F = -L U_tilde on the + side, as the 1-tuple (plus,) that
+        source_h1_norm takes; the - side of U_tilde is zero, and so is its
+        source.  The spatial part of L is the stage kernel's, on U_tilde
+        with a zero companion row.  Only the returned array is new."""
         self.u_tilde(t, out=self._Y[:6])
         self._work.interior(+1, self._Y, None, self._L)
         d_trace = (self._trace_at(t + LIFT_DT_PROBE)
                    - self._trace_at(t - LIFT_DT_PROBE)) / (2.0 * LIFT_DT_PROBE)
         rate = np.multiply(d_trace[:, None, :], self._profile, out=self._rate)
         np.subtract(self._L[:6], rate, out=rate)
-        return np.multiply(self.coeffs.plus.A0_diag, rate), self._zero
+        return (np.multiply(self.coeffs.plus.A0_diag, rate),)
 
 
 # --- source norm ------------------------------------------------------------
 
 
 def source_h1_norm(f_func, grid: Grid, times: np.ndarray) -> float:
-    """Discrete space-time H1 norm of a two-sided interior source.
+    """Discrete space-time H1 norm of an interior source, summed over its
+    sides.
 
-    f_func(t) returns a (plus, minus) pair of (6, N1, N2) arrays, as
-    Sources.f and BoundaryLift.interior_source do.
+    f_func(t) returns a tuple of (6, N1, N2) arrays, one per side: the
+    (plus, minus) pair of Sources.f, or the (plus,) of
+    BoundaryLift.interior_source, whose - side is zero.
     """
     # a window of three levels, each evaluated once, in order of time
     levels = ([np.asarray(A, dtype=float) for A in f_func(t)] for t in times)

@@ -175,6 +175,17 @@ class TestExitCodes:
         assert "empty value for run.out" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_naming_a_file_exits_two_before_the_run(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        monkeypatch.setitem(scenarios.RUNNERS, "validate-state",
+                            lambda cfg: pytest.fail("the run started"))
+        assert run_cli("validate-state", "configs/validate_constant.cfg", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert "Traceback" not in err
+        assert out.read_text() == "keep\n"
+
     def test_neutral_mode_blow_up_exits_three(self, tmp_path, capsys):
         out = tmp_path / "o"
         overrides = ("grid.cfl_max=3", "run.T_final=400", "neutral.refinements=9,12")

@@ -247,10 +247,13 @@ class TestParseConfig:
     @pytest.mark.parametrize("kind,key", [("mms", "mms.refinements"),
                                           ("neutral-mode", "neutral.refinements")])
     def test_single_refinement_rejected(self, tmp_path, kind, key):
+        # one size, or one size given twice, leaves no step to fit an order to
         p = tmp_path / "c.cfg"
-        p.write_text(f"{key} = 33\n")
-        with pytest.raises(ConfigError, match=f"{key} needs at least 2 grid sizes"):
-            parse_config(str(p), kind)
+        for sizes, match in (("33", f"{key} needs at least 2 grid sizes"),
+                             ("17, 17", f"{key} entries must be distinct, got 17 twice")):
+            p.write_text(f"{key} = {sizes}\n")
+            with pytest.raises(ConfigError, match=match):
+                parse_config(str(p), kind)
 
     def test_type_error_names_the_key(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -484,8 +484,9 @@ class TestLift:
     def test_zero_data_zero_lift(self):
         basic, grid = small_basic()
         lift = BoundaryLift(assemble_coefficients(basic), lambda t: np.zeros((5, grid.N2)))
-        U = lift.u_tilde(0.3)
-        assert np.all(U.plus == 0.0) and np.all(U.minus == 0.0)
+        assert np.all(lift.u_tilde(0.3) == 0.0)
+        (source,) = lift.interior_source(0.3)
+        assert np.all(source == 0.0)
 
     def test_source_allocates_no_rk4_snapshots(self):
         basic, grid = small_basic()
@@ -494,14 +495,15 @@ class TestLift:
         snapshots = [v for v in vars(lift._work).values() if isinstance(v, (Snapshot, tuple))]
         assert snapshots == []
 
-    def test_source_is_a_new_plus_array_and_a_shared_read_only_zero(self):
-        # source_h1_norm holds three levels at once, so no level may be overwritten
+    def test_source_is_a_new_plus_array_on_each_call(self):
+        # source_h1_norm holds three levels at once, so no level may be overwritten;
+        # the - side is zero and is not returned
         basic, grid = small_basic()
         lift = BoundaryLift(assemble_coefficients(basic),
                             lambda t: np.full((5, grid.N2), 1.0 + t))
-        (p1, m1), (p2, m2) = lift.interior_source(0.1), lift.interior_source(0.2)
+        (p1,), (p2,) = lift.interior_source(0.1), lift.interior_source(0.2)
+        assert p1.shape == (6, grid.N1, grid.N2)
         assert not np.shares_memory(p1, p2) and not np.array_equal(p1, p2)
-        assert m1 is m2 and not m1.flags.writeable and not m1.any()
 
     def test_plus_side_carries_the_jump(self):
         basic, grid = small_basic(v2=0.0)
@@ -512,11 +514,11 @@ class TestLift:
             return rows
 
         lift = BoundaryLift(assemble_coefficients(basic), g)
-        U = lift.u_tilde(0.0)
-        assert np.all(U.minus == 0.0)
-        assert np.allclose(U.plus[1, 0, :], np.cos(grid.x2))
+        plus = lift.u_tilde(0.0)
+        assert plus.shape == (6, grid.N1, grid.N2)
+        assert np.allclose(plus[1, 0, :], np.cos(grid.x2))
         # decay profile in x1
-        assert np.all(np.abs(U.plus[1, -1, :]) < np.abs(U.plus[1, 0, :]))
+        assert np.all(np.abs(plus[1, -1, :]) < np.abs(plus[1, 0, :]))
 
     @staticmethod
     def _lift_residual(basic, times):
@@ -534,9 +536,10 @@ class TestLift:
         phis = lift.front_lift(times)
         n = len(times) // 2
         t = times[n]
-        U = lift.u_tilde(t)
+        trace_plus = lift.u_tilde(t)[:, 0, :]
         dt_phi = (phis[n + 1] - phis[n - 1]) / (2 * (times[1] - times[0]))
-        return bc_residual(U.plus[:, 0, :], U.minus[:, 0, :],
+        # the lift's - side is zero
+        return bc_residual(trace_plus, np.zeros_like(trace_plus),
                            phis[n], basic, dt_phi=dt_phi,
                            g_rows=g(t))
 
@@ -590,30 +593,30 @@ class TestLift:
         times = np.linspace(0.0, grid.T_final, 9)
         lift.front_lift(times)
         t = float(times[4])
-        Ut, Up, Um = (lift.u_tilde(t + d) for d in (0.0, solver.LIFT_DT_PROBE,
-                                                    -solver.LIFT_DT_PROBE))
-        source = lift.interior_source(t)
-        assert np.max(np.abs(source[0])) > 0.0
-        for side, F in zip((+1, -1), source):
-            sc, U = coeffs.side(side), Ut.side(side)
-            d1U = d1_field(U, grid.h1)
-            dUdt = (Up.side(side) - Um.side(side)) / (2.0 * solver.LIFT_DT_PROBE)
-            dense = -(sc.A0_diag * dUdt + sum(
-                np.einsum("ijkl,jkl->ikl", M, X)
-                for M, X in ((sc.At1, d1U), (sc.A2, d2_field(U, grid.h2)), (sc.C, U))
-            )) + eps * d1U
-            np.testing.assert_allclose(F, dense, rtol=1e-10,
-                                       atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
+        U, Up, Um = (lift.u_tilde(t + d) for d in (0.0, solver.LIFT_DT_PROBE,
+                                                   -solver.LIFT_DT_PROBE))
+        (F,) = lift.interior_source(t)   # the - side's U_tilde and source are zero
+        assert np.max(np.abs(F)) > 0.0
+        sc = coeffs.plus
+        d1U = d1_field(U, grid.h1)
+        dUdt = (Up - Um) / (2.0 * solver.LIFT_DT_PROBE)
+        dense = -(sc.A0_diag * dUdt + sum(
+            np.einsum("ijkl,jkl->ikl", M, X)
+            for M, X in ((sc.At1, d1U), (sc.A2, d2_field(U, grid.h2)), (sc.C, U))
+        )) + eps * d1U
+        np.testing.assert_allclose(F, dense, rtol=1e-10,
+                                   atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
 
 
 def _reference_source_h1_norm(f_func, grid, times):
-    """The space-time H1 norm term by term: the direct squared norm of each
-    level, of its d1_field and d2_field, and of the centred time difference."""
+    """The space-time H1 norm term by term, summed over a level's sides: the
+    direct squared norm of each level, of its d1_field and d2_field, and of
+    the centred time difference."""
     levels = [f_func(t) for t in times]
     dt = float(times[1] - times[0])
     total = 0.0
     for n, pair in enumerate(levels):
-        for k in range(2):
+        for k in range(len(pair)):
             A = np.asarray(pair[k], dtype=float)
             sq = (_direct_sq_norm(A, grid) + _direct_sq_norm(d1_field(A, grid.h1), grid)
                   + _direct_sq_norm(d2_field(A, grid.h2), grid))
@@ -666,7 +669,7 @@ class TestSourceNorm:
         lift = BoundaryLift(coeffs, g, epsilon=1e-2)
         times = np.linspace(0.0, grid.T_final, 9)
         lift.front_lift(times)
-        assert not np.any(lift.interior_source(float(times[4]))[1])
+        assert len(lift.interior_source(float(times[4]))) == 1   # the - side is zero
         ref = _reference_source_h1_norm(lift.interior_source, grid, times)
         assert ref > 0.0
         assert source_h1_norm(lift.interior_source, grid, times) == pytest.approx(ref, rel=1e-12)
