@@ -64,11 +64,21 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # the companion row 6 without its source term div f_h / d1Phi
     "drop-companion-source": [
-        (SOLVER, "            div /= sc.d1phi\n", "            div[...] = 0.0\n"),
+        (SOLVER, "            div *= w / sc.d1phi\n", "            div[...] = 0.0\n"),
     ],
     # the forced term never refilled after its first fill, whatever the stage time
     "stale-source-term": [
-        (SOLVER, "        if held_t != t or held_f is not f:\n", "        if held_f is None:\n"),
+        (SOLVER, "        if held_t != t or held_f is not f or held_w != w:\n",
+         "        if held_f is None:\n"),
+    ],
+    # the forced term refilled for a new stage time or source, but not for a new weight
+    "forced-term-key-ignores-weight": [
+        (SOLVER, " or held_f is not f or held_w != w:\n", " or held_f is not f:\n"),
+    ],
+    # the third and fourth stages' weights swapped, dt/6 and dt/3 for dt/3 and dt/6
+    "swap-last-stage-weights": [
+        (SOLVER, "(half, dt / 3.0, dt), (t + dt, dt / 6.0, None)",
+         "(half, dt / 6.0, dt), (t + dt, dt / 3.0, None)"),
     ],
     # the rows a stage differences stop one short of the last row its operator reads
     "drop-last-derivative-row": [
@@ -77,7 +87,7 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # the companion row 6 without its far-wall extrapolation
     "drop-companion-far-wall": [
-        (SOLVER, "    out.sides[:, 6, -1, :] = out.sides[:, 6, -2, :]\n", ""),
+        (SOLVER, "    y.sides[:, 6, -1, :] = y.sides[:, 6, -2, :]\n", ""),
     ],
     # the lift's traces fed the front with the wrong sign
     "flip-phi-tilde-in-lift": [

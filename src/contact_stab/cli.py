@@ -140,6 +140,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.out) if args.out else Path(cfg.get("run.out", "out"))
+    # the directories mkdir makes, deepest first, removed again on a config error
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     try:   # before the run, so that an unusable --out costs no computation
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -151,6 +153,8 @@ def main(argv=None) -> int:
     try:
         result = RUNNERS[args.subcommand](cfg)
     except ConfigError as exc:
+        for d in made:
+            d.rmdir()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (InadmissibleStateError, AdmissibilityError, GeometryError) as exc:

@@ -180,8 +180,9 @@ class Sources:
     kept and returned again for the same t, so an RK4 step evaluates each
     callback once per distinct stage time; callers must not modify the
     returned arrays.  A callback returns new arrays on each call: the
-    forced term of StageWork.forced_term is keyed on the arrays of f, and
-    source_h1_norm holds three of f's levels at once.
+    forced term of StageWork.forced_term is keyed on the stage time, the
+    arrays of f and the stage weight, and source_h1_norm holds three of
+    f's levels at once.
     """
 
     f: object = None
@@ -366,11 +367,13 @@ class StageWork:
     row's d2 is read.  interior works through blocks, the (r0, r1) ranges
     of x1 rows that tile the grid; a block writes its differences at the
     head of the (14, N1, N2) buffer deriv, as an (M columns, r1 - r0, N2)
-    array, so that a large grid's block stays in cache.  forced_term fills one
-    (ROWS, N1, N2) term buffer per side, allocated on the first forced
-    stage, once per stage time and source.  rk4 holds step's snapshots k (a
-    stage's derivatives), acc (the RK4 combination) and y (the stage
-    state), allocated when step first needs them.
+    array, so that a large grid's block stays in cache.  interior and
+    forced_term take the stage's RK4 weight w and write w times the stage
+    derivatives.  forced_term fills one (ROWS, N1, N2) term buffer per side,
+    allocated on the first forced stage, once per stage time, source and
+    weight.  rk4 holds step's two stage buffers, which take turns holding a
+    stage's weighted derivatives and, turned in place, the next stage's
+    state; they are allocated when step first needs them.
     """
 
     def __init__(self, coeffs: Coefficients, epsilon: float):
@@ -393,26 +396,27 @@ class StageWork:
                 deriv = self.deriv.reshape(-1)[:cols * n].reshape(cols, r1 - r0, grid.N2)
                 plane = self.plane.reshape(-1)[:n].reshape(r1 - r0, grid.N2)
                 views.append((r0, r1, deriv, plane))
-        self._terms = {}   # side -> (term buffer, the t and f it holds)
+        self._terms = {}   # side -> (term buffer, the t, f and w it holds)
 
     @cached_property
-    def rk4(self) -> tuple[Snapshot, Snapshot, Snapshot]:
-        return tuple(Snapshot.zeros(self.grid) for _ in range(3))
+    def rk4(self) -> tuple[Snapshot, Snapshot]:
+        return tuple(Snapshot.zeros(self.grid) for _ in range(2))
 
-    def forced_term(self, side: int, t: float, f: np.ndarray) -> np.ndarray:
+    def forced_term(self, side: int, t: float, f: np.ndarray, w: float) -> np.ndarray:
         """The forced part of one side's stage at t for that side's source
-        f: rows 0-5 the weighted f, row 6 div f_h / d1Phi.
+        f, times the stage weight w: rows 0-5 the weighted f, row 6
+        div f_h / d1Phi.
 
-        The side's term buffer is filled again only when t or f (held by
-        reference, and compared by identity) differs from what it holds, so
-        an RK4 step fills it once per distinct stage time; this relies on a
-        source callback returning new arrays on each call."""
-        term, held_t, held_f = self._terms.get(side, (None, None, None))
+        The side's term buffer is filled again only when t, f (held by
+        reference, and compared by identity) or w differs from what it
+        holds, so an RK4 step fills it once per distinct stage time; this
+        relies on a source callback returning new arrays on each call."""
+        term, held_t, held_f, held_w = self._terms.get(side, (None, None, None, None))
         if term is None:
             term = np.empty((ROWS, self.grid.N1, self.grid.N2))
-        if held_t != t or held_f is not f:
+        if held_t != t or held_f is not f or held_w != w:
             sc, source = self.coeffs.side(side), self.entries[side][4]
-            np.multiply(f, source, out=term[:6])
+            np.multiply(f, source * w, out=term[:6])
             # f_h = (f_N, d1Phi * f_H2), differentiated into row 6
             fh, div = self.plane, term[6]
             np.multiply(f[4], sc.d2psi, out=fh)
@@ -420,18 +424,20 @@ class StageWork:
             d1_field(fh, self.grid.h1, out=div)
             np.multiply(sc.d1phi, f[4], out=fh)
             div += d2_field(fh, self.grid.h2, out=self.deriv[0])
-            div /= sc.d1phi
-            self._terms[side] = (term, t, f)
+            div *= w / sc.d1phi
+            self._terms[side] = (term, t, f, w)
         return term
 
     def interior(self, side: int, Y: np.ndarray, term: np.ndarray | None,
-                 out: np.ndarray) -> None:
-        """The stage derivatives of one side's rows Y into out: rows 0-5
-        A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U), row 6 the companion
-        transport, each plus its row of term, the forced_term, when it is
-        given.  A row whose A0^-1 is a field is scaled by it once, after its
-        terms are summed."""
+                 out: np.ndarray, w: float) -> None:
+        """w times the stage derivatives of one side's rows Y into out:
+        rows 0-5 A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U), row 6 the
+        companion transport, each plus its row of term, the forced_term
+        (already weighted), when it is given.  w is multiplied into M and
+        each entry's coefficient, not into out.  A row whose A0^-1 is a
+        field is scaled by it once, after its terms are summed."""
         M, d1_fields, d2_fields, C, _, rescale = self.entries[side]
+        M = M * w
         s1, s2 = self.spans[side]
         n1 = s1.stop - s1.start
         flat = out.reshape(ROWS, -1)
@@ -444,7 +450,7 @@ class StageWork:
             rows = slice(r0, r1)
             for entries, X in ((d1_fields, d1), (d2_fields, d2), (C, Y[:, rows])):
                 for i, j, c in entries:
-                    np.multiply(X[j], c if isinstance(c, float) else c[rows], out=plane)
+                    np.multiply(X[j], w * (c if isinstance(c, float) else c[rows]), out=plane)
                     out[i, rows] += plane
         if term is not None:
             out += term
@@ -452,56 +458,60 @@ class StageWork:
             out[i] *= a0_inv
 
 
-def _stage(y: Snapshot, t: float, work: StageWork, sources: Sources, out: Snapshot) -> None:
-    """The stage derivatives at y, written into out."""
+def _stage(y: Snapshot, t: float, w: float, work: StageWork, sources: Sources,
+           out: Snapshot) -> None:
+    """w times the stage derivatives at y, written into out."""
     fpm = sources.f_eval(t)
     g_rows = sources.g_eval(t)
     for k, side in enumerate((+1, -1)):
-        term = None if fpm is None else work.forced_term(side, t, fpm[k])
-        work.interior(side, y.sides[k], term, out.sides[k])
-    out.phi[:] = _front_rhs(y.phi, y.U.plus[:, 0, :], work.coeffs, g_rows, work.grid)
+        term = None if fpm is None else work.forced_term(side, t, fpm[k], w)
+        work.interior(side, y.sides[k], term, out.sides[k], w)
+    np.multiply(_front_rhs(y.phi, y.U.plus[:, 0, :], work.coeffs, g_rows, work.grid), w,
+                out=out.phi)
 
 
-def _advance(y0: Snapshot, k: Snapshot, dt: float, t_new: float, coeffs: Coefficients,
-             sources: Sources, out: Snapshot) -> Snapshot:
-    """out = y0 + dt k at t_new, then the interface closure; returns out."""
-    np.multiply(k.data, dt, out=out.data)
-    out.data += y0.data
-    out.t = t_new
-    apply_interface_conditions(out.U, out.phi, coeffs, sources.g_eval(t_new))
-    out.sides[:, 6, -1, :] = out.sides[:, 6, -2, :]
-    return out
+def _close(y: Snapshot, t: float, coeffs: Coefficients, sources: Sources) -> None:
+    """The interface closure of the state y at t, in place: the jump
+    projection and far-wall copy of rows 0-5, and row 6's far-wall copy."""
+    apply_interface_conditions(y.U, y.phi, coeffs, sources.g_eval(t))
+    y.sides[:, 6, -1, :] = y.sides[:, 6, -2, :]
 
 
 def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
     """One classical RK4 step of size grid.dt with per-stage interface closure.
 
-    The stages run in the workspace work; only the returned Snapshot is
-    newly allocated, and snapshot is left unchanged.
+    Each stage writes its slope times its weight w into one of the two
+    stage buffers; one add puts it in the new snapshot, and for the first
+    three stages the same buffer is turned in place into the next stage's
+    state, snapshot plus c times the slope, and closed.  The stages run in the workspace work; only
+    the returned Snapshot is newly allocated, and snapshot is left unchanged.
     """
-    grid, coeffs = work.grid, work.coeffs
-    k, acc, y = work.rk4
-    if snapshot.sides.shape != k.sides.shape:
+    coeffs, buffers = work.coeffs, work.rk4
+    if snapshot.sides.shape != buffers[0].sides.shape:
         raise ValueError(f"snapshot of shape {snapshot.sides.shape} for a workspace "
-                         f"of shape {k.sides.shape}")
-    dt = grid.dt
-    t = snapshot.t
-    half, full = t + 0.5 * dt, t + dt
-
-    _stage(snapshot, t, work, sources, acc)                        # acc = k1
-    _advance(snapshot, acc, 0.5 * dt, half, coeffs, sources, y)
-    _stage(y, half, work, sources, k)                              # k2
-    _advance(snapshot, k, 0.5 * dt, half, coeffs, sources, y)
-    k.data *= 2.0
-    acc.data += k.data
-    _stage(y, half, work, sources, k)                              # k3
-    _advance(snapshot, k, dt, full, coeffs, sources, y)
-    k.data *= 2.0
-    acc.data += k.data
-    _stage(y, full, work, sources, k)                              # k4
-    acc.data += k.data
-    acc.data /= 6.0
-    out = _advance(snapshot, acc, dt, full, coeffs, sources, snapshot.empty_like())
+                         f"of shape {buffers[0].sides.shape}")
+    dt, t = work.grid.dt, snapshot.t
+    half = t + 0.5 * dt
+    # per stage: its time, its weight w and the coefficient c of its slope in
+    # the next stage's state
+    tableau = ((t, dt / 6.0, 0.5 * dt), (half, dt / 3.0, 0.5 * dt),
+               (half, dt / 3.0, dt), (t + dt, dt / 6.0, None))
+    out = snapshot.empty_like()
+    out.t = t + dt
+    y = snapshot
+    for s, (t_s, w, c) in enumerate(tableau):
+        z = buffers[s % 2]
+        _stage(y, t_s, w, work, sources, z)
+        if s == 0:
+            np.add(snapshot.data, z.data, out=out.data)
+        else:
+            out.data += z.data
+        if c is not None:
+            z.data *= c / w
+            z.data += snapshot.data
+            _close(z, tableau[s + 1][0], coeffs, sources)
+            y = z
+    _close(out, out.t, coeffs, sources)
     out.check_finite()
     return out
 
@@ -736,7 +746,7 @@ class BoundaryLift:
         source.  The spatial part of L is the stage kernel's, on U_tilde
         with a zero companion row.  Only the returned array is new."""
         self.u_tilde(t, out=self._Y[:6])
-        self._work.interior(+1, self._Y, None, self._L)
+        self._work.interior(+1, self._Y, None, self._L, 1.0)
         d_trace = (self._trace_at(t + LIFT_DT_PROBE)
                    - self._trace_at(t - LIFT_DT_PROBE)) / (2.0 * LIFT_DT_PROBE)
         rate = np.multiply(d_trace[:, None, :], self._profile, out=self._rate)

@@ -97,6 +97,20 @@ class TestExitCodes:
         assert code == 2
         assert "nonzero normal magnetic field" in capsys.readouterr().err
 
+    def test_config_error_in_a_runner_removes_only_the_directories_it_made(self, tmp_path,
+                                                                           capsys):
+        # the runner raises the ConfigError after main has made the output directory
+        out = tmp_path / "new" / "o"
+        code = run_cli("spectrum", "configs/spectrum.cfg", out,
+                       extra=["--override", "state.H1=0"])
+        assert code == 2
+        assert "nonzero normal magnetic field" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        code = run_cli("spectrum", "configs/spectrum.cfg", tmp_path,
+                       extra=["--override", "state.H1=0"])
+        assert code == 2
+        assert tmp_path.is_dir()
+
     def test_failed_check_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "adj.cfg"
         cfg.write_text(

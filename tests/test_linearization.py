@@ -299,7 +299,7 @@ class TestStageInterior:
                 sc = coeffs.side(side)
                 Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
                 out = np.empty_like(Y)
-                work.interior(side, Y, None, out)
+                work.interior(side, Y, None, out, 1.0)
                 U = Y[:6]
                 d1U, d2U = d1_field(U, grid.h1), d2_field(U, grid.h2)
                 dense = sc.A0_inv_diag * (
@@ -310,6 +310,25 @@ class TestStageInterior:
                 )
                 np.testing.assert_allclose(out[:6], dense, rtol=1e-12,
                                            atol=1e-13 * np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("kind", ["constant", "rt", "curved"])
+    def test_weight_scales_the_stage(self, kind, forced, rng, tmp_path):
+        # the RK4 weight is folded into M, the entries and the forced term, not
+        # applied to out, so the weighted stage is w times the unweighted one
+        # up to rounding
+        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
+        work = StageWork(assemble_coefficients(background(kind, grid, tmp_path)), 1e-3)
+        Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
+        f = rng.standard_normal((6, grid.N1, grid.N2))
+        w = 0.0123
+        for side in (+1, -1):
+            unit, weighted = np.empty_like(Y), np.empty_like(Y)
+            for res, weight in ((unit, 1.0), (weighted, w)):
+                term = work.forced_term(side, 0.0, f, weight) if forced else None
+                work.interior(side, Y, term, res, weight)
+            np.testing.assert_allclose(weighted, w * unit, rtol=1e-15,
+                                       atol=1e-15 * np.max(np.abs(w * unit)))
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_rt_takes_the_uniform_product_and_rescales_the_field_rows(self, eps):
@@ -383,8 +402,8 @@ class TestStageInterior:
                 for forcing in (None, f):
                     expected, got = np.empty_like(Y), np.empty_like(Y)
                     for work, res in ((whole, expected), (blocked, got)):
-                        term = None if forcing is None else work.forced_term(side, 0.0, forcing)
-                        work.interior(side, Y, term, res)
+                        term = None if forcing is None else work.forced_term(side, 0.0, forcing, 1.0)
+                        work.interior(side, Y, term, res, 1.0)
                     assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("blocking", BLOCKINGS)
@@ -462,7 +481,7 @@ class TestCompactCoefficients:
         for side in (+1, -1):
             want, got = np.empty_like(Y), np.empty_like(Y)
             for work, res in ((full_work, want), (compact_work, got)):
-                work.interior(side, Y, work.forced_term(side, 0.0, f), res)
+                work.interior(side, Y, work.forced_term(side, 0.0, f, 1.0), res, 1.0)
             assert np.array_equal(got, want)
 
 

@@ -208,6 +208,15 @@ class TestForcedTerm:
         # last step's t + dt
         assert len(fills) == 4
 
+    def test_another_weight_at_the_held_time_and_source_refills_the_term(self, rng):
+        basic, eps, _, _ = mms_case()
+        grid = basic.grid
+        work = StageWork(assemble_coefficients(basic), eps)
+        f = rng.standard_normal((6, grid.N1, grid.N2))
+        held = work.forced_term(+1, 0.5, f, 1.0 / 6.0).copy()
+        got = work.forced_term(+1, 0.5, f, 1.0 / 3.0)
+        np.testing.assert_allclose(got, 2.0 * held, rtol=1e-15)
+
     def test_another_source_at_the_held_time_gets_its_own_term(self):
         basic, eps, src, snap = mms_case()
         coeffs = assemble_coefficients(basic)
