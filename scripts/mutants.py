@@ -179,6 +179,11 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
         (LINEARIZATION, "return float(np.max(arr)) if np.all(np.isfinite(arr)) else np.inf",
          "return float(np.max(arr))"),
     ],
+    # the admissibility checks judged on their first residual field alone
+    "judge-first-field-only": [
+        (LINEARIZATION, "    peaks = [_peak(f) for f in fields]\n",
+         "    peaks = [_peak(f) for f in fields[:1]]\n"),
+    ],
     # an expression's ^ left to Python, where it is the unsupported bitwise xor
     "caret-as-xor": [
         (CONFIG, '.replace("^", "**")', ""),

@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.out) if args.out else Path(cfg.get("run.out", "out"))
+    outdir = Path(args.out) if args.out else Path(cfg["run.out"])
     # the directories mkdir makes, deepest first, removed again on a config error
     made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     try:   # before the run, so that an unusable --out costs no computation
@@ -158,10 +158,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (InadmissibleStateError, AdmissibilityError, GeometryError) as exc:
-        result = ScenarioResult(ok=False, exit_code=2, report=[
+        result = ScenarioResult(exit_code=2, report=[
             f"inadmissible background ({type(exc).__name__}): {exc}"])
     except BlowUpError as exc:
-        result = ScenarioResult(ok=False, exit_code=3, report=[f"blow-up at t = {exc.t:.6g}"])
+        result = ScenarioResult(exit_code=3, report=[f"blow-up at t = {exc.t:.6g}"])
     finally:
         if limiter is not None:
             limiter.unregister()

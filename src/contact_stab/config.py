@@ -287,11 +287,19 @@ _RT_STATE_SCHEMA = {
     "state.S_minus": (_as_float, -0.1),
 }
 
-_EXPR_STATE_KEYS = [
-    f"state.{comp}_{side}"
-    for side in ("plus", "minus")
-    for comp in ("p", "v1", "v2", "H1", "H2", "S")
-]
+_EXPR_STATE_SCHEMA = {
+    **{f"state.{comp}_{side}": (_as_expr, None)
+       for side in ("plus", "minus") for comp in ("p", "v1", "v2", "H1", "H2", "S")},
+    "front.phi": (_as_expr, Expression.compile("0")),
+    "front.dt_phi": (_as_expr, Expression.compile("0")),
+}
+
+# validate-state's state.kind -> the keys of its background
+_STATE_KIND_SCHEMAS = {
+    "constant": _CONSTANT_STATE_SCHEMA,
+    "rt": _RT_STATE_SCHEMA,
+    "expressions": _EXPR_STATE_SCHEMA,
+}
 
 SCENARIO_SCHEMAS: dict[str, dict] = {
     "validate-state": {
@@ -364,13 +372,9 @@ SCENARIO_KINDS = tuple(SCENARIO_SCHEMAS)
 class ScenarioConfig:
     kind: str
     values: dict
-    raw: dict[str, str]
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
     def echo_lines(self) -> list[str]:
         lines = [f"scenario = {self.kind}"]
@@ -395,19 +399,9 @@ def parse_config(path: str, kind: str, overrides=None) -> ScenarioConfig:
 
     if kind == "validate-state":
         state_kind = raw.get("state.kind", "constant")
-        if state_kind == "constant":
-            schema.update(_CONSTANT_STATE_SCHEMA)
-        elif state_kind == "rt":
-            schema.update(_RT_STATE_SCHEMA)
-        elif state_kind == "expressions":
-            for k in _EXPR_STATE_KEYS:
-                schema[k] = (_as_expr, None)
-            schema["front.phi"] = (_as_expr, Expression.compile("0"))
-            schema["front.dt_phi"] = (_as_expr, Expression.compile("0"))
-        else:
-            raise ConfigError(
-                "state.kind must be one of constant, rt, expressions"
-            )
+        if state_kind not in _STATE_KIND_SCHEMAS:
+            raise ConfigError(f"state.kind must be one of {', '.join(_STATE_KIND_SCHEMAS)}")
+        schema.update(_STATE_KIND_SCHEMAS[state_kind])
 
     for key in raw:
         if key not in schema:
@@ -419,4 +413,4 @@ def parse_config(path: str, kind: str, overrides=None) -> ScenarioConfig:
             raise ConfigError(f"missing required key {key!r} for scenario {kind}")
         else:
             values[key] = default
-    return ScenarioConfig(kind=kind, values=values, raw=raw)
+    return ScenarioConfig(kind=kind, values=values)

@@ -260,9 +260,14 @@ def constant_basic_state(
     v1 = 0 is forced: the interface carries no mass flux, so the normal
     velocity must match the (zero) front speed.
     """
-    shape = (6, grid.N1, grid.N2)
-    up = np.zeros(shape)
-    um = np.zeros(shape)
+    return _static_state(grid, p, v2, H1, H2, S_plus, S_minus, gamma)
+
+
+def _static_state(grid: Grid, p, v2: float, H1: float, H2: float,
+                  S_plus: float, S_minus: float, gamma: float) -> BasicState:
+    """Both sides at rest in x1 under a flat static front: v1 = 0, uniform v2,
+    H1, H2 and S per side, and p a number or an (N1, 1) profile in x1."""
+    up, um = np.zeros((2, 6, grid.N1, grid.N2))
     for arr, S in ((up, S_plus), (um, S_minus)):
         arr[0] = p
         arr[2] = v2
@@ -313,13 +318,21 @@ def _peak(arr) -> float:
     return float(np.max(arr)) if np.all(np.isfinite(arr)) else np.inf
 
 
-def _argmax_loc(arr) -> str:
-    """Index of the largest |arr|; pass a margin's positive part, not the margin."""
-    arr = np.asarray(arr)
-    if arr.size == 0:
-        return ""
-    idx = np.unravel_index(np.argmax(np.abs(arr)), arr.shape)
-    return "idx" + str(tuple(int(i) for i in idx))
+def _judge(name: str, fields: list, tol: float) -> CheckResult:
+    """One check from its residual fields, arrays whose positive entries
+    violate it: signed margins, or residuals in absolute value.
+
+    The check's value is the largest entry over the fields, 0 when none is
+    positive and +inf when one is not finite; it fails above tol and names
+    the node of the first field that holds a positive value."""
+    peaks = [_peak(f) for f in fields]
+    worst = max([0.0, *peaks])
+    loc = ""
+    if worst > 0.0:
+        f = fields[peaks.index(worst)]
+        at = np.argmax(f if np.isfinite(worst) else ~np.isfinite(f))
+        loc = "idx" + str(tuple(int(i) for i in np.unravel_index(at, f.shape)))
+    return CheckResult(name, worst <= tol, worst, loc)
 
 
 def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationReport:
@@ -333,82 +346,38 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
     normal_velocity_jump   one-sided-sum jump of d1 v_N vanishes
     front_bound       sup |phi_hat| < 1
     """
-    checks: list[CheckResult] = []
     g = basic.grid
+    u, d1, d2 = basic.u, basic.d1_u, basic.d2_u
 
-    # positivity
-    worst = 0.0
-    loc = ""
-    for side in (+1, -1):
-        p = basic.u.side(side)[0]
-        rho = basic.rho(side)
-        viol = np.maximum(P_BAR0 - p, RHO_BAR0 - rho)
-        m = _peak(viol)
-        if m > worst:
-            worst, loc = m, _argmax_loc(np.maximum(viol, 0.0))
-    checks.append(CheckResult("positivity", worst <= tol, max(worst, 0.0), loc))
-
-    # interface continuity
-    res = []
-    for k in range(3):
-        res.append(basic.u.plus[k, 0, :] - basic.u.minus[k, 0, :])
-    res.append(basic.Htau(+1)[0, :] - basic.Htau(-1)[0, :])
-    res.append(basic.dt_phi - basic.vN(+1)[0, :])
-    res = np.abs(np.stack(res))
-    m = _peak(res)
-    checks.append(CheckResult("interface_continuity", m <= tol, m, _argmax_loc(res)))
-
-    # normal field bounded away from zero on the interface
-    hn = np.minimum(np.abs(basic.HN(+1)[0, :]), np.abs(basic.HN(-1)[0, :]))
-    margin = KAPPA_BAR0 - hn
-    short = _peak(margin)
-    checks.append(CheckResult("normal_field", short <= tol, max(short, 0.0),
-                              _argmax_loc(np.maximum(margin, 0.0))))
-
-    # induction residual of the background
-    worst = 0.0
-    loc = ""
-    for side in (+1, -1):
-        U = basic.u.side(side)
-        d1phi = basic.d1phi_map(side)
+    def induction(side):
+        U, d1U, d2U = u.side(side), d1.side(side), d2.side(side)
         w1, w2 = basic.w_vec(side)
         hv1, hv2 = basic.h_vec(side)
         u1, u2 = basic.u_vec(side)
         div_u = d1_field(u1[None], g.h1)[0] + d2_field(u2[None], g.h2)[0]
-        for k in (3, 4):
-            dH1 = basic.d1_u.side(side)[k]
-            dH2 = basic.d2_u.side(side)[k]
-            dv1 = basic.d1_u.side(side)[k - 2]
-            dv2 = basic.d2_u.side(side)[k - 2]
-            res = (w1 * dH1 + w2 * dH2 - (hv1 * dv1 + hv2 * dv2) + U[k] * div_u) / d1phi
-            m = _peak(np.abs(res))
-            if m > worst:
-                worst, loc = m, _argmax_loc(res)
-    checks.append(CheckResult("induction", worst <= tol, worst, loc))
+        return [np.abs((w1 * d1U[k] + w2 * d2U[k] - (hv1 * d1U[k - 2] + hv2 * d2U[k - 2])
+                        + U[k] * div_u) / basic.d1phi_map(side)) for k in (3, 4)]
 
-    # solenoidal background field and continuous H_N
-    worst = 0.0
-    loc = ""
-    for side in (+1, -1):
+    def div_h(side):
         hv1, hv2 = basic.h_vec(side)
-        div_h = d1_field(hv1[None], g.h1)[0] + d2_field(hv2[None], g.h2)[0]
-        m = _peak(np.abs(div_h))
-        if m > worst:
-            worst, loc = m, _argmax_loc(div_h)
-    hn_jump = basic.HN(+1)[0, :] - basic.HN(-1)[0, :]
-    m = _peak(np.abs(hn_jump))
-    if m > worst:
-        worst, loc = m, _argmax_loc(hn_jump)
-    checks.append(CheckResult("solenoidal", worst <= tol, worst, loc))
+        return np.abs(d1_field(hv1[None], g.h1)[0] + d2_field(hv2[None], g.h2)[0])
 
-    # one-sided-sum jump of the normal derivative of v_N
-    jv = normal_jump(basic.vN(+1), basic.vN(-1), g.h1)
-    m = _peak(np.abs(jv))
-    checks.append(CheckResult("normal_velocity_jump", m <= tol, m, _argmax_loc(jv)))
-
+    continuity = [u.plus[k, 0, :] - u.minus[k, 0, :] for k in range(3)] + [
+        basic.Htau(+1)[0, :] - basic.Htau(-1)[0, :], basic.dt_phi - basic.vN(+1)[0, :]]
+    hn = np.minimum(np.abs(basic.HN(+1)[0, :]), np.abs(basic.HN(-1)[0, :]))
+    residuals = {   # check -> its fields, in the order a location is searched
+        "positivity": [np.maximum(P_BAR0 - u.side(s)[0], RHO_BAR0 - basic.rho(s))
+                       for s in (+1, -1)],
+        "interface_continuity": [np.abs(np.stack(continuity))],
+        "normal_field": [KAPPA_BAR0 - hn],
+        "induction": induction(+1) + induction(-1),
+        "solenoidal": [div_h(+1), div_h(-1),
+                       np.abs(basic.HN(+1)[0, :] - basic.HN(-1)[0, :])],
+        "normal_velocity_jump": [np.abs(normal_jump(basic.vN(+1), basic.vN(-1), g.h1))],
+    }
+    checks = [_judge(name, fields, tol) for name, fields in residuals.items()]
     sup = _peak(np.abs(basic.phi_hat))
     checks.append(CheckResult("front_bound", sup < 1.0, sup))
-
     return ValidationReport(checks=checks, tolerance=tol)
 
 

@@ -17,6 +17,7 @@ from .config import ConfigError, ScenarioConfig
 from .grid import Grid, d1_field, d2_field
 from .linearization import (
     BasicState,
+    _static_state,
     basic_state_from_arrays,
     constant_basic_state,
     validate_basic_state,
@@ -26,12 +27,22 @@ from .solver import Snapshot, Sources, source_h1_norm
 
 @dataclass
 class ScenarioResult:
-    ok: bool
     exit_code: int
     report: list[str] = dc_field(default_factory=list)
     csv: dict = dc_field(default_factory=dict)          # name -> list[str]
     snapshots: list = dc_field(default_factory=list)    # (name, Snapshot, Grid)
     data: dict = dc_field(default_factory=dict)         # machine-readable extras
+
+    @property
+    def ok(self) -> bool:
+        return self.exit_code == 0
+
+
+def _verdict(ok: bool, report: list[str], fail_code: int = 1, **parts) -> ScenarioResult:
+    """A runner's result: report with `overall: PASS|FAIL` appended, and exit
+    code 0 when ok, else fail_code."""
+    report.append(f"overall: {'PASS' if ok else 'FAIL'}")
+    return ScenarioResult(exit_code=0 if ok else fail_code, report=report, **parts)
 
 
 # --- basic-state builders ---------------------------------------------------
@@ -58,18 +69,8 @@ def rt_basic_state(grid: Grid, p0: float = 1.0, rt_jump: float = 0.5,
                    gamma: float = mhd.GAMMA_DEFAULT) -> BasicState:
     """Static background whose one-sided-sum pressure-slope jump at the
     interface equals rt_jump; positive values are the stable sign."""
-    sigma = rt_pressure_profile(grid.x1)[:, None]
-    shape = (6, grid.N1, grid.N2)
-    up = np.zeros(shape)
-    um = np.zeros(shape)
-    half = 0.5 * rt_jump
-    for arr, s_slope, S in ((up, half, S_plus), (um, half, S_minus)):
-        arr[0] = p0 + s_slope * sigma
-        arr[2] = v2
-        arr[3] = H1
-        arr[4] = H2
-        arr[5] = S
-    return basic_state_from_arrays(grid, up, um, gamma=gamma)
+    p = p0 + 0.5 * rt_jump * rt_pressure_profile(grid.x1)[:, None]
+    return _static_state(grid, p, v2, H1, H2, S_plus, S_minus, gamma)
 
 
 def rt_state_from_config(cfg: ScenarioConfig, grid: Grid) -> BasicState:
@@ -123,7 +124,7 @@ def grid_from_config(cfg: ScenarioConfig, basic_builder,
     once on a proto grid and moved onto the final grid."""
     proto = Grid(cfg["grid.N1"], cfg["grid.N2"], cfg["grid.X1"], cfg["grid.X2"])
     if epsilon is None:
-        epsilon = cfg.get("run.epsilon", 0.0)
+        epsilon = cfg["run.epsilon"]
     basic = basic_builder(cfg, proto)
     grid = solver.build_grid(basic, cfg["run.T_final"], epsilon=epsilon,
                              cfl_max=cfg["grid.cfl_max"])
@@ -322,7 +323,7 @@ def _refined_coefficients(cfg: ScenarioConfig, N: int) -> solver.Coefficients:
     """The operator of cfg's constant background on its N x N run grid."""
     sub = dict(cfg.values)
     sub["grid.N1"], sub["grid.N2"] = N, N
-    scfg = ScenarioConfig(kind=cfg.kind, values=sub, raw=cfg.raw)
+    scfg = ScenarioConfig(kind=cfg.kind, values=sub)
     _, basic = grid_from_config(scfg, constant_state_from_config, epsilon=cfg["run.epsilon"])
     return solver.assemble_coefficients(basic)
 
@@ -336,24 +337,21 @@ def _fit_order(hs, errs) -> float:
 # --- scenario runners -------------------------------------------------------
 
 
+_STATE_BUILDERS = {   # validate-state's state.kind -> its background builder
+    "constant": constant_state_from_config,
+    "rt": rt_state_from_config,
+    "expressions": expression_state_from_config,
+}
+
+
 def run_validate_state(cfg: ScenarioConfig) -> ScenarioResult:
     grid = Grid(cfg["grid.N1"], cfg["grid.N2"], cfg["grid.X1"], cfg["grid.X2"])
-    kind = cfg.get("state.kind", "constant")
     try:
-        if kind == "constant":
-            basic = constant_state_from_config(cfg, grid)
-        elif kind == "rt":
-            basic = rt_state_from_config(cfg, grid)
-        else:
-            basic = expression_state_from_config(cfg, grid)
+        basic = _STATE_BUILDERS[cfg["state.kind"]](cfg, grid)
     except (ValueError, ConfigError) as exc:
-        return ScenarioResult(ok=False, exit_code=2, report=[f"state construction failed: {exc}"])
-    report = validate_basic_state(basic, tol=cfg.get("tolerance.validate", 1e-8))
-    lines = report.lines()
-    ok = report.all_passed
-    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    return ScenarioResult(ok=ok, exit_code=0 if ok else 1, report=lines,
-                          data={"report": report})
+        return ScenarioResult(exit_code=2, report=[f"state construction failed: {exc}"])
+    report = validate_basic_state(basic, tol=cfg["tolerance.validate"])
+    return _verdict(report.all_passed, report.lines(), data={"report": report})
 
 
 SPECTRUM_CSV_HEADER = "eta,xi,omega2,re_delta,im_delta,abs_delta_normalized,conditioning"
@@ -393,11 +391,9 @@ def run_spectrum(cfg: ScenarioConfig) -> ScenarioResult:
         "neutral-family |Delta| at eta=0.05,0.025,0.0125: "
         + ", ".join(f"{v:.6e}" for v in neutral),
         f"monotone decay toward eta=0: {'yes' if neutral[0] > neutral[1] > neutral[2] else 'no'}",
-        f"overall: {'PASS' if ok else 'FAIL'}",
     ]
-    return ScenarioResult(ok=ok, exit_code=0 if ok else 1, report=report,
-                          csv={"spectrum.csv": lines},
-                          data={"min_abs": float(min_abs), "neutral": neutral})
+    return _verdict(ok, report, csv={"spectrum.csv": lines},
+                    data={"min_abs": float(min_abs), "neutral": neutral})
 
 
 def run_energy_test(cfg: ScenarioConfig) -> ScenarioResult:
@@ -427,16 +423,14 @@ def run_energy_test(cfg: ScenarioConfig) -> ScenarioResult:
         f"grid {grid.N1}x{grid.N2}, eps={eps}, T={grid.T_final}, steps={grid.n_steps}",
         f"relative drift of the symmetrizer energy: {drift:.3e} (tolerance {tol})",
         f"relative increase: {increase:.3e}",
-        f"overall: {'PASS' if ok else 'FAIL'}",
     ]
-    return ScenarioResult(ok=ok, exit_code=0 if ok else 1, report=report, csv=csv,
-                          data={"drift": drift, "increase": increase,
-                                "energies": energies})
+    return _verdict(ok, report, csv=csv,
+                    data={"drift": drift, "increase": increase, "energies": energies})
 
 
-def neutral_mode_discrete_error(N: int, cfg: ScenarioConfig) -> float:
-    """Error of the advected entropy/front mode after a fixed horizon."""
-    coeffs = _refined_coefficients(cfg, N)
+def neutral_mode_discrete_error(coeffs: solver.Coefficients, cfg: ScenarioConfig) -> float:
+    """Error of the advected entropy/front mode after a fixed horizon, on
+    the run grid of coeffs."""
     grid = coeffs.grid
     k = cfg["neutral.omega2"]
     v2 = cfg["state.v2"]
@@ -462,8 +456,9 @@ def run_neutral_mode(cfg: ScenarioConfig) -> ScenarioResult:
     pair = contact_pair_from_config(cfg)
     analytic = spectral.neutral_mode_residual(float(cfg["neutral.omega2"]), pair)
     refinements = cfg["neutral.refinements"]
-    errs = [neutral_mode_discrete_error(N, cfg) for N in refinements]
-    hs = [1.0 / (N - 1) for N in refinements]
+    operators = [_refined_coefficients(cfg, N) for N in refinements]
+    errs = [neutral_mode_discrete_error(coeffs, cfg) for coeffs in operators]
+    hs = [coeffs.grid.h1 for coeffs in operators]
     slope = _fit_order(hs, errs)
     ok = analytic == 0.0 and slope >= 1.9
     lines = ["N,h,error"] + [
@@ -473,11 +468,9 @@ def run_neutral_mode(cfg: ScenarioConfig) -> ScenarioResult:
         f"analytic neutral-mode residual: {analytic:.3e}",
         "discrete errors: " + ", ".join(f"{e:.3e}" for e in errs),
         f"refinement slope: {slope:.3f} (need >= 1.9)",
-        f"overall: {'PASS' if ok else 'FAIL'}",
     ]
-    return ScenarioResult(ok=ok, exit_code=0 if ok else 1, report=report,
-                          csv={"neutral_mode.csv": lines},
-                          data={"analytic": analytic, "slope": slope, "errors": errs})
+    return _verdict(ok, report, csv={"neutral_mode.csv": lines},
+                    data={"analytic": analytic, "slope": slope, "errors": errs})
 
 
 def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
@@ -494,7 +487,7 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
                 rows.append(r.csv_row())
                 J_max = float(np.maximum(J_max, r.J))  # keeps a NaN J
     except solver.BlowUpError as exc:
-        return ScenarioResult(ok=False, exit_code=3, report=[f"blow-up at t = {exc.t:.6g}"],
+        return ScenarioResult(exit_code=3, report=[f"blow-up at t = {exc.t:.6g}"],
                               csv={"timeseries.csv": rows})
     # normalization: discrete H1 norm of the interior source plus the
     # interior source induced by lifting the interface data
@@ -507,19 +500,15 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     ratio = J_max / total ** 2 if total > 0 else float("inf")
     bad = [name for name, v in (("sup_t J", J_max), ("normalized ratio", ratio))
            if not np.isfinite(v)]
-    ok = not bad
     report = [
         f"grid {grid.N1}x{grid.N2}, eps={eps}, rt_jump={cfg['state.rt_jump']}",
         f"sup_t J = {J_max:.6e}",
         f"source H1 norms: f {f_norm:.6e}, lifted-g {F_norm:.6e}",
         f"normalized ratio sup J / ||F||^2 = {ratio:.6e}",
         *(f"not finite: {name}" for name in bad),
-        f"overall: {'PASS' if ok else 'FAIL'}",
     ]
-    return ScenarioResult(ok=ok, exit_code=0 if ok else 1, report=report,
-                          csv={"timeseries.csv": rows},
-                          snapshots=[("final", final, grid)],
-                          data={"J_max": J_max, "ratio": ratio})
+    return _verdict(not bad, report, csv={"timeseries.csv": rows},
+                    snapshots=[("final", final, grid)], data={"J_max": J_max, "ratio": ratio})
 
 
 def run_eps_sweep(cfg: ScenarioConfig) -> ScenarioResult:
@@ -541,12 +530,9 @@ def run_eps_sweep(cfg: ScenarioConfig) -> ScenarioResult:
         "J_max per eps: " + ", ".join(f"{j:.6e}" for j in result.J_max),
         "trace bound ||eps f7+|_0||: " + ", ".join(f"{t:.6e}" for t in result.trace_bound),
         f"truncated by blow-up: {'yes' if result.truncated else 'no'}",
-        f"overall: {'PASS' if ok else 'FAIL'}",
     ]
-    code = 3 if result.truncated else (0 if ok else 1)
-    return ScenarioResult(ok=bool(ok), exit_code=code, report=report,
-                          csv={"eps_sweep.csv": result.table_lines()},
-                          data={"result": result})
+    return _verdict(ok, report, 3 if result.truncated else 1,
+                    csv={"eps_sweep.csv": result.table_lines()}, data={"result": result})
 
 
 def run_adjoint_check(cfg: ScenarioConfig) -> ScenarioResult:
@@ -560,10 +546,8 @@ def run_adjoint_check(cfg: ScenarioConfig) -> ScenarioResult:
     report = [
         f"max relative duality defect over {cfg['adjoint.trials']} trials: {defect:.3e}",
         f"tolerance: {tol:g}",
-        f"overall: {'PASS' if ok else 'FAIL'}",
     ]
-    return ScenarioResult(ok=ok, exit_code=0 if ok else 1, report=report,
-                          data={"defect": defect})
+    return _verdict(ok, report, data={"defect": defect})
 
 
 def run_mms(cfg: ScenarioConfig) -> ScenarioResult:
@@ -599,12 +583,10 @@ def run_mms(cfg: ScenarioConfig) -> ScenarioResult:
         "divergence defects: " + ", ".join(f"{d:.4e}" for d in divs),
         f"divergence defect slope: {div_slope:.3f} (need >= 0.9)"
         + (f", not fitted: {unfit}" if unfit else ""),
-        f"overall: {'PASS' if ok else 'FAIL'}",
     ]
-    return ScenarioResult(ok=ok, exit_code=0 if ok else 1, report=report,
-                          csv={"mms.csv": lines},
-                          data={"order": order, "div_slope": div_slope,
-                                "errors": errs, "div_defects": divs})
+    return _verdict(ok, report, csv={"mms.csv": lines},
+                    data={"order": order, "div_slope": div_slope,
+                          "errors": errs, "div_defects": divs})
 
 
 RUNNERS = {

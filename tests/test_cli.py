@@ -146,6 +146,15 @@ class TestExitCodes:
         assert runtime_warnings == []
         assert "RuntimeWarning" not in capsys.readouterr().err
 
+    def test_truncated_eps_sweep_exits_three_with_a_fail_verdict(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        overrides = ("grid.N1=12", "grid.N2=12", "grid.cfl_max=4", "run.T_final=200")
+        code, _ = run_cli_warned("eps-sweep", "configs/eps_sweep.cfg", out, overrides)
+        assert code == 3
+        report = (out / "report.txt").read_text().splitlines()
+        assert report[-2:] == ["truncated by blow-up: yes", "overall: FAIL"]
+        assert "exit_code = 3" in (out / "manifest.txt").read_text()
+
     @pytest.mark.parametrize("eps_list", ["0.1,0.2", ",", "0.1,-0.05", "0.1"])
     def test_unusable_eps_list_exits_two_without_artifacts(self, tmp_path, capsys, eps_list):
         out = tmp_path / "o"
@@ -253,6 +262,16 @@ class TestNonFiniteVerdicts:
         assert self._run("mms", "configs/mms.cfg", out, self.MMS) == 0
         text = (out / "report.txt").read_text()
         assert "not fitted: every defect is exactly zero" in text and "overall: PASS" in text
+
+
+class TestNeutralModeTable:
+    def test_h_is_the_spacing_of_each_run_grid(self):
+        from contact_stab.config import parse_config
+
+        cfg = parse_config("configs/neutral_mode.cfg", "neutral-mode", overrides=[
+            "grid.X1=3", "neutral.refinements=9,17", "run.T_final=0.05"])
+        rows = scenarios.run_neutral_mode(cfg).csv["neutral_mode.csv"][1:]
+        assert [float(row.split(",")[1]) for row in rows] == [3.0 / 8, 3.0 / 16]
 
 
 class TestEndToEnd:

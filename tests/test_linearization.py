@@ -237,6 +237,37 @@ class TestValidation:
         assert not check.passed
         assert check.location == "idx(2, 5)"
 
+    def test_violation_on_the_minus_side_alone_fails_at_its_node(self):
+        grid = Grid(8, 8, 6.0, 2.0 * np.pi)
+        up, um = np.zeros((6, 8, 8)), np.zeros((6, 8, 8))
+        up[0] = um[0] = 1.0
+        up[3] = um[3] = 1.0
+        um[0, 2, 5] = 1e-4
+        report = validate_basic_state(basic_state_from_arrays(grid, up, um))
+        check = report["positivity"]
+        assert not check.passed and check.location == "idx(2, 5)"
+        assert [c.name for c in report.checks if not c.passed] == ["positivity"]
+
+    def test_induction_violation_in_the_h2_row_alone_fails_at_its_node(self):
+        # v2 varying in x1 alone on the - side: d1 v2 enters the H2 row of the
+        # induction residual, while div u = d2 v2 = 0 keeps the H1 row zero
+        grid = Grid(8, 8, 6.0, 2.0 * np.pi)
+        up, um = np.zeros((6, 8, 8)), np.zeros((6, 8, 8))
+        up[0] = um[0] = 1.0
+        up[3] = um[3] = 1.0
+        um[2, 3, :] = 0.1   # rows 2 and 4 see +-0.1 / (2 h1)
+        report = validate_basic_state(basic_state_from_arrays(grid, up, um))
+        check = report["induction"]
+        assert not check.passed and check.location == "idx(2, 0)"
+        assert check.max_residual == pytest.approx(0.1 / (2.0 * grid.h1), rel=1e-12)
+        assert [c.name for c in report.checks if not c.passed] == ["induction"]
+
+    def test_a_zero_residual_names_no_node(self):
+        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
+        report = validate_basic_state(constant_basic_state(grid, v2=0.2, H1=1.0, H2=0.3))
+        assert all(c.passed and c.max_residual == 0.0 for c in report.checks)
+        assert [c.location for c in report.checks] == [""] * len(report.checks)
+
 
 def rt_background(grid):
     from contact_stab.scenarios import rt_basic_state

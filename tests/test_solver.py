@@ -484,6 +484,7 @@ class TestLift:
     def test_zero_data_zero_lift(self):
         basic, grid = small_basic()
         lift = BoundaryLift(assemble_coefficients(basic), lambda t: np.zeros((5, grid.N2)))
+        lift.front_lift(np.array([0.3]))
         assert np.all(lift.u_tilde(0.3) == 0.0)
         (source,) = lift.interior_source(0.3)
         assert np.all(source == 0.0)
@@ -491,6 +492,7 @@ class TestLift:
     def test_source_allocates_no_rk4_snapshots(self):
         basic, grid = small_basic()
         lift = BoundaryLift(assemble_coefficients(basic), lambda t: np.ones((5, grid.N2)))
+        lift.front_lift(np.array([0.1]))
         lift.interior_source(0.1)
         snapshots = [v for v in vars(lift._work).values() if isinstance(v, (Snapshot, tuple))]
         assert snapshots == []
@@ -501,9 +503,22 @@ class TestLift:
         basic, grid = small_basic()
         lift = BoundaryLift(assemble_coefficients(basic),
                             lambda t: np.full((5, grid.N2), 1.0 + t))
+        lift.front_lift(np.array([0.1, 0.2]))
         (p1,), (p2,) = lift.interior_source(0.1), lift.interior_source(0.2)
         assert p1.shape == (6, grid.N1, grid.N2)
         assert not np.shares_memory(p1, p2) and not np.array_equal(p1, p2)
+
+    def test_a_time_without_a_front_lift_level_raises(self):
+        basic, grid = small_basic(v2=0.0, T=0.2)
+        lift = BoundaryLift(assemble_coefficients(basic), lambda t: np.ones((5, grid.N2)))
+        times = np.linspace(0.0, grid.T_final, 5)
+        lift.front_lift(times)
+        lift.interior_source(float(times[2]))
+        for t in (0.5 * float(times[1]), float(times[1]) + 1e-13, grid.T_final + 1.0):
+            with pytest.raises(solver.MissingLiftLevelError):
+                lift.u_tilde(t)
+            with pytest.raises(solver.MissingLiftLevelError):
+                lift.interior_source(t)
 
     def test_plus_side_carries_the_jump(self):
         basic, grid = small_basic(v2=0.0)
@@ -514,6 +529,7 @@ class TestLift:
             return rows
 
         lift = BoundaryLift(assemble_coefficients(basic), g)
+        lift.front_lift(np.array([0.0]))
         plus = lift.u_tilde(0.0)
         assert plus.shape == (6, grid.N1, grid.N2)
         assert np.allclose(plus[1, 0, :], np.cos(grid.x2))
@@ -570,8 +586,12 @@ class TestLift:
 
         times = np.linspace(0.0, grid.T_final, 9)
         coeffs = assemble_coefficients(basic)
-        n1 = source_h1_norm(BoundaryLift(coeffs, g_of(1.0)).interior_source, grid, times)
-        n2 = source_h1_norm(BoundaryLift(coeffs, g_of(2.0)).interior_source, grid, times)
+        norms = []
+        for a in (1.0, 2.0):
+            lift = BoundaryLift(coeffs, g_of(a))
+            lift.front_lift(times)
+            norms.append(source_h1_norm(lift.interior_source, grid, times))
+        n1, n2 = norms
         assert np.isfinite(n1) and n1 > 0.0
         assert n2 == pytest.approx(2.0 * n1, rel=1e-8)
 
@@ -593,9 +613,13 @@ class TestLift:
         times = np.linspace(0.0, grid.T_final, 9)
         lift.front_lift(times)
         t = float(times[4])
+        (F,) = lift.interior_source(t)   # the - side's U_tilde and source are zero
+        # dU/dt as the source takes it, from the traces at t +- LIFT_DT_PROBE on a
+        # zero phi_tilde: the one level of a front_lift call is zero
+        for d in (solver.LIFT_DT_PROBE, -solver.LIFT_DT_PROBE):
+            lift.front_lift(np.array([t + d]))
         U, Up, Um = (lift.u_tilde(t + d) for d in (0.0, solver.LIFT_DT_PROBE,
                                                    -solver.LIFT_DT_PROBE))
-        (F,) = lift.interior_source(t)   # the - side's U_tilde and source are zero
         assert np.max(np.abs(F)) > 0.0
         sc = coeffs.plus
         d1U = d1_field(U, grid.h1)
