@@ -168,6 +168,10 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "drop-side-sign-fold": [
         (SPECTRAL, "P.append([-side * b for b in blocks])", "P.append([-b for b in blocks])"),
     ],
+    # the coefficients keep a view into the background's + side, which pins its u arrays
+    "coefficients-view-background": [
+        (SOLVER, "v2_hat_wall=basic.u.plus[2, 0, :].copy(),", "v2_hat_wall=basic.u.plus[2, 0, :],"),
+    ],
     # the coefficients' compaction takes a background input that varies in x2 for one that
     # varies in x1 only, keeping its first column
     "compact-x2-as-x1": [
@@ -181,8 +185,8 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # the admissibility checks judged on their first residual field alone
     "judge-first-field-only": [
-        (LINEARIZATION, "    peaks = [_peak(f) for f in fields]\n",
-         "    peaks = [_peak(f) for f in fields[:1]]\n"),
+        (LINEARIZATION, "    peaks = [_peak(f) for f in fields.values()]\n",
+         "    peaks = [_peak(f) for f in list(fields.values())[:1]]\n"),
     ],
     # an expression's ^ left to Python, where it is the unsupported bitwise xor
     "caret-as-xor": [

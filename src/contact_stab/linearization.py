@@ -286,6 +286,7 @@ class CheckResult:
     passed: bool
     max_residual: float
     location: str = ""
+    field: str = ""          # the residual the location lies in, e.g. "p on the - side"
 
 
 @dataclass
@@ -306,7 +307,8 @@ class ValidationReport:
     def lines(self) -> list[str]:
         return [
             f"{c.name:<24s} {'PASS' if c.passed else 'FAIL'}  "
-            f"max-residual {c.max_residual:.3e}" + (f"  at {c.location}" if c.location else "")
+            f"max-residual {c.max_residual:.3e}"
+            + (f"  at {c.location} of {c.field}" if c.location else "")
             for c in self.checks
         ]
 
@@ -318,21 +320,21 @@ def _peak(arr) -> float:
     return float(np.max(arr)) if np.all(np.isfinite(arr)) else np.inf
 
 
-def _judge(name: str, fields: list, tol: float) -> CheckResult:
-    """One check from its residual fields, arrays whose positive entries
-    violate it: signed margins, or residuals in absolute value.
+def _judge(name: str, fields: dict, tol: float) -> CheckResult:
+    """One check from its residual fields, label -> array, whose positive
+    entries violate it: signed margins, or residuals in absolute value.
 
     The check's value is the largest entry over the fields, 0 when none is
     positive and +inf when one is not finite; it fails above tol and names
-    the node of the first field that holds a positive value."""
-    peaks = [_peak(f) for f in fields]
+    the node and the label of the first field that holds that value."""
+    peaks = [_peak(f) for f in fields.values()]
     worst = max([0.0, *peaks])
-    loc = ""
-    if worst > 0.0:
-        f = fields[peaks.index(worst)]
-        at = np.argmax(f if np.isfinite(worst) else ~np.isfinite(f))
-        loc = "idx" + str(tuple(int(i) for i in np.unravel_index(at, f.shape)))
-    return CheckResult(name, worst <= tol, worst, loc)
+    if worst <= 0.0:
+        return CheckResult(name, True, worst)
+    label, f = list(fields.items())[peaks.index(worst)]
+    at = np.argmax(f if np.isfinite(worst) else ~np.isfinite(f))
+    loc = "idx" + str(tuple(int(i) for i in np.unravel_index(at, f.shape)))
+    return CheckResult(name, worst <= tol, worst, loc, label)
 
 
 def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationReport:
@@ -349,31 +351,37 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
     g = basic.grid
     u, d1, d2 = basic.u, basic.d1_u, basic.d2_u
 
-    def induction(side):
+    def sides(quantities):   # "q on the +/- side" -> the field quantities[q](side)
+        return {f"{q} on the {'+' if s > 0 else '-'} side": field(s)
+                for s in (+1, -1) for q, field in quantities.items()}
+
+    def induction(side, k):   # the H1 (k = 3) or H2 (k = 4) row
         U, d1U, d2U = u.side(side), d1.side(side), d2.side(side)
         w1, w2 = basic.w_vec(side)
         hv1, hv2 = basic.h_vec(side)
         u1, u2 = basic.u_vec(side)
         div_u = d1_field(u1[None], g.h1)[0] + d2_field(u2[None], g.h2)[0]
-        return [np.abs((w1 * d1U[k] + w2 * d2U[k] - (hv1 * d1U[k - 2] + hv2 * d2U[k - 2])
-                        + U[k] * div_u) / basic.d1phi_map(side)) for k in (3, 4)]
+        return np.abs((w1 * d1U[k] + w2 * d2U[k] - (hv1 * d1U[k - 2] + hv2 * d2U[k - 2])
+                       + U[k] * div_u) / basic.d1phi_map(side))
 
     def div_h(side):
         hv1, hv2 = basic.h_vec(side)
         return np.abs(d1_field(hv1[None], g.h1)[0] + d2_field(hv2[None], g.h2)[0])
 
-    continuity = [u.plus[k, 0, :] - u.minus[k, 0, :] for k in range(3)] + [
-        basic.Htau(+1)[0, :] - basic.Htau(-1)[0, :], basic.dt_phi - basic.vN(+1)[0, :]]
-    hn = np.minimum(np.abs(basic.HN(+1)[0, :]), np.abs(basic.HN(-1)[0, :]))
+    jumps = {f"[{q}]": u.plus[k, 0, :] - u.minus[k, 0, :] for k, q in enumerate(("p", "v1", "v2"))}
+    jumps["[H_tau]"] = basic.Htau(+1)[0, :] - basic.Htau(-1)[0, :]
+    jumps["front speed - v_N^+"] = basic.dt_phi - basic.vN(+1)[0, :]
     residuals = {   # check -> its fields, in the order a location is searched
-        "positivity": [np.maximum(P_BAR0 - u.side(s)[0], RHO_BAR0 - basic.rho(s))
-                       for s in (+1, -1)],
-        "interface_continuity": [np.abs(np.stack(continuity))],
-        "normal_field": [KAPPA_BAR0 - hn],
-        "induction": induction(+1) + induction(-1),
-        "solenoidal": [div_h(+1), div_h(-1),
-                       np.abs(basic.HN(+1)[0, :] - basic.HN(-1)[0, :])],
-        "normal_velocity_jump": [np.abs(normal_jump(basic.vN(+1), basic.vN(-1), g.h1))],
+        "positivity": sides({"p": lambda s: P_BAR0 - u.side(s)[0],
+                             "rho": lambda s: RHO_BAR0 - basic.rho(s)}),
+        "interface_continuity": {q: np.abs(r) for q, r in jumps.items()},
+        "normal_field": sides({"|H_N|": lambda s: KAPPA_BAR0 - np.abs(basic.HN(s)[0, :])}),
+        "induction": sides({"H1 row": lambda s: induction(s, 3),
+                            "H2 row": lambda s: induction(s, 4)}),
+        "solenoidal": {**sides({"div h": div_h}),
+                       "[H_N]": np.abs(basic.HN(+1)[0, :] - basic.HN(-1)[0, :])},
+        "normal_velocity_jump": {"[d1 v_N]": np.abs(normal_jump(basic.vN(+1), basic.vN(-1),
+                                                                 g.h1))},
     }
     checks = [_judge(name, fields, tol) for name, fields in residuals.items()]
     sup = _peak(np.abs(basic.phi_hat))

@@ -319,13 +319,14 @@ def mms_problem_from_config(cfg: ScenarioConfig) -> ManufacturedProblem:
     )
 
 
-def _refined_coefficients(cfg: ScenarioConfig, N: int) -> solver.Coefficients:
-    """The operator of cfg's constant background on its N x N run grid."""
-    sub = dict(cfg.values)
-    sub["grid.N1"], sub["grid.N2"] = N, N
-    scfg = ScenarioConfig(kind=cfg.kind, values=sub)
-    _, basic = grid_from_config(scfg, constant_state_from_config, epsilon=cfg["run.epsilon"])
-    return solver.assemble_coefficients(basic)
+def _coefficients(cfg: ScenarioConfig, basic_builder=constant_state_from_config,
+                  epsilon: float | None = None, N: int | None = None) -> solver.Coefficients:
+    """The operator of cfg's background on its run grid, coeffs.grid, which
+    is N x N when N is given.  The background is dropped once assembled, so
+    that no runner holds it through its time loop."""
+    if N is not None:
+        cfg = ScenarioConfig(kind=cfg.kind, values={**cfg.values, "grid.N1": N, "grid.N2": N})
+    return solver.assemble_coefficients(grid_from_config(cfg, basic_builder, epsilon)[1])
 
 
 def _fit_order(hs, errs) -> float:
@@ -398,15 +399,14 @@ def run_spectrum(cfg: ScenarioConfig) -> ScenarioResult:
 
 def run_energy_test(cfg: ScenarioConfig) -> ScenarioResult:
     eps = cfg["run.epsilon"]
-    grid, basic = grid_from_config(cfg, constant_state_from_config, epsilon=eps)
-    init = solver.divergence_free_pulse(
+    coeffs = _coefficients(cfg)
+    grid = coeffs.grid
+    levels = solver.run(coeffs, eps, initial=solver.divergence_free_pulse(
         grid, center=cfg["pulse.center"], width=cfg["pulse.width"],
         k2=cfg["pulse.k2"], amplitude=cfg["pulse.amplitude"], seed=cfg["run.seed"],
-    )
-    coeffs = solver.assemble_coefficients(basic)
+    ))   # run drops the pulse once it has copied it
     energies, rows = [], [solver.EnergyReport.CSV_HEADER]
-    for _, _, energy, report in solver.monitored(solver.run(coeffs, eps, initial=init),
-                                                 coeffs, cfg["run.report_every"]):
+    for _, _, energy, report in solver.monitored(levels, coeffs, cfg["run.report_every"]):
         energies.append(energy)
         if report is not None:
             rows.append(report.csv_row())
@@ -456,7 +456,7 @@ def run_neutral_mode(cfg: ScenarioConfig) -> ScenarioResult:
     pair = contact_pair_from_config(cfg)
     analytic = spectral.neutral_mode_residual(float(cfg["neutral.omega2"]), pair)
     refinements = cfg["neutral.refinements"]
-    operators = [_refined_coefficients(cfg, N) for N in refinements]
+    operators = [_coefficients(cfg, N=N) for N in refinements]
     errs = [neutral_mode_discrete_error(coeffs, cfg) for coeffs in operators]
     hs = [coeffs.grid.h1 for coeffs in operators]
     slope = _fit_order(hs, errs)
@@ -475,10 +475,10 @@ def run_neutral_mode(cfg: ScenarioConfig) -> ScenarioResult:
 
 def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
     eps = cfg["run.epsilon"]
-    grid, basic = grid_from_config(cfg, rt_state_from_config, epsilon=eps)
+    coeffs = _coefficients(cfg, rt_state_from_config)
+    grid = coeffs.grid
     sources = make_forcing(grid, cfg["run.seed"], cfg["forcing.amplitude"],
                            cfg["forcing.t_ramp"], cfg["forcing.k2"])
-    coeffs = solver.assemble_coefficients(basic)
     rows, J_max = [solver.EnergyReport.CSV_HEADER], 0.0
     try:
         for _, final, _, r in solver.monitored(solver.run(coeffs, eps, sources=sources),
@@ -513,10 +513,10 @@ def run_rt(cfg: ScenarioConfig) -> ScenarioResult:
 
 def run_eps_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     eps_list = cfg["sweep.eps_list"]
-    grid, basic = grid_from_config(cfg, rt_state_from_config, epsilon=max(eps_list))
-    sources = make_forcing(grid, cfg["run.seed"], cfg["forcing.amplitude"],
+    coeffs = _coefficients(cfg, rt_state_from_config, max(eps_list))
+    sources = make_forcing(coeffs.grid, cfg["run.seed"], cfg["forcing.amplitude"],
                            cfg["forcing.t_ramp"], cfg["forcing.k2"])
-    result = solver.eps_sweep(solver.assemble_coefficients(basic), eps_list, sources=sources)
+    result = solver.eps_sweep(coeffs, eps_list, sources=sources)
     ok = (
         not result.truncated
         and len(result.J_max) == len(eps_list)
@@ -557,7 +557,7 @@ def run_mms(cfg: ScenarioConfig) -> ScenarioResult:
     divs = []
     hs = []
     for N in refinements:
-        coeffs = _refined_coefficients(cfg, N)
+        coeffs = _coefficients(cfg, N=N)
         err, div = problem.run_error(coeffs)
         errs.append(err)
         divs.append(div)

@@ -115,11 +115,11 @@ def assemble_coefficients(basic: BasicState) -> Coefficients:
         grid=basic.grid,
         plus=side_coefficients(basic, +1),
         minus=side_coefficients(basic, -1),
-        tau1=basic.geometry.d2_phi_boundary,
+        tau1=basic.geometry.d2_phi_boundary.copy(),   # copies: no view keeps basic alive
         jump_d1_p=basic.jump_d1_p(),
         jump_d1_Htau=basic.jump_d1_Htau(),
         d1_vN_plus=basic.d1_vN_plus_wall(),
-        v2_hat_wall=basic.u.plus[2, 0, :],
+        v2_hat_wall=basic.u.plus[2, 0, :].copy(),
         A1_exact=boundary_A1_exact(basic.boundary_trace(), +1),
     )
 
@@ -366,14 +366,16 @@ class StageWork:
     on the RT background, whose d2 reads rows 0-3 only, (7, 14) where every
     row's d2 is read.  interior works through blocks, the (r0, r1) ranges
     of x1 rows that tile the grid; a block writes its differences at the
-    head of the (14, N1, N2) buffer deriv, as an (M columns, r1 - r0, N2)
-    array, so that a large grid's block stays in cache.  interior and
-    forced_term take the stage's RK4 weight w and write w times the stage
-    derivatives.  forced_term fills one (ROWS, N1, N2) term buffer per side,
-    allocated on the first forced stage, once per stage time, source and
-    weight.  rk4 holds step's two stage buffers, which take turns holding a
-    stage's weighted derivatives and, turned in place, the next stage's
-    state; they are allocated when step first needs them.
+    head of deriv, (14, rows, N2), as an (M columns, r1 - r0, N2) array,
+    and a field entry's product into plane, (rows, N2), rows being the
+    largest block's, so that a large grid's block stays in cache.
+    interior and forced_term take the stage's RK4 weight w and write w
+    times the stage derivatives.  forced_term fills one (ROWS, N1, N2) term
+    buffer per side, once per stage time, source and weight, with two
+    (N1, N2) scratch planes; all are allocated on the first forced stage,
+    so an unforced run holds none.  rk4 holds step's two stage buffers,
+    which take turns holding a stage's weighted derivatives and, turned in
+    place, the next stage's state; step allocates them on first use.
     """
 
     def __init__(self, coeffs: Coefficients, epsilon: float):
@@ -382,9 +384,10 @@ class StageWork:
         self.entries, self.spans = {}, {}
         for s in (+1, -1):
             self.spans[s], self.entries[s] = _side_operator(coeffs.side(s), epsilon, grid)
-        self.deriv = np.empty((2 * ROWS, grid.N1, grid.N2))
-        self.plane = np.empty((grid.N1, grid.N2))
         self.blocks = _row_blocks(grid.N1, grid.N2)
+        rows = max(r1 - r0 for r0, r1 in self.blocks)
+        self.deriv = np.empty((2 * ROWS, rows, grid.N2))
+        self.plane = np.empty((rows, grid.N2))
         # per side and block: its rows, and its differences and plane at the
         # head of deriv and plane
         self._block_views = {}
@@ -402,6 +405,8 @@ class StageWork:
     def rk4(self) -> tuple[Snapshot, Snapshot]:
         return tuple(Snapshot.zeros(self.grid) for _ in range(2))
 
+    _planes = cached_property(lambda self: np.empty((2, self.grid.N1, self.grid.N2)))
+
     def forced_term(self, side: int, t: float, f: np.ndarray, w: float) -> np.ndarray:
         """The forced part of one side's stage at t for that side's source
         f, times the stage weight w: rows 0-5 the weighted f, row 6
@@ -418,12 +423,12 @@ class StageWork:
             sc, source = self.coeffs.side(side), self.entries[side][4]
             np.multiply(f, source * w, out=term[:6])
             # f_h = (f_N, d1Phi * f_H2), differentiated into row 6
-            fh, div = self.plane, term[6]
+            (fh, d2), div = self._planes, term[6]
             np.multiply(f[4], sc.d2psi, out=fh)
             np.subtract(f[3], fh, out=fh)
             d1_field(fh, self.grid.h1, out=div)
             np.multiply(sc.d1phi, f[4], out=fh)
-            div += d2_field(fh, self.grid.h2, out=self.deriv[0])
+            div += d2_field(fh, self.grid.h2, out=d2)
             div *= w / sc.d1phi
             self._terms[side] = (term, t, f, w)
         return term
@@ -598,6 +603,7 @@ def energy_report(snapshot: Snapshot, coeffs: Coefficients,
     interface quadratic form, and divergence defects.  dtU is a backward
     difference against prev, the previous step (zero when prev is None)."""
     g = coeffs.grid
+    dp, dm = divergence_monitor(snapshot, coeffs)   # before scratch, for a lower peak
     scratch = np.empty((6, g.N1, g.N2))   # the d2 difference, then U - prev
     I, q = {}, np.zeros(g.N2)
     for side in (+1, -1):
@@ -611,7 +617,6 @@ def energy_report(snapshot: Snapshot, coeffs: Coefficients,
     phi_l2 = _line_l2(phi, g)
     phi_d2 = _line_l2(d2_line(phi, g.h2, order=2), g)
     J = I[+1] + I[-1] + phi_l2 ** 2 + phi_d2 ** 2
-    dp, dm = divergence_monitor(snapshot, coeffs)
     return EnergyReport(
         t=snapshot.t, I_plus=I[+1], I_minus=I[-1], J=J,
         Q_boundary=float(np.sum(q) * g.h2),
@@ -635,13 +640,15 @@ def run(coeffs: Coefficients, epsilon: float, sources: Sources | None = None,
 
     Every yielded snapshot is new and never written again, so a caller may
     keep it without a copy.  A non-finite state or energy raises
-    BlowUpError.
+    BlowUpError.  run holds its last level and its StageWork; initial it
+    drops once it has copied it to level 0.
     """
     grid = coeffs.grid
     if sources is None:
         sources = Sources()
     snap = initial.copy() if initial is not None else Snapshot.zeros(grid)
     if initial is not None:
+        del initial
         apply_interface_conditions(snap.U, snap.phi, coeffs, sources.g_eval(snap.t))
     work = StageWork(coeffs, epsilon)
     for n in range(grid.n_steps + 1):
@@ -818,15 +825,16 @@ EPS_SWEEP_STORE_EVERY = 4   # steps between the stored levels the differences us
 
 def eps_sweep(coeffs: Coefficients, eps_list, sources: Sources | None = None) -> EpsSweepResult:
     """Run the same problem, from rest, over decreasing eps with a shared
-    time grid and the one operator coeffs."""
+    time grid and the one operator coeffs.  Of the sampled levels it holds
+    the running eps's and the previous eps's, whose diff_to_next it sums
+    when the running eps finishes; a run cut by a blow-up adds none."""
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     grid = coeffs.grid
     report_every = max(grid.n_steps // 50, 1)
-    sols = []
-    J_max = []
-    trace_bound = []
+    held = None
+    diffs, J_max, trace_bound = [], [], []
     truncated = False
     for eps in eps_list:
         levels, jm, tb = [], 0.0, 0.0
@@ -841,22 +849,21 @@ def eps_sweep(coeffs: Coefficients, eps_list, sources: Sources | None = None) ->
         except BlowUpError:
             truncated = True
             break
-        sols.append(levels)
+        if held is not None:
+            acc = 0.0
+            dt_eff = (held[1].t - held[0].t) if len(held) > 1 else 1.0
+            for a, b in zip(held, levels):
+                acc += (
+                    _weighted_l2(a.U.plus - b.U.plus, grid) ** 2
+                    + _weighted_l2(a.U.minus - b.U.minus, grid) ** 2
+                ) * dt_eff
+            diffs.append(float(np.sqrt(acc)))
+        held = levels
         J_max.append(jm)
         trace_bound.append(tb)
-    diffs = []
-    for s1, s2 in zip(sols, sols[1:]):
-        acc = 0.0
-        dt_eff = (s1[1].t - s1[0].t) if len(s1) > 1 else 1.0
-        for a, b in zip(s1, s2):
-            acc += (
-                _weighted_l2(a.U.plus - b.U.plus, grid) ** 2
-                + _weighted_l2(a.U.minus - b.U.minus, grid) ** 2
-            ) * dt_eff
-        diffs.append(float(np.sqrt(acc)))
     ratios = [d2 / d1 if d1 > 0 else float("inf") for d1, d2 in zip(diffs, diffs[1:])]
     return EpsSweepResult(
-        eps_list=eps_list[: len(sols)], diffs=diffs, ratios=ratios,
+        eps_list=eps_list[: len(J_max)], diffs=diffs, ratios=ratios,
         J_max=J_max, trace_bound=trace_bound, truncated=truncated,
     )
 

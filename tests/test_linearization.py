@@ -260,13 +260,38 @@ class TestValidation:
         check = report["induction"]
         assert not check.passed and check.location == "idx(2, 0)"
         assert check.max_residual == pytest.approx(0.1 / (2.0 * grid.h1), rel=1e-12)
+        assert check.field == "H2 row on the - side"
         assert [c.name for c in report.checks if not c.passed] == ["induction"]
+
+    @pytest.mark.parametrize("side, name", [(0, "+"), (1, "-")])
+    def test_positivity_violation_names_its_side_and_quantity(self, side, name):
+        grid = Grid(8, 8, 6.0, 2.0 * np.pi)
+        up, um = np.zeros((6, 8, 8)), np.zeros((6, 8, 8))
+        up[0] = um[0] = 1.0
+        up[3] = um[3] = 1.0
+        (up, um)[side][0, 2, 5] = 1e-4
+        report = validate_basic_state(basic_state_from_arrays(grid, up, um))
+        check = report["positivity"]
+        assert check.field == f"p on the {name} side"
+        assert report.lines()[0] == (f"positivity               FAIL  max-residual 9.900e-03"
+                                     f"  at idx(2, 5) of p on the {name} side")
+
+    def test_interface_jump_names_the_jumping_quantity(self):
+        grid = Grid(8, 8, 6.0, 2.0 * np.pi)
+        up, um = np.zeros((6, 8, 8)), np.zeros((6, 8, 8))
+        up[0] = um[0] = 1.0
+        up[3] = um[3] = 1.0
+        up[2, 0, 4] = 0.5   # a jump of v2 at one interface node
+        check = validate_basic_state(basic_state_from_arrays(grid, up, um))[
+            "interface_continuity"]
+        assert (check.passed, check.location, check.field) == (False, "idx(4,)", "[v2]")
 
     def test_a_zero_residual_names_no_node(self):
         grid = Grid(24, 16, 6.0, 2.0 * np.pi)
         report = validate_basic_state(constant_basic_state(grid, v2=0.2, H1=1.0, H2=0.3))
         assert all(c.passed and c.max_residual == 0.0 for c in report.checks)
         assert [c.location for c in report.checks] == [""] * len(report.checks)
+        assert [c.field for c in report.checks] == [""] * len(report.checks)
 
 
 def rt_background(grid):

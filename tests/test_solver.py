@@ -699,7 +699,78 @@ class TestSourceNorm:
         assert source_h1_norm(lift.interior_source, grid, times) == pytest.approx(ref, rel=1e-12)
 
 
+def _sweep_keeping_every_level(coeffs, eps_list, sources):
+    """(diffs, ratios, J_max, trace_bound) of eps_sweep's formulas, from
+    the sampled levels of every eps kept until all runs are done."""
+    grid = coeffs.grid
+    sols, J_max, trace_bound = [], [], []
+    for eps in eps_list:
+        levels, jm, tb = [], 0.0, 0.0
+        try:
+            for n, snap, _, report in monitored(run(coeffs, eps, sources=sources), coeffs,
+                                                max(grid.n_steps // 50, 1)):
+                if report is not None:
+                    jm = max(jm, report.J)
+                if solver.sampled(n, solver.EPS_SWEEP_STORE_EVERY, grid):
+                    levels.append(snap)
+                    tb = max(tb, eps * solver._line_l2(snap.a_plus[0] * coeffs.plus.d1phi[0],
+                                                       grid))
+        except BlowUpError:
+            break
+        sols.append(levels)
+        J_max.append(jm)
+        trace_bound.append(tb)
+    diffs = []
+    for s1, s2 in zip(sols, sols[1:]):
+        acc = 0.0
+        dt_eff = (s1[1].t - s1[0].t) if len(s1) > 1 else 1.0
+        for a, b in zip(s1, s2):
+            acc += (solver._weighted_l2(a.U.plus - b.U.plus, grid) ** 2
+                    + solver._weighted_l2(a.U.minus - b.U.minus, grid) ** 2) * dt_eff
+        diffs.append(float(np.sqrt(acc)))
+    ratios = [d2 / d1 if d1 > 0 else float("inf") for d1, d2 in zip(diffs, diffs[1:])]
+    return diffs, ratios, J_max, trace_bound
+
+
+def _rt_forcing(grid, blow_up_in_run=None):
+    """The seeded RT forcing; its f turns NaN halfway through the given run
+    of a sweep (counted from 1), so that the run blows up."""
+    from contact_stab.scenarios import make_forcing
+
+    forcing = make_forcing(grid, seed=11, amplitude=1.0, t_ramp=0.2, k2=2)
+    runs = [0]
+
+    def f(t):
+        runs[0] += t == 0.0   # each run starts at rest at t = 0
+        pair = forcing.f(t)
+        if runs[0] == blow_up_in_run and t > 0.5 * grid.T_final:
+            return tuple(np.full_like(a, np.nan) for a in pair)
+        return pair
+
+    return Sources(f=f, g=forcing.g)
+
+
 class TestEpsSweep:
+    EPS = [0.1, 0.05, 0.025, 0.0125]
+
+    @pytest.mark.parametrize("blow_up_in_run, completed", [(None, 4), (3, 2)],
+                             ids=["complete", "truncated"])
+    def test_streamed_differences_equal_those_from_every_level_kept(self, blow_up_in_run,
+                                                                     completed):
+        grid = build_grid(rt_basic_state(Grid(16, 12, 4.0, 2.0 * np.pi)), 0.5, epsilon=0.1)
+        coeffs = assemble_coefficients(rt_basic_state(grid, rt_jump=0.5))
+        assert grid.n_steps > 2 * solver.EPS_SWEEP_STORE_EVERY
+        res = eps_sweep(coeffs, self.EPS, sources=_rt_forcing(grid, blow_up_in_run))
+        diffs, ratios, J_max, trace_bound = _sweep_keeping_every_level(
+            coeffs, self.EPS, _rt_forcing(grid, blow_up_in_run))
+        assert res.truncated == (blow_up_in_run is not None)
+        assert len(res.J_max) == completed and len(res.diffs) == completed - 1
+        assert min(res.diffs) > 0.0
+        assert res.diffs == diffs
+        assert res.ratios == ratios
+        assert res.J_max == J_max
+        assert res.trace_bound == trace_bound
+
     def test_requires_decreasing_list(self):
         basic, _ = small_basic()
         with pytest.raises(ValueError):
