@@ -64,16 +64,19 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     ],
     # the companion row 6 without its source term div f_h / d1Phi
     "drop-companion-source": [
-        (SOLVER, "            div *= w / sc.d1phi\n", "            div[...] = 0.0\n"),
+        (SOLVER, "                div *= w / sc.d1phi\n", "                div[...] = 0.0\n"),
     ],
-    # the forced term never refilled after its first fill, whatever the stage time
+    # the forced terms never refilled after their first fill, whatever the stage time
     "stale-source-term": [
-        (SOLVER, "        if held_t != t or held_f is not f or held_w != w:\n",
-         "        if held_f is None:\n"),
+        (SOLVER, "        key = (t, w, sources.f)\n", "        key = ()\n"),
     ],
-    # the forced term refilled for a new stage time or source, but not for a new weight
+    # the forced terms refilled for a new stage time or source, but not for a new weight
     "forced-term-key-ignores-weight": [
-        (SOLVER, " or held_f is not f or held_w != w:\n", " or held_f is not f:\n"),
+        (SOLVER, "key = (t, w, sources.f)", "key = (t, sources.f)"),
+    ],
+    # the forced terms refilled for a new stage time or weight, but not for a new source
+    "forced-term-key-ignores-source": [
+        (SOLVER, "key = (t, w, sources.f)", "key = (t, w)"),
     ],
     # the third and fourth stages' weights swapped, dt/6 and dt/3 for dt/3 and dt/6
     "swap-last-stage-weights": [

@@ -158,12 +158,8 @@ CHI_SLOPE_BOUND = _DENSITY_HEIGHT  # < 1/2 by construction
 
 @dataclass(frozen=True)
 class LiftedGeometry:
-    """Psi_pm, Phi_pm and their derivatives on the (N1, N2) grid."""
+    """The derivatives of Psi_pm and Phi_pm on the (N1, N2) grid."""
 
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-    phi_map_plus: np.ndarray
-    phi_map_minus: np.ndarray
     d1_phi_plus: np.ndarray     # d/dx1 of Phi^+
     d1_phi_minus: np.ndarray
     d2_psi_plus: np.ndarray
@@ -208,14 +204,8 @@ def build_lifted_geometry(
     if dt_phi is None:
         dt_phi = np.zeros_like(phi)
 
-    psi_p = chi_p * phi[None, :]
-    psi_m = chi_m * phi[None, :]
-    ones = np.ones_like(psi_p)
+    ones = np.ones((grid.N1, grid.N2))
     return LiftedGeometry(
-        psi_plus=psi_p,
-        psi_minus=psi_m,
-        phi_map_plus=x1[:, None] + psi_p,
-        phi_map_minus=-x1[:, None] + psi_m,
         # d/dx1 [chi(-x1) phi] = -chi'(-x1) phi
         d1_phi_plus=ones + dchi_p * phi[None, :],
         d1_phi_minus=-ones - dchi_m * phi[None, :],

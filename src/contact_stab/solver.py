@@ -176,26 +176,21 @@ class Sources:
     """Interior sources f_pm(t) and interface data g(t).
 
     f(t) must return a pair of (6, N1, N2) arrays, g(t) a (5, N2) array;
-    either may be None for homogeneous data.  Each callback's last value is
-    kept and returned again for the same t, so an RK4 step evaluates each
-    callback once per distinct stage time; callers must not modify the
-    returned arrays.  A callback returns new arrays on each call: the
-    forced term of StageWork.forced_term is keyed on the stage time, the
-    arrays of f and the stage weight, and source_h1_norm holds three of
-    f's levels at once.
+    either may be None for homogeneous data.  f_eval calls f each time: the
+    forced terms that StageWork.forced_terms fills from it are what a step
+    holds, keyed on the stage time, the stage weight and f itself.  g's
+    last value is kept and returned again for the same t, since a stage
+    and the closure after it read g at one time; callers must not modify
+    it.  A callback returns new arrays on each call: source_h1_norm holds
+    three of f's levels at once.
     """
 
     f: object = None
     g: object = None
-    _f_last: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _g_last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def f_eval(self, t: float):
-        if self.f is None:
-            return None
-        if self._f_last is None or self._f_last[0] != t:
-            self._f_last = (t, self.f(t))
-        return self._f_last[1]
+        return None if self.f is None else self.f(t)
 
     def g_eval(self, t: float):
         if self.g is None:
@@ -369,13 +364,14 @@ class StageWork:
     head of deriv, (14, rows, N2), as an (M columns, r1 - r0, N2) array,
     and a field entry's product into plane, (rows, N2), rows being the
     largest block's, so that a large grid's block stays in cache.
-    interior and forced_term take the stage's RK4 weight w and write w
-    times the stage derivatives.  forced_term fills one (ROWS, N1, N2) term
-    buffer per side, once per stage time, source and weight, with two
-    (N1, N2) scratch planes; all are allocated on the first forced stage,
-    so an unforced run holds none.  rk4 holds step's two stage buffers,
-    which take turns holding a stage's weighted derivatives and, turned in
-    place, the next stage's state; step allocates them on first use.
+    interior and forced_terms take the stage's RK4 weight w and write w
+    times the stage derivatives.  forced_terms fills one (2, ROWS, N1, N2)
+    term buffer, both sides at once, once per stage time, weight and
+    source, with two (N1, N2) scratch planes; all are allocated on the
+    first forced stage, so an unforced run holds none.  rk4 holds step's
+    two stage buffers, which take turns holding a stage's weighted
+    derivatives and, turned in place, the next stage's state; step
+    allocates them on first use.
     """
 
     def __init__(self, coeffs: Coefficients, epsilon: float):
@@ -399,47 +395,47 @@ class StageWork:
                 deriv = self.deriv.reshape(-1)[:cols * n].reshape(cols, r1 - r0, grid.N2)
                 plane = self.plane.reshape(-1)[:n].reshape(r1 - r0, grid.N2)
                 views.append((r0, r1, deriv, plane))
-        self._terms = {}   # side -> (term buffer, the t, f and w it holds)
+        self._held = None   # the (t, w, f callback) that _terms holds
 
     @cached_property
     def rk4(self) -> tuple[Snapshot, Snapshot]:
         return tuple(Snapshot.zeros(self.grid) for _ in range(2))
 
+    _terms = cached_property(lambda self: np.empty((2, ROWS, self.grid.N1, self.grid.N2)))
     _planes = cached_property(lambda self: np.empty((2, self.grid.N1, self.grid.N2)))
 
-    def forced_term(self, side: int, t: float, f: np.ndarray, w: float) -> np.ndarray:
-        """The forced part of one side's stage at t for that side's source
-        f, times the stage weight w: rows 0-5 the weighted f, row 6
-        div f_h / d1Phi.
+    def forced_terms(self, t: float, w: float, sources: Sources) -> np.ndarray:
+        """The forced part of both sides' stages at t, times the stage
+        weight w, as a (2, ROWS, N1, N2) array in the order (+, -): rows 0-5
+        the weighted f, row 6 div f_h / d1Phi.
 
-        The side's term buffer is filled again only when t, f (held by
-        reference, and compared by identity) or w differs from what it
-        holds, so an RK4 step fills it once per distinct stage time; this
-        relies on a source callback returning new arrays on each call."""
-        term, held_t, held_f, held_w = self._terms.get(side, (None, None, None, None))
-        if term is None:
-            term = np.empty((ROWS, self.grid.N1, self.grid.N2))
-        if held_t != t or held_f is not f or held_w != w:
-            sc, source = self.coeffs.side(side), self.entries[side][4]
-            np.multiply(f, source * w, out=term[:6])
-            # f_h = (f_N, d1Phi * f_H2), differentiated into row 6
-            (fh, d2), div = self._planes, term[6]
-            np.multiply(f[4], sc.d2psi, out=fh)
-            np.subtract(f[3], fh, out=fh)
-            d1_field(fh, self.grid.h1, out=div)
-            np.multiply(sc.d1phi, f[4], out=fh)
-            div += d2_field(fh, self.grid.h2, out=d2)
-            div *= w / sc.d1phi
-            self._terms[side] = (term, t, f, w)
-        return term
+        The terms are filled again, from one call of sources.f_eval(t),
+        only when t, w or the callback sources.f differs from what they
+        hold, so an RK4 step fills them once per distinct stage time and
+        weight, and holds no array that f returned."""
+        key = (t, w, sources.f)
+        if self._held != key:
+            for side, f, term in zip((+1, -1), sources.f_eval(t), self._terms):
+                sc, source = self.coeffs.side(side), self.entries[side][4]
+                np.multiply(f, source * w, out=term[:6])
+                # f_h = (f_N, d1Phi * f_H2), differentiated into row 6
+                (fh, d2), div = self._planes, term[6]
+                np.multiply(f[4], sc.d2psi, out=fh)
+                np.subtract(f[3], fh, out=fh)
+                d1_field(fh, self.grid.h1, out=div)
+                np.multiply(sc.d1phi, f[4], out=fh)
+                div += d2_field(fh, self.grid.h2, out=d2)
+                div *= w / sc.d1phi
+            self._held = key
+        return self._terms
 
     def interior(self, side: int, Y: np.ndarray, term: np.ndarray | None,
                  out: np.ndarray, w: float) -> None:
         """w times the stage derivatives of one side's rows Y into out:
         rows 0-5 A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U), row 6 the
-        companion transport, each plus its row of term, the forced_term
-        (already weighted), when it is given.  w is multiplied into M and
-        each entry's coefficient, not into out.  A row whose A0^-1 is a
+        companion transport, each plus its row of term, the side's forced
+        term (already weighted), when it is given.  w is multiplied into M
+        and each entry's coefficient, not into out.  A row whose A0^-1 is a
         field is scaled by it once, after its terms are summed."""
         M, d1_fields, d2_fields, C, _, rescale = self.entries[side]
         M = M * w
@@ -466,13 +462,11 @@ class StageWork:
 def _stage(y: Snapshot, t: float, w: float, work: StageWork, sources: Sources,
            out: Snapshot) -> None:
     """w times the stage derivatives at y, written into out."""
-    fpm = sources.f_eval(t)
-    g_rows = sources.g_eval(t)
+    terms = (None, None) if sources.f is None else work.forced_terms(t, w, sources)
     for k, side in enumerate((+1, -1)):
-        term = None if fpm is None else work.forced_term(side, t, fpm[k], w)
-        work.interior(side, y.sides[k], term, out.sides[k], w)
-    np.multiply(_front_rhs(y.phi, y.U.plus[:, 0, :], work.coeffs, g_rows, work.grid), w,
-                out=out.phi)
+        work.interior(side, y.sides[k], terms[k], out.sides[k], w)
+    np.multiply(_front_rhs(y.phi, y.U.plus[:, 0, :], work.coeffs, sources.g_eval(t), work.grid),
+                w, out=out.phi)
 
 
 def _close(y: Snapshot, t: float, coeffs: Coefficients, sources: Sources) -> None:
@@ -679,10 +673,6 @@ LIFT_DECAY_LENGTH = 0.5   # the lift profile is exp(-x1 / LIFT_DECAY_LENGTH)
 LIFT_DT_PROBE = 1e-5      # half-width of the centered dU/dt in interior_source
 
 
-class MissingLiftLevelError(LookupError):
-    """A lift time at which front_lift computed no level of phi_tilde."""
-
-
 @dataclass
 class BoundaryLift:
     """Regular two-sided field whose traces carry the interface data g.
@@ -692,8 +682,8 @@ class BoundaryLift:
     profile decays like exp(-x1/LIFT_DECAY_LENGTH) off the interface.
     front_lift solves the front equation driven by the lifted traces so
     that all five rows of the interface conditions are met by
-    (U_tilde, phi_tilde); u_tilde and interior_source take only the times of
-    its levels.
+    (U_tilde, phi_tilde); u_tilde and interior_source take the time and
+    the phi_tilde of one of its levels.
     """
 
     coeffs: Coefficients
@@ -703,7 +693,6 @@ class BoundaryLift:
     def __post_init__(self):
         g = self.coeffs.grid
         self._profile = np.exp(-g.x1 / LIFT_DECAY_LENGTH)[:, None]
-        self._phi: dict[float, np.ndarray] = {}   # phi_tilde of each front_lift level
         self._work = StageWork(self.coeffs, self.epsilon)
         # interior_source's buffers: U_tilde with a zero companion row, the
         # operator on it, and dU_tilde/dt
@@ -734,26 +723,24 @@ class BoundaryLift:
             k1 = rhs(times[n], phis[n])
             k2 = rhs(times[n] + dt, phis[n] + dt * k1)
             phis[n + 1] = phis[n] + 0.5 * dt * (k1 + k2)
-        self._phi.update(zip(map(float, times), phis))
         return phis
 
     def _trace_at(self, t: float, phi_tilde: np.ndarray) -> np.ndarray:
         return self._traces(phi_tilde, np.asarray(self.g_func(t), dtype=float))
 
-    def u_tilde(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        """The + side of U_tilde at a front_lift level t, (6, N1, N2),
-        written into out when given; its - side is zero."""
-        phi_tilde = self._phi.get(float(t))
-        if phi_tilde is None:
-            raise MissingLiftLevelError(f"no front_lift level at t = {t!r}")
+    def u_tilde(self, t: float, phi_tilde: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """The + side of U_tilde at t for the front lift phi_tilde at t,
+        (6, N1, N2), written into out when given; its - side is zero."""
         return np.multiply(self._trace_at(t, phi_tilde)[:, None, :], self._profile, out=out)
 
-    def interior_source(self, t: float) -> tuple[np.ndarray]:
-        """F = -L U_tilde on the + side, as the 1-tuple (plus,) that
-        source_h1_norm takes; the - side of U_tilde is zero, and so is its
-        source.  The spatial part of L is the stage kernel's, on U_tilde
-        with a zero companion row.  Only the returned array is new."""
-        self.u_tilde(t, out=self._Y[:6])
+    def interior_source(self, t: float, phi_tilde: np.ndarray) -> tuple[np.ndarray]:
+        """F = -L U_tilde at t, for the front lift phi_tilde at t, on the +
+        side, as the 1-tuple (plus,) that source_h1_norm takes; the - side
+        of U_tilde is zero, and so is its source.  The spatial part of L is
+        the stage kernel's, on U_tilde with a zero companion row.  Only the
+        returned array is new."""
+        self.u_tilde(t, phi_tilde, out=self._Y[:6])
         self._work.interior(+1, self._Y, None, self._L, 1.0)
         # dU_tilde/dt from the traces at t +- LIFT_DT_PROBE on a zero phi_tilde: it
         # leaves out phi_tilde' times the background jumps [d1 p] and [d1 H_tau] in
@@ -770,16 +757,17 @@ class BoundaryLift:
 # --- source norm ------------------------------------------------------------
 
 
-def source_h1_norm(f_func, grid: Grid, times: np.ndarray) -> float:
+def source_h1_norm(levels, grid: Grid, times: np.ndarray) -> float:
     """Discrete space-time H1 norm of an interior source, summed over its
     sides.
 
-    f_func(t) returns a tuple of (6, N1, N2) arrays, one per side: the
-    (plus, minus) pair of Sources.f, or the (plus,) of
-    BoundaryLift.interior_source, whose - side is zero.
+    levels yields the source at each of the times, in order, as a tuple of
+    (6, N1, N2) arrays, one per side: map(Sources.f, times) the (plus, minus)
+    pairs, or map(BoundaryLift.interior_source, times, phi_tildes) the
+    (plus,) of a lift, whose - side is zero.  It is read once, a window of
+    three levels at a time.
     """
-    # a window of three levels, each evaluated once, in order of time
-    levels = ([np.asarray(A, dtype=float) for A in f_func(t)] for t in times)
+    levels = ([np.asarray(A, dtype=float) for A in level] for level in levels)
     prev, cur = None, next(levels)
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
     scratch = np.empty_like(cur[0])   # one difference at a time

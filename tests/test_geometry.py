@@ -60,19 +60,23 @@ class TestLiftedGeometry:
         assert np.min(geo.d1_phi_plus) >= 0.5
         assert np.max(geo.d1_phi_minus) <= -0.5
 
+    # dt_Psi_pm = chi(pm x1) dt_phi, so with dt_phi = phi it is Psi_pm = chi(pm x1) phi
+
     def test_boundary_values(self):
         front = self._front()
-        geo = build_lifted_geometry(front, self.grid)
-        # chi = 1 near the interface: Psi restricted to x1 = 0 is phi itself
-        assert np.allclose(geo.psi_plus[0], front)
-        assert np.allclose(geo.psi_minus[0], front)
-        assert np.allclose(geo.phi_map_plus[0], front)
-        assert np.allclose(geo.phi_map_minus[0], front)
+        geo = build_lifted_geometry(front, self.grid, dt_phi=front)
+        # chi = 1 near the interface: Psi restricted to x1 = 0 is phi itself,
+        # and Phi_pm = pm x1 + Psi_pm has the straight map's slope there
+        assert np.allclose(geo.dt_psi_plus[0], front)
+        assert np.allclose(geo.dt_psi_minus[0], front)
+        assert np.allclose(geo.d1_phi_plus[0], 1.0)
+        assert np.allclose(geo.d1_phi_minus[0], -1.0)
 
     def test_support_of_lift(self):
-        geo = build_lifted_geometry(self._front(), self.grid)
+        front = self._front()
+        geo = build_lifted_geometry(front, self.grid, dt_phi=front)
         far = self.grid.x1 >= 4.0
-        assert np.all(geo.psi_plus[far] == 0.0)
+        assert np.all(geo.dt_psi_plus[far] == 0.0)
         assert np.all(geo.d1_phi_plus[far] == 1.0)
 
     def test_inadmissible_front_rejected(self):
@@ -94,12 +98,12 @@ class TestLiftedGeometry:
         combo = c1 * pa + c2 * pb
         if np.max(np.abs(combo)) >= 1.0:
             return
-        ga = build_lifted_geometry(pa, g, skip_admissibility=True)
-        gb = build_lifted_geometry(pb, g, skip_admissibility=True)
-        gc = build_lifted_geometry(combo, g, skip_admissibility=True)
-        got = gc.psi_plus
-        want = c1 * ga.psi_plus + c2 * gb.psi_plus
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        ga, gb, gc = (build_lifted_geometry(p, g, dt_phi=p, skip_admissibility=True)
+                      for p in (pa, pb, combo))
+        for got, want in ((gc.dt_psi_plus, c1 * ga.dt_psi_plus + c2 * gb.dt_psi_plus),
+                          (gc.d1_phi_plus - 1.0,
+                           c1 * (ga.d1_phi_plus - 1.0) + c2 * (gb.d1_phi_plus - 1.0))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_time_derivative_propagates_through_cutoff(self):
         front = self._front()

@@ -23,6 +23,7 @@ from contact_stab.linearization import (
 from contact_stab.solver import (
     ROWS,
     BoundaryLift,
+    Sources,
     StageWork,
     assemble_coefficients,
     build_grid,
@@ -377,11 +378,12 @@ class TestStageInterior:
         work = StageWork(assemble_coefficients(background(kind, grid, tmp_path)), 1e-3)
         Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
         f = rng.standard_normal((6, grid.N1, grid.N2))
+        src = Sources(f=lambda t: (f, f))
         w = 0.0123
-        for side in (+1, -1):
+        for k, side in enumerate((+1, -1)):
             unit, weighted = np.empty_like(Y), np.empty_like(Y)
             for res, weight in ((unit, 1.0), (weighted, w)):
-                term = work.forced_term(side, 0.0, f, weight) if forced else None
+                term = work.forced_terms(0.0, weight, src)[k] if forced else None
                 work.interior(side, Y, term, res, weight)
             np.testing.assert_allclose(weighted, w * unit, rtol=1e-15,
                                        atol=1e-15 * np.max(np.abs(w * unit)))
@@ -446,6 +448,7 @@ class TestStageInterior:
         coeffs = assemble_coefficients(background(kind, grid, tmp_path))
         Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
         f = rng.standard_normal((6, grid.N1, grid.N2))
+        src = Sources(f=lambda t: (f, f))
         points, rows = BLOCKINGS[blocking]
         for eps in (0.0, 1e-3):
             monkeypatch.setattr(solver, "_BLOCK_POINTS", grid.N1 * grid.N2)
@@ -454,11 +457,11 @@ class TestStageInterior:
             blocked = StageWork(coeffs, eps)
             assert whole.blocks == [(0, grid.N1)]
             assert [r1 - r0 for r0, r1 in blocked.blocks] == rows
-            for side in (+1, -1):
-                for forcing in (None, f):
+            for k, side in enumerate((+1, -1)):
+                for forcing in (None, src):
                     expected, got = np.empty_like(Y), np.empty_like(Y)
                     for work, res in ((whole, expected), (blocked, got)):
-                        term = None if forcing is None else work.forced_term(side, 0.0, forcing, 1.0)
+                        term = None if forcing is None else work.forced_terms(0.0, 1.0, forcing)[k]
                         work.interior(side, Y, term, res, 1.0)
                     assert np.array_equal(got, expected)
 
@@ -480,8 +483,8 @@ class TestStageInterior:
         for points in (grid.N1 * grid.N2, BLOCKINGS[blocking][0]):
             monkeypatch.setattr(solver, "_BLOCK_POINTS", points)
             lift = BoundaryLift(coeffs, g, epsilon=eps)
-            lift.front_lift(times)
-            sources.append(lift.interior_source(float(times[4]))[0])
+            phi_tilde = lift.front_lift(times)[4]
+            sources.append(lift.interior_source(float(times[4]), phi_tilde)[0])
         assert np.max(np.abs(sources[0])) > 0.0
         assert np.array_equal(sources[1], sources[0])
 
@@ -534,10 +537,11 @@ class TestCompactCoefficients:
         compact_work, full_work = StageWork(coeffs, eps), StageWork(full, eps)
         Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
         f = rng.standard_normal((6, grid.N1, grid.N2))
-        for side in (+1, -1):
+        src = Sources(f=lambda t: (f, f))
+        for k, side in enumerate((+1, -1)):
             want, got = np.empty_like(Y), np.empty_like(Y)
             for work, res in ((full_work, want), (compact_work, got)):
-                work.interior(side, Y, work.forced_term(side, 0.0, f, 1.0), res, 1.0)
+                work.interior(side, Y, work.forced_terms(0.0, 1.0, src)[k], res, 1.0)
             assert np.array_equal(got, want)
 
 

@@ -1,6 +1,6 @@
 """What the time-domain runs keep alive: the operator holds no view of its
-background, run drops its initial state, and the 200x200 energy run peaks
-near its RK4 working set."""
+background, run drops its initial state, a step holds no array of its
+source, and the 200x200 energy run peaks near its RK4 working set."""
 
 import dataclasses
 import tracemalloc
@@ -14,7 +14,16 @@ from contact_stab.config import parse_config
 from contact_stab.grid import Grid
 from contact_stab.linearization import constant_basic_state
 from contact_stab.scenarios import rt_basic_state, run_energy_test
-from contact_stab.solver import Snapshot, assemble_coefficients, divergence_free_pulse, run
+from contact_stab.solver import (
+    Snapshot,
+    Sources,
+    StageWork,
+    assemble_coefficients,
+    build_grid,
+    divergence_free_pulse,
+    run,
+    step,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -57,6 +66,26 @@ def test_run_drops_initial_once_it_has_yielded_level_zero():
     n, snap, _ = next(levels)
     assert n == 0 and held() is None
     assert snap.data.any()
+
+
+def test_a_step_holds_no_array_that_f_returned():
+    # the forced terms a step fills are all it keeps of f; the arrays of
+    # each f(t) are freed once they are filled in
+    grid = build_grid(constant_basic_state(Grid(20, 16, 4.0, 2.0 * np.pi), v2=0.2), 0.1,
+                      epsilon=1e-2)
+    coeffs = assemble_coefficients(constant_basic_state(grid, v2=0.2, H2=0.3))
+    shape = np.exp(-grid.mesh()[0])
+    returned = []
+
+    def f(t):
+        pair = (np.cos(t) * np.stack([shape] * 6), np.sin(t) * np.stack([shape] * 6))
+        returned.extend(map(weakref.ref, pair))
+        return pair
+
+    work, sources = StageWork(coeffs, 1e-2), Sources(f=f)   # both live on, as in run
+    snap = step(divergence_free_pulse(grid, seed=1), work, sources)
+    assert returned and snap.data.any()
+    assert [r for r in returned if r() is not None] == []
 
 
 def test_energy_test_peaks_near_its_rk4_working_set():

@@ -484,16 +484,16 @@ class TestLift:
     def test_zero_data_zero_lift(self):
         basic, grid = small_basic()
         lift = BoundaryLift(assemble_coefficients(basic), lambda t: np.zeros((5, grid.N2)))
-        lift.front_lift(np.array([0.3]))
-        assert np.all(lift.u_tilde(0.3) == 0.0)
-        (source,) = lift.interior_source(0.3)
+        (phi_tilde,) = lift.front_lift(np.array([0.3]))
+        assert np.all(lift.u_tilde(0.3, phi_tilde) == 0.0)
+        (source,) = lift.interior_source(0.3, phi_tilde)
         assert np.all(source == 0.0)
 
     def test_source_allocates_no_rk4_snapshots(self):
         basic, grid = small_basic()
         lift = BoundaryLift(assemble_coefficients(basic), lambda t: np.ones((5, grid.N2)))
-        lift.front_lift(np.array([0.1]))
-        lift.interior_source(0.1)
+        (phi_tilde,) = lift.front_lift(np.array([0.1]))
+        lift.interior_source(0.1, phi_tilde)
         snapshots = [v for v in vars(lift._work).values() if isinstance(v, (Snapshot, tuple))]
         assert snapshots == []
 
@@ -503,22 +503,10 @@ class TestLift:
         basic, grid = small_basic()
         lift = BoundaryLift(assemble_coefficients(basic),
                             lambda t: np.full((5, grid.N2), 1.0 + t))
-        lift.front_lift(np.array([0.1, 0.2]))
-        (p1,), (p2,) = lift.interior_source(0.1), lift.interior_source(0.2)
+        phis = lift.front_lift(np.array([0.1, 0.2]))
+        (p1,), (p2,) = lift.interior_source(0.1, phis[0]), lift.interior_source(0.2, phis[1])
         assert p1.shape == (6, grid.N1, grid.N2)
         assert not np.shares_memory(p1, p2) and not np.array_equal(p1, p2)
-
-    def test_a_time_without_a_front_lift_level_raises(self):
-        basic, grid = small_basic(v2=0.0, T=0.2)
-        lift = BoundaryLift(assemble_coefficients(basic), lambda t: np.ones((5, grid.N2)))
-        times = np.linspace(0.0, grid.T_final, 5)
-        lift.front_lift(times)
-        lift.interior_source(float(times[2]))
-        for t in (0.5 * float(times[1]), float(times[1]) + 1e-13, grid.T_final + 1.0):
-            with pytest.raises(solver.MissingLiftLevelError):
-                lift.u_tilde(t)
-            with pytest.raises(solver.MissingLiftLevelError):
-                lift.interior_source(t)
 
     def test_plus_side_carries_the_jump(self):
         basic, grid = small_basic(v2=0.0)
@@ -529,8 +517,8 @@ class TestLift:
             return rows
 
         lift = BoundaryLift(assemble_coefficients(basic), g)
-        lift.front_lift(np.array([0.0]))
-        plus = lift.u_tilde(0.0)
+        (phi_tilde,) = lift.front_lift(np.array([0.0]))
+        plus = lift.u_tilde(0.0, phi_tilde)
         assert plus.shape == (6, grid.N1, grid.N2)
         assert np.allclose(plus[1, 0, :], np.cos(grid.x2))
         # decay profile in x1
@@ -552,7 +540,7 @@ class TestLift:
         phis = lift.front_lift(times)
         n = len(times) // 2
         t = times[n]
-        trace_plus = lift.u_tilde(t)[:, 0, :]
+        trace_plus = lift.u_tilde(t, phis[n])[:, 0, :]
         dt_phi = (phis[n + 1] - phis[n - 1]) / (2 * (times[1] - times[0]))
         # the lift's - side is zero
         return bc_residual(trace_plus, np.zeros_like(trace_plus),
@@ -589,8 +577,8 @@ class TestLift:
         norms = []
         for a in (1.0, 2.0):
             lift = BoundaryLift(coeffs, g_of(a))
-            lift.front_lift(times)
-            norms.append(source_h1_norm(lift.interior_source, grid, times))
+            levels = map(lift.interior_source, times, lift.front_lift(times))
+            norms.append(source_h1_norm(levels, grid, times))
         n1, n2 = norms
         assert np.isfinite(n1) and n1 > 0.0
         assert n2 == pytest.approx(2.0 * n1, rel=1e-8)
@@ -611,15 +599,15 @@ class TestLift:
 
         lift = BoundaryLift(coeffs, g, epsilon=eps)
         times = np.linspace(0.0, grid.T_final, 9)
-        lift.front_lift(times)
+        phi_tilde = lift.front_lift(times)[4]
         t = float(times[4])
-        (F,) = lift.interior_source(t)   # the - side's U_tilde and source are zero
+        (F,) = lift.interior_source(t, phi_tilde)   # the - side's U_tilde and source are zero
         # dU/dt as the source takes it, from the traces at t +- LIFT_DT_PROBE on a
-        # zero phi_tilde: the one level of a front_lift call is zero
-        for d in (solver.LIFT_DT_PROBE, -solver.LIFT_DT_PROBE):
-            lift.front_lift(np.array([t + d]))
-        U, Up, Um = (lift.u_tilde(t + d) for d in (0.0, solver.LIFT_DT_PROBE,
-                                                   -solver.LIFT_DT_PROBE))
+        # zero phi_tilde
+        zero = np.zeros(grid.N2)
+        U = lift.u_tilde(t, phi_tilde)
+        Up, Um = (lift.u_tilde(t + d, zero) for d in (solver.LIFT_DT_PROBE,
+                                                      -solver.LIFT_DT_PROBE))
         assert np.max(np.abs(F)) > 0.0
         sc = coeffs.plus
         d1U = d1_field(U, grid.h1)
@@ -632,11 +620,11 @@ class TestLift:
                                    atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
 
 
-def _reference_source_h1_norm(f_func, grid, times):
+def _reference_source_h1_norm(levels, grid, times):
     """The space-time H1 norm term by term, summed over a level's sides: the
     direct squared norm of each level, of its d1_field and d2_field, and of
     the centred time difference."""
-    levels = [f_func(t) for t in times]
+    levels = list(levels)
     dt = float(times[1] - times[0])
     total = 0.0
     for n, pair in enumerate(levels):
@@ -662,8 +650,8 @@ class TestSourceNorm:
             return tuple(b * np.cos(3.0 * t) + d * t ** 2 for b, d in zip(base, drift))
 
         times = np.linspace(0.0, 0.4, 9)
-        ref = _reference_source_h1_norm(f, grid, times)
-        assert source_h1_norm(f, grid, times) == pytest.approx(ref, rel=1e-12)
+        ref = _reference_source_h1_norm(map(f, times), grid, times)
+        assert source_h1_norm(map(f, times), grid, times) == pytest.approx(ref, rel=1e-12)
 
     def test_holds_three_levels_at_a_time(self):
         grid = Grid(20, 16, 4.0, 2.0 * np.pi)
@@ -676,7 +664,8 @@ class TestSourceNorm:
             refs.extend(map(weakref.ref, pair))
             return pair
 
-        source_h1_norm(f, grid, np.linspace(0.0, 0.4, 9))
+        times = np.linspace(0.0, 0.4, 9)
+        source_h1_norm(map(f, times), grid, times)
         assert len(held) == 9
         assert max(held) == 4   # the two levels before, both sides
 
@@ -692,11 +681,12 @@ class TestSourceNorm:
 
         lift = BoundaryLift(coeffs, g, epsilon=1e-2)
         times = np.linspace(0.0, grid.T_final, 9)
-        lift.front_lift(times)
-        assert len(lift.interior_source(float(times[4]))) == 1   # the - side is zero
-        ref = _reference_source_h1_norm(lift.interior_source, grid, times)
+        phis = lift.front_lift(times)
+        assert len(lift.interior_source(float(times[4]), phis[4])) == 1   # the - side is zero
+        ref = _reference_source_h1_norm(map(lift.interior_source, times, phis), grid, times)
         assert ref > 0.0
-        assert source_h1_norm(lift.interior_source, grid, times) == pytest.approx(ref, rel=1e-12)
+        got = source_h1_norm(map(lift.interior_source, times, phis), grid, times)
+        assert got == pytest.approx(ref, rel=1e-12)
 
 
 def _sweep_keeping_every_level(coeffs, eps_list, sources):
@@ -787,10 +777,7 @@ class TestEpsSweep:
 
 
 class _UnmemoizedSources(Sources):
-    """Calls the callbacks at every evaluation, as before the memo."""
-
-    def f_eval(self, t):
-        return self.f(t)
+    """Calls g at every evaluation, as before the memo; only g has one."""
 
     def g_eval(self, t):
         return np.asarray(self.g(t), dtype=float)

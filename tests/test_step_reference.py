@@ -213,8 +213,9 @@ class TestForcedTerm:
         grid = basic.grid
         work = StageWork(assemble_coefficients(basic), eps)
         f = rng.standard_normal((6, grid.N1, grid.N2))
-        held = work.forced_term(+1, 0.5, f, 1.0 / 6.0).copy()
-        got = work.forced_term(+1, 0.5, f, 1.0 / 3.0)
+        src = Sources(f=lambda t: (f, -f))
+        held = work.forced_terms(0.5, 1.0 / 6.0, src).copy()
+        got = work.forced_terms(0.5, 1.0 / 3.0, src)
         np.testing.assert_allclose(got, 2.0 * held, rtol=1e-15)
 
     def test_another_source_at_the_held_time_gets_its_own_term(self):
