@@ -24,7 +24,9 @@ waves do not return.
 A companion scalar transport equation per side, carried as a seventh row
 next to U, tracks the source-induced divergence f7 = div h_dot; it needs no
 interface condition because the background transport field is tangent to
-the interface.
+the interface.  It reads no row of U and no row of U reads it, so it
+evolves only when a source drives it or it starts nonzero; a run without
+either steps rows 0-5 alone and keeps it zero.
 """
 
 from __future__ import annotations
@@ -279,9 +281,10 @@ def _uniform_or_field(entry):
     return float(first) if np.all(entry == first) else entry
 
 
-def _side_operator(sc: SideCoefficients, epsilon: float, grid: Grid):
-    """One side's stage operator, from one walk over its entries, as spans
-    and (M, d1_fields, d2_fields, C, source, rescale).
+def _side_operator(sc: SideCoefficients, epsilon: float, grid: Grid, rows: int):
+    """One side's stage operator on its first rows rows, 6 (U) or ROWS,
+    from one walk over its entries, as spans and (M, d1_fields, d2_fields,
+    C, source, rescale).
 
     Rows 0-5 are -A0^-1 (A1_tilde d1 + A2 d2 + C - eps d1) and row 6 the
     companion transport da/dt = c1 d1a + c2 d2a + c0 a, taken as the (6, 6)
@@ -293,16 +296,18 @@ def _side_operator(sc: SideCoefficients, epsilon: float, grid: Grid):
     each as (i, j, c), c a float where it is uniform.  spans are the slices
     of rows that d1 and d2 must difference, from the first to the last row
     an entry reads; M keeps the spans' columns, so it acts on their raw
-    differences stacked, and a field entry's j counts from its span's start.
+    differences stacked ((6, 12) for rows 0-5, (7, 14) or, on the RT
+    background, (7, 11) for all seven), and a field entry's j counts from
+    its span's start.
     """
     a0_inv = [_uniform_or_field(row) for row in sc.A0_inv_diag]
     rescale = [(i, a) for i, a in enumerate(a0_inv) if not isinstance(a, float)]
     fold = [a if isinstance(a, float) else 1.0 for a in a0_inv]
     companion = (-sc.w1 / sc.d1phi + epsilon, -sc.w2 / sc.d1phi,
                  -(sc.div_u - epsilon * sc.d11phi) / sc.d1phi)
-    M = np.zeros((ROWS, 2 * ROWS))
+    M = np.zeros((rows, 2 * rows))
     fields, C, reads = ([], []), [], ([], [])
-    ij = [*np.ndindex(6, 6), (6, 6)]
+    ij = [*np.ndindex(6, 6)] + [(6, 6)] * (rows - 6)
     for k, A in enumerate((sc.At1, sc.A2, sc.C)):
         for i, j in ij:
             if i == 6:
@@ -323,22 +328,23 @@ def _side_operator(sc: SideCoefficients, epsilon: float, grid: Grid):
             reads[k].append(j)
             h = 2.0 * (grid.h1, grid.h2)[k]
             if isinstance(c, float):
-                M[i, k * ROWS + j] = c / h
+                M[i, k * rows + j] = c / h
             else:
                 fields[k].append((i, j, c / h))
     spans, cols = [], []
     for k, read in enumerate(reads):
         lo, hi = (min(read), max(read) + 1) if read else (0, 0)
         spans.append(slice(lo, hi))
-        cols.extend(range(k * ROWS + lo, k * ROWS + hi))
+        cols.extend(range(k * rows + lo, k * rows + hi))
         fields[k][:] = [(i, j - lo, c) for i, j, c in fields[k]]
     return spans, (M[:, cols], *fields, C, np.array(fold)[:, None, None], rescale)
 
 
 # Grid points per block of StageWork.interior.  A block's working set is
-# about 28 (block,) planes: 7 of Y and its halo, the 14 differences and 7 of
-# out.  At this size that is 1.4 MB, which stays in a 2 MB per-core L2 with
-# room for BLAS's packed copy of the differences.  A grid of N points splits
+# about 28 (block,) planes for seven rows: 7 of Y and its halo, the 14
+# differences and 7 of out; 24 for rows 0-5.  At this size 28 are 1.4 MB,
+# which stays in a 2 MB per-core L2 with room for BLAS's packed copy of the
+# differences.  A grid of N points splits
 # into N // _BLOCK_POINTS blocks of whole rows, so grids under
 # 2 _BLOCK_POINTS points are one block.
 _BLOCK_POINTS = 6144
@@ -351,19 +357,22 @@ def _row_blocks(N1: int, N2: int) -> list[tuple[int, int]]:
 
 
 class StageWork:
-    """Buffers and folded stage entries of solver.step, built once per run
-    (and once per BoundaryLift, whose source uses interior) from the
-    Coefficients and epsilon.
+    """Buffers and folded stage entries of solver.step on the first rows
+    rows of each side, built once per run (and once per BoundaryLift, whose
+    source uses interior) from the Coefficients and epsilon.  rows is ROWS,
+    or 6 for a run whose companion row starts zero and no source drives:
+    step then leaves row 6 zero.
 
     Per side, spans and entries are what _side_operator builds: the slices
     of Y rows that d1 and d2 difference, and (M, d1_fields, d2_fields, C,
-    source, rescale), M acting on just those differences, stacked: (7, 11)
-    on the RT background, whose d2 reads rows 0-3 only, (7, 14) where every
-    row's d2 is read.  interior works through blocks, the (r0, r1) ranges
-    of x1 rows that tile the grid; a block writes its differences at the
-    head of deriv, (14, rows, N2), as an (M columns, r1 - r0, N2) array,
-    and a field entry's product into plane, (rows, N2), rows being the
-    largest block's, so that a large grid's block stays in cache.
+    source, rescale), M acting on just those differences, stacked: (6, 12)
+    for rows 0-5 and (7, 14) for all seven where every row's d2 is read,
+    (7, 11) for all seven on the RT background, whose d2 reads rows 0-3
+    only.  interior works through blocks, the (r0, r1) ranges of x1 rows
+    that tile the grid; a block writes its differences at the head of
+    deriv, (2 rows, block rows, N2), as an (M columns, r1 - r0, N2) array,
+    and a field entry's product into plane, (block rows, N2), block rows
+    being the largest block's, so that a large grid's block stays in cache.
     interior and forced_terms take the stage's RK4 weight w and write w
     times the stage derivatives.  forced_terms fills one (2, ROWS, N1, N2)
     term buffer, both sides at once, once per stage time, weight and
@@ -374,16 +383,16 @@ class StageWork:
     allocates them on first use.
     """
 
-    def __init__(self, coeffs: Coefficients, epsilon: float):
+    def __init__(self, coeffs: Coefficients, epsilon: float, rows: int = ROWS):
         grid = self.grid = coeffs.grid
-        self.coeffs = coeffs
+        self.coeffs, self.rows = coeffs, rows
         self.entries, self.spans = {}, {}
         for s in (+1, -1):
-            self.spans[s], self.entries[s] = _side_operator(coeffs.side(s), epsilon, grid)
+            self.spans[s], self.entries[s] = _side_operator(coeffs.side(s), epsilon, grid, rows)
         self.blocks = _row_blocks(grid.N1, grid.N2)
-        rows = max(r1 - r0 for r0, r1 in self.blocks)
-        self.deriv = np.empty((2 * ROWS, rows, grid.N2))
-        self.plane = np.empty((rows, grid.N2))
+        block_rows = max(r1 - r0 for r0, r1 in self.blocks)
+        self.deriv = np.empty((2 * rows, block_rows, grid.N2))
+        self.plane = np.empty((block_rows, grid.N2))
         # per side and block: its rows, and its differences and plane at the
         # head of deriv and plane
         self._block_views = {}
@@ -431,17 +440,18 @@ class StageWork:
 
     def interior(self, side: int, Y: np.ndarray, term: np.ndarray | None,
                  out: np.ndarray, w: float) -> None:
-        """w times the stage derivatives of one side's rows Y into out:
-        rows 0-5 A0^-1 (-A1_tilde d1U - A2 d2U - C U + eps d1U), row 6 the
-        companion transport, each plus its row of term, the side's forced
-        term (already weighted), when it is given.  w is multiplied into M
-        and each entry's coefficient, not into out.  A row whose A0^-1 is a
-        field is scaled by it once, after its terms are summed."""
+        """w times the stage derivatives of one side's rows Y into the
+        first self.rows rows of out: rows 0-5 A0^-1 (-A1_tilde d1U - A2 d2U
+        - C U + eps d1U), row 6 the companion transport, each plus its row
+        of term, the side's forced term (already weighted), when it is
+        given.  w is multiplied into M and each entry's coefficient, not
+        into out.  A row whose A0^-1 is a field is scaled by it once, after
+        its terms are summed."""
         M, d1_fields, d2_fields, C, _, rescale = self.entries[side]
         M = M * w
         s1, s2 = self.spans[side]
         n1 = s1.stop - s1.start
-        flat = out.reshape(ROWS, -1)
+        flat = out[:self.rows].reshape(self.rows, -1)
         N2 = self.grid.N2
         for r0, r1, deriv, plane in self._block_views[side]:
             d1, d2 = deriv[:n1], deriv[n1:]
@@ -484,11 +494,19 @@ def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
     three stages the same buffer is turned in place into the next stage's
     state, snapshot plus c times the slope, and closed.  The stages run in the workspace work; only
     the returned Snapshot is newly allocated, and snapshot is left unchanged.
+    A seven-row workspace passes over data whole, one call a pass (two made
+    small forced grids slower); one of rows 0-5 over them and phi alone.
     """
-    coeffs, buffers = work.coeffs, work.rk4
+    coeffs, buffers, rows = work.coeffs, work.rk4, work.rows
     if snapshot.sides.shape != buffers[0].sides.shape:
         raise ValueError(f"snapshot of shape {snapshot.sides.shape} for a workspace "
                          f"of shape {buffers[0].sides.shape}")
+    if rows < ROWS and sources.f is not None:
+        raise ValueError("a forced step needs a workspace of all seven rows")
+
+    def live(s: Snapshot):
+        return (s.data,) if rows == ROWS else (s.sides[:, :rows], s.phi)
+
     dt, t = work.grid.dt, snapshot.t
     half = t + 0.5 * dt
     # per stage: its time, its weight w and the coefficient c of its slope in
@@ -497,17 +515,20 @@ def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
                (half, dt / 3.0, dt), (t + dt, dt / 6.0, None))
     out = snapshot.empty_like()
     out.t = t + dt
+    out.sides[:, rows:] = 0.0
     y = snapshot
     for s, (t_s, w, c) in enumerate(tableau):
         z = buffers[s % 2]
         _stage(y, t_s, w, work, sources, z)
-        if s == 0:
-            np.add(snapshot.data, z.data, out=out.data)
-        else:
-            out.data += z.data
+        for o, x, k in zip(live(out), live(snapshot), live(z)):
+            if s == 0:
+                np.add(x, k, out=o)
+            else:
+                o += k
+            if c is not None:
+                k *= c / w
+                k += x
         if c is not None:
-            z.data *= c / w
-            z.data += snapshot.data
             _close(z, tableau[s + 1][0], coeffs, sources)
             y = z
     _close(out, out.t, coeffs, sources)
@@ -635,7 +656,9 @@ def run(coeffs: Coefficients, epsilon: float, sources: Sources | None = None,
     Every yielded snapshot is new and never written again, so a caller may
     keep it without a copy.  A non-finite state or energy raises
     BlowUpError.  run holds its last level and its StageWork; initial it
-    drops once it has copied it to level 0.
+    drops once it has copied it to level 0.  The steps evolve all seven
+    rows when sources.f is given or the initial companion row has a
+    nonzero entry, and rows 0-5 otherwise, the companion staying zero.
     """
     grid = coeffs.grid
     if sources is None:
@@ -644,7 +667,8 @@ def run(coeffs: Coefficients, epsilon: float, sources: Sources | None = None,
     if initial is not None:
         del initial
         apply_interface_conditions(snap.U, snap.phi, coeffs, sources.g_eval(snap.t))
-    work = StageWork(coeffs, epsilon)
+    companion_moves = sources.f is not None or snap.sides[:, 6].any()
+    work = StageWork(coeffs, epsilon, ROWS if companion_moves else 6)
     for n in range(grid.n_steps + 1):
         if n:
             # positional: the benchmark's step counter reads args[1].grid
@@ -693,12 +717,9 @@ class BoundaryLift:
     def __post_init__(self):
         g = self.coeffs.grid
         self._profile = np.exp(-g.x1 / LIFT_DECAY_LENGTH)[:, None]
-        self._work = StageWork(self.coeffs, self.epsilon)
-        # interior_source's buffers: U_tilde with a zero companion row, the
-        # operator on it, and dU_tilde/dt
-        self._Y = np.zeros((ROWS, g.N1, g.N2))
-        self._L = np.empty_like(self._Y)
-        self._rate = np.empty((6, g.N1, g.N2))
+        self._work = StageWork(self.coeffs, self.epsilon, 6)
+        # interior_source's buffers: U_tilde, the operator on it, and dU_tilde/dt
+        self._Y, self._L, self._rate = np.empty((3, 6, g.N1, g.N2))
 
     def _traces(self, phi_tilde: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
         """+ side trace that zeroes the four jump rows against a zero - side;
@@ -738,9 +759,8 @@ class BoundaryLift:
         """F = -L U_tilde at t, for the front lift phi_tilde at t, on the +
         side, as the 1-tuple (plus,) that source_h1_norm takes; the - side
         of U_tilde is zero, and so is its source.  The spatial part of L is
-        the stage kernel's, on U_tilde with a zero companion row.  Only the
-        returned array is new."""
-        self.u_tilde(t, phi_tilde, out=self._Y[:6])
+        the stage kernel's on rows 0-5.  Only the returned array is new."""
+        self.u_tilde(t, phi_tilde, out=self._Y)
         self._work.interior(+1, self._Y, None, self._L, 1.0)
         # dU_tilde/dt from the traces at t +- LIFT_DT_PROBE on a zero phi_tilde: it
         # leaves out phi_tilde' times the background jumps [d1 p] and [d1 H_tau] in
@@ -750,7 +770,7 @@ class BoundaryLift:
         d_trace = (self._trace_at(t + LIFT_DT_PROBE, zero)
                    - self._trace_at(t - LIFT_DT_PROBE, zero)) / (2.0 * LIFT_DT_PROBE)
         rate = np.multiply(d_trace[:, None, :], self._profile, out=self._rate)
-        np.subtract(self._L[:6], rate, out=rate)
+        np.subtract(self._L, rate, out=rate)
         return (np.multiply(self.coeffs.plus.A0_diag, rate),)
 
 

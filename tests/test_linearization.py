@@ -466,6 +466,28 @@ class TestStageInterior:
                     assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("blocking", BLOCKINGS)
+    @pytest.mark.parametrize("kind", ["constant", "rt"])
+    def test_u_rows_operator_writes_the_seven_row_operators_rows_0_to_5(
+            self, kind, blocking, rng, tmp_path, monkeypatch):
+        # an unforced run's operator drops the companion row and its columns;
+        # what it writes of U is bit for bit what the full operator writes
+        grid = Grid(23, 16, 6.0, 2.0 * np.pi)
+        coeffs = assemble_coefficients(background(kind, grid, tmp_path))
+        monkeypatch.setattr(solver, "_BLOCK_POINTS", BLOCKINGS[blocking][0])
+        Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
+        for eps in (0.0, 1e-3):
+            full, u_rows = StageWork(coeffs, eps), StageWork(coeffs, eps, 6)
+            assert [r1 - r0 for r0, r1 in u_rows.blocks] == BLOCKINGS[blocking][1]
+            for side in (+1, -1):
+                assert u_rows.entries[side][0].shape[0] == 6
+                assert all(s.stop <= 6 for s in u_rows.spans[side])
+                expected, got = np.empty_like(Y), np.full_like(Y, np.nan)
+                full.interior(side, Y, None, expected, 0.25)
+                u_rows.interior(side, Y, None, got, 0.25)
+                assert np.array_equal(got[:6], expected[:6])
+                assert np.all(np.isnan(got[6]))
+
+    @pytest.mark.parametrize("blocking", BLOCKINGS)
     def test_lift_source_is_the_one_block_result(self, blocking, monkeypatch):
         eps = 1e-2
         grid = build_grid(rt_background(Grid(23, 16, 4.0, 2.0 * np.pi)), 0.2, epsilon=eps)

@@ -228,3 +228,54 @@ class TestForcedTerm:
         want = step(first, StageWork(coeffs, eps), other)
         assert np.array_equal(got.data, want.data)
         assert not np.array_equal(got.data, step(first, StageWork(coeffs, eps), src).data)
+
+
+class TestRunSteppedRows:
+    """run steps rows 0-5 alone only when nothing can move the companion
+    row: no source f and a zero row 6 at the start.  Its levels are compared
+    bit for bit with the production step on a seven-row StageWork."""
+
+    @staticmethod
+    def _levels_and_reference(basic, eps, src, initial, n=3):
+        coeffs = assemble_coefficients(basic)
+        levels = [s for _, s, _ in itertools.islice(
+            run(coeffs, eps, sources=src, initial=initial), n + 1)]
+        ref = initial.copy()
+        apply_interface_conditions(ref.U, ref.phi, coeffs, src.g_eval(ref.t))
+        work, refs = StageWork(coeffs, eps), [ref]
+        for _ in range(n):
+            refs.append(step(refs[-1], work, src))
+        return levels, refs
+
+    @pytest.mark.parametrize("case", ["constant", "rt"])
+    def test_unforced_pulse_keeps_a_zero_companion(self, case):
+        basic, eps, src, _ = CASES[case]()
+        pulse = divergence_free_pulse(basic.grid, seed=1)
+        assert src.f is None and not pulse.sides[:, 6].any()
+        levels, refs = self._levels_and_reference(basic, eps, src, pulse)
+        for got, want in zip(levels, refs):
+            assert not got.sides[:, 6].any()
+            assert np.array_equal(got.data, want.data)
+        assert np.max(np.abs(levels[-1].U.plus)) > 0.0
+
+    def test_unforced_run_from_a_nonzero_companion_evolves_it(self):
+        basic, eps, _, initial = mms_case()
+        assert initial.sides[:, 6].any()
+        levels, refs = self._levels_and_reference(basic, eps, Sources(), initial)
+        for got, want in zip(levels, refs):
+            assert np.array_equal(got.data, want.data)
+        assert not np.array_equal(levels[-1].sides[:, 6], initial.sides[:, 6])
+
+    def test_forced_run_from_a_zero_companion_evolves_it(self):
+        basic, eps, src, initial = mms_case()
+        initial.sides[:, 6] = 0.0
+        levels, refs = self._levels_and_reference(basic, eps, src, initial)
+        for got, want in zip(levels, refs):
+            assert np.array_equal(got.data, want.data)
+        assert levels[-1].sides[:, 6].any()
+
+    def test_a_forced_step_on_the_u_rows_raises(self):
+        basic, eps, src, initial = mms_case()
+        work = StageWork(assemble_coefficients(basic), eps, 6)
+        with pytest.raises(ValueError, match="seven rows"):
+            step(initial, work, src)
