@@ -93,6 +93,12 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
         (SOLVER, "(half, dt / 3.0, dt), (t + dt, dt / 6.0, None)",
          "(half, dt / 6.0, dt), (t + dt, dt / 3.0, None)"),
     ],
+    # both sides' block differences and planes taken from side +'s scratch, so the
+    # worker's side - writes into the buffers side + reads
+    "shared-side-scratch": [
+        (SOLVER, "deriv = self.deriv[k].reshape(-1)", "deriv = self.deriv[0].reshape(-1)"),
+        (SOLVER, "plane = self.plane[k].reshape(-1)", "plane = self.plane[0].reshape(-1)"),
+    ],
     # the rows a stage differences stop one short of the last row its operator reads
     "drop-last-derivative-row": [
         (SOLVER, "lo, hi = (min(read), max(read) + 1) if read else (0, 0)",

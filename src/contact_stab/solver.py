@@ -13,7 +13,8 @@ become strictly dissipative.
 Discretization: centered 2nd-order differences in x1 with first-order
 one-sided end rows (together with trapezoid weights these satisfy exact
 summation by parts, which the discrete adjoint check exercises), periodic
-centered differences in x2, classical RK4 in time.  Interface closure per
+centered differences in x2, classical RK4 in time, a large grid's - side
+stepped on a second thread between closures.  Interface closure per
 stage: the four jump conditions are enforced by an equal-split projection
 of the predicted traces (the correction to the magnetic trace acts along
 the tangential direction so the zero-speed normal component is left to the
@@ -31,9 +32,10 @@ either steps rows 0-5 alone and keeps it zero.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -167,10 +169,6 @@ class Snapshot:
 
     def copy(self) -> "Snapshot":
         return Snapshot(self._sides.shape[2:], self.data.copy(), self.t)
-
-    def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.data)):
-            raise BlowUpError(self.t)
 
 
 @dataclass
@@ -344,9 +342,11 @@ def _side_operator(sc: SideCoefficients, epsilon: float, grid: Grid, rows: int):
 # about 28 (block,) planes for seven rows: 7 of Y and its halo, the 14
 # differences and 7 of out; 24 for rows 0-5.  At this size 28 are 1.4 MB,
 # which stays in a 2 MB per-core L2 with room for BLAS's packed copy of the
-# differences.  A grid of N points splits
-# into N // _BLOCK_POINTS blocks of whole rows, so grids under
-# 2 _BLOCK_POINTS points are one block.
+# differences; each side has its own scratch, so while step runs the two
+# sides on two threads each thread's block stays in its own core's L2.  A
+# grid of N points splits into N // _BLOCK_POINTS blocks of whole rows, so
+# grids under 2 _BLOCK_POINTS points are one block, and step runs them on
+# one thread.
 _BLOCK_POINTS = 6144
 
 
@@ -369,18 +369,19 @@ class StageWork:
     for rows 0-5 and (7, 14) for all seven where every row's d2 is read,
     (7, 11) for all seven on the RT background, whose d2 reads rows 0-3
     only.  interior works through blocks, the (r0, r1) ranges of x1 rows
-    that tile the grid; a block writes its differences at the head of
-    deriv, (2 rows, block rows, N2), as an (M columns, r1 - r0, N2) array,
-    and a field entry's product into plane, (block rows, N2), block rows
-    being the largest block's, so that a large grid's block stays in cache.
-    interior and forced_terms take the stage's RK4 weight w and write w
-    times the stage derivatives.  forced_terms fills one (2, ROWS, N1, N2)
-    term buffer, both sides at once, once per stage time, weight and
-    source, with two (N1, N2) scratch planes; all are allocated on the
-    first forced stage, so an unforced run holds none.  rk4 holds step's
-    two stage buffers, which take turns holding a stage's weighted
-    derivatives and, turned in place, the next stage's state; step
-    allocates them on first use.
+    that tile the grid; a block writes its differences at the head of its
+    side's deriv, (2, 2 rows, block rows, N2) in the order (+, -), as an
+    (M columns, r1 - r0, N2) array, and a field entry's product into its
+    side's plane, (2, block rows, N2), block rows being the largest block's,
+    so that a large grid's block stays in cache and the two sides, which
+    step may run at once, share no scratch.  interior and forced_terms take
+    the stage's RK4 weight w and write w times the stage derivatives.
+    forced_terms fills one (2, ROWS, N1, N2) term buffer, both sides at
+    once, once per stage time, weight and source, with two (N1, N2) scratch
+    planes; all are allocated on the first forced stage, so an unforced run
+    holds none.  rk4 holds step's two stage buffers, which take turns
+    holding a stage's weighted derivatives and, turned in place, the next
+    stage's state; step allocates them on first use.
     """
 
     def __init__(self, coeffs: Coefficients, epsilon: float, rows: int = ROWS):
@@ -391,18 +392,18 @@ class StageWork:
             self.spans[s], self.entries[s] = _side_operator(coeffs.side(s), epsilon, grid, rows)
         self.blocks = _row_blocks(grid.N1, grid.N2)
         block_rows = max(r1 - r0 for r0, r1 in self.blocks)
-        self.deriv = np.empty((2 * rows, block_rows, grid.N2))
-        self.plane = np.empty((block_rows, grid.N2))
+        self.deriv = np.empty((2, 2 * rows, block_rows, grid.N2))
+        self.plane = np.empty((2, block_rows, grid.N2))
         # per side and block: its rows, and its differences and plane at the
-        # head of deriv and plane
+        # head of the side's own deriv and plane
         self._block_views = {}
-        for s in (+1, -1):
+        for k, s in enumerate((+1, -1)):
             cols = self.entries[s][0].shape[1]
             self._block_views[s] = views = []
             for r0, r1 in self.blocks:
                 n = (r1 - r0) * grid.N2
-                deriv = self.deriv.reshape(-1)[:cols * n].reshape(cols, r1 - r0, grid.N2)
-                plane = self.plane.reshape(-1)[:n].reshape(r1 - r0, grid.N2)
+                deriv = self.deriv[k].reshape(-1)[:cols * n].reshape(cols, r1 - r0, grid.N2)
+                plane = self.plane[k].reshape(-1)[:n].reshape(r1 - r0, grid.N2)
                 views.append((r0, r1, deriv, plane))
         self._held = None   # the (t, w, f callback) that _terms holds
 
@@ -469,14 +470,29 @@ class StageWork:
             out[i] *= a0_inv
 
 
-def _stage(y: Snapshot, t: float, w: float, work: StageWork, sources: Sources,
-           out: Snapshot) -> None:
-    """w times the stage derivatives at y, written into out."""
-    terms = (None, None) if sources.f is None else work.forced_terms(t, w, sources)
-    for k, side in enumerate((+1, -1)):
-        work.interior(side, y.sides[k], terms[k], out.sides[k], w)
-    np.multiply(_front_rhs(y.phi, y.U.plus[:, 0, :], work.coeffs, sources.g_eval(t), work.grid),
-                w, out=out.phi)
+# CPUs this process may run on; on one, step's worker thread made the 200x200
+# energy run 14% slower, so step then runs both sides on the calling thread
+_CPUS = len(os.sched_getaffinity(0))
+
+
+@cache
+def _side_worker():
+    """The one thread that runs side -'s part of each stage of a step on a
+    grid of several blocks, started on the first such step."""
+    from concurrent.futures import ThreadPoolExecutor   # imported on first use
+    return ThreadPoolExecutor(1, thread_name_prefix="contact-stab-side")
+
+
+def _rk4_pass(o: np.ndarray, x: np.ndarray, k: np.ndarray, first: bool, c, w: float) -> None:
+    """A stage's passes over one part of the state: o = x + k on the first
+    stage, o += k after, and, when c is given, k turned into x + (c / w) k."""
+    if first:
+        np.add(x, k, out=o)
+    else:
+        o += k
+    if c is not None:
+        k *= c / w
+        k += x
 
 
 def _close(y: Snapshot, t: float, coeffs: Coefficients, sources: Sources) -> None:
@@ -492,10 +508,14 @@ def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
     Each stage writes its slope times its weight w into one of the two
     stage buffers; one add puts it in the new snapshot, and for the first
     three stages the same buffer is turned in place into the next stage's
-    state, snapshot plus c times the slope, and closed.  The stages run in the workspace work; only
-    the returned Snapshot is newly allocated, and snapshot is left unchanged.
-    A seven-row workspace passes over data whole, one call a pass (two made
-    small forced grids slower); one of rows 0-5 over them and phi alone.
+    state, snapshot plus c times the slope, and closed.  The stages run in
+    the workspace work, on its rows of each side and phi; only the returned
+    Snapshot is newly allocated, and snapshot is left unchanged.
+
+    Side -'s slope and passes touch its rows alone: on a grid of several
+    blocks, given two CPUs, they run on _side_worker's thread while this one
+    runs side + and phi, joining before the closure and before step returns
+    or raises.  The forced terms, the closure and the finite check stay here.
     """
     coeffs, buffers, rows = work.coeffs, work.rk4, work.rows
     if snapshot.sides.shape != buffers[0].sides.shape:
@@ -503,9 +523,6 @@ def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
                          f"of shape {buffers[0].sides.shape}")
     if rows < ROWS and sources.f is not None:
         raise ValueError("a forced step needs a workspace of all seven rows")
-
-    def live(s: Snapshot):
-        return (s.data,) if rows == ROWS else (s.sides[:, :rows], s.phi)
 
     dt, t = work.grid.dt, snapshot.t
     half = t + 0.5 * dt
@@ -516,23 +533,34 @@ def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
     out = snapshot.empty_like()
     out.t = t + dt
     out.sides[:, rows:] = 0.0
+
+    def side_stage(k, y, z, term, w, c, first):   # side k, 0 for + and 1 for -
+        work.interior((+1, -1)[k], y.sides[k], term, z.sides[k], w)
+        _rk4_pass(out.sides[k, :rows], snapshot.sides[k, :rows], z.sides[k, :rows], first, c, w)
+
+    worker = _side_worker() if len(work.blocks) > 1 and _CPUS > 1 else None
     y = snapshot
     for s, (t_s, w, c) in enumerate(tableau):
         z = buffers[s % 2]
-        _stage(y, t_s, w, work, sources, z)
-        for o, x, k in zip(live(out), live(snapshot), live(z)):
-            if s == 0:
-                np.add(x, k, out=o)
-            else:
-                o += k
-            if c is not None:
-                k *= c / w
-                k += x
+        terms = (None, None) if sources.f is None else work.forced_terms(t_s, w, sources)
+        minus = (y, z, terms[1], w, c, s == 0)
+        job = worker.submit(side_stage, 1, *minus) if worker else None
+        try:
+            side_stage(0, y, z, terms[0], w, c, s == 0)
+            np.multiply(_front_rhs(y.phi, y.U.plus[:, 0, :], coeffs, sources.g_eval(t_s),
+                                   work.grid), w, out=z.phi)
+            _rk4_pass(out.phi, snapshot.phi, z.phi, s == 0, c, w)
+            if job is None:
+                side_stage(1, *minus)
+        finally:
+            if job is not None:
+                job.result()
         if c is not None:
             _close(z, tableau[s + 1][0], coeffs, sources)
             y = z
     _close(out, out.t, coeffs, sources)
-    out.check_finite()
+    if not (np.isfinite(out.sides[:, :rows]).all() and np.isfinite(out.phi).all()):
+        raise BlowUpError(out.t)
     return out
 
 

@@ -27,6 +27,18 @@ def run_cli_warned(kind, config, out, overrides):
     return code, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# _BLOCK_POINTS of the runs: the shipped value, under which the tests' small grids
+# are one block and step runs both sides on this thread, and one that splits them
+# into several blocks, so that step runs side - on its worker thread (given two CPUs)
+BLOCKING = {"inline": None, "threaded": 64}
+
+
+def set_blocking(monkeypatch, blocking):
+    if BLOCKING[blocking] is not None:
+        monkeypatch.setattr(solver, "_BLOCK_POINTS", BLOCKING[blocking])
+        monkeypatch.setattr(solver, "_CPUS", 2)
+
+
 def expressions_config(tmp_path, p="1", phi="0"):
     """Path of a 16x8 expressions validate-state config with pressure p and front phi."""
     lines = ["state.kind = expressions", "grid.N1 = 16", "grid.N2 = 8", f"front.phi = {phi}"]
@@ -137,7 +149,10 @@ class TestExitCodes:
         # the state stays finite while its symmetrizer energy overflows
         ("grid.N1=12", "grid.N2=12", "grid.cfl_max=4", "run.T_final=200"),
     ])
-    def test_energy_test_blow_up_exits_three(self, tmp_path, capsys, overrides):
+    @pytest.mark.parametrize("blocking", BLOCKING)
+    def test_energy_test_blow_up_exits_three(self, tmp_path, capsys, monkeypatch, overrides,
+                                             blocking):
+        set_blocking(monkeypatch, blocking)
         out = tmp_path / "o"
         code, runtime_warnings = run_cli_warned("energy-test", "configs/energy_test.cfg", out,
                                                 overrides)
@@ -293,7 +308,8 @@ class TestEndToEnd:
         assert f"numpy = {np.__version__}" in manifest.splitlines()
         openblas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
         assert {"OMP_NUM_THREADS = 3", f"OPENBLAS_NUM_THREADS = {openblas}",
-                "MKL_NUM_THREADS = unset"} <= set(manifest.splitlines())
+                "MKL_NUM_THREADS = unset",
+                f"cpus = {len(os.sched_getaffinity(0))}"} <= set(manifest.splitlines())
 
     def test_spectrum_artifacts_and_dat_copies(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
@@ -342,7 +358,9 @@ class TestEndToEnd:
         assert code == 0
         assert "grid.N1 = 16" in (out / "manifest.txt").read_text()
 
-    def test_reruns_are_deterministic(self, tmp_path, capsys):
+    @pytest.mark.parametrize("blocking", BLOCKING)
+    def test_reruns_are_deterministic(self, tmp_path, capsys, monkeypatch, blocking):
+        set_blocking(monkeypatch, blocking)
         cfg = tmp_path / "rt.cfg"
         cfg.write_text(
             "grid.N1 = 16\ngrid.N2 = 16\nrun.T_final = 0.05\n"

@@ -4,6 +4,9 @@ contracted densely, the companion formula written out, snap + dt k and
 (k1 + 2 k2 + 2 k3 + k4) / 6."""
 
 import itertools
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from contact_stab.grid import Grid, d1_field, d2_field
 from contact_stab.linearization import constant_basic_state
 from contact_stab.scenarios import ManufacturedProblem, rt_basic_state
 from contact_stab.solver import (
+    ROWS,
     Snapshot,
     Sources,
     StageWork,
@@ -20,6 +24,7 @@ from contact_stab.solver import (
     assemble_coefficients,
     build_grid,
     divergence_free_pulse,
+    monitored,
     run,
     step,
 )
@@ -279,3 +284,133 @@ class TestRunSteppedRows:
         work = StageWork(assemble_coefficients(basic), eps, 6)
         with pytest.raises(ValueError, match="seven rows"):
             step(initial, work, src)
+
+
+THREADED_BLOCK_POINTS = N1 * N2 // 4   # four blocks of five rows
+
+
+def threaded(monkeypatch, cpus=2):
+    """Split the tests' grid into four blocks, on which step runs side - on
+    its worker thread when the process may run on more than one CPU."""
+    monkeypatch.setattr(solver, "_BLOCK_POINTS", THREADED_BLOCK_POINTS)
+    monkeypatch.setattr(solver, "_CPUS", cpus)
+
+
+def _drive(case, drive, rng):
+    """(basic, eps, sources, initial, rows) of a case run with no drive (a
+    zero companion, stepped on rows 0-5), from its nonzero companion, or
+    under a random source f."""
+    basic, eps, src, snap = CASES[case]()
+    if drive == "none":
+        snap.sides[:, 6] = 0.0
+        return basic, eps, src, snap, 6
+    if drive == "forced":
+        f = rng.standard_normal((2, 6, N1, N2))
+        src = Sources(f=lambda t: (np.sin(1.0 + t) * f[0], np.cos(t) * f[1]))
+    return basic, eps, src, snap, ROWS
+
+
+class TestThreadedStep:
+    """On a grid of several blocks step runs side -'s stage kernel and RK4
+    passes on its worker thread; a grid of one block runs them inline."""
+
+    @pytest.mark.parametrize("drive", ["none", "companion", "forced"])
+    @pytest.mark.parametrize("case", ["constant", "rt"])
+    def test_three_steps_match_one_inline_block(self, case, drive, rng, monkeypatch):
+        basic, eps, src, snap, rows = _drive(case, drive, rng)
+        coeffs = assemble_coefficients(basic)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # the threads trade the interpreter as often as it allows
+        try:
+            monkeypatch.setattr(solver, "_CPUS", 2)
+            for points, n_blocks in ((N1 * N2, 1), (THREADED_BLOCK_POINTS, 4)):
+                monkeypatch.setattr(solver, "_BLOCK_POINTS", points)
+                work = StageWork(coeffs, eps, rows)
+                assert len(work.blocks) == n_blocks
+                levels = [snap]
+                for _ in range(3):
+                    levels.append(step(levels[-1], work, src))
+                results.append(levels)
+        finally:
+            sys.setswitchinterval(interval)
+        for inline, threaded in zip(*results):
+            assert np.array_equal(threaded.data, inline.data)
+        assert np.max(np.abs(results[1][-1].U.minus)) > 0.0
+
+    @pytest.mark.parametrize("rows", [6, ROWS])
+    def test_the_sides_block_scratch_shares_no_memory(self, rows, monkeypatch):
+        threaded(monkeypatch)
+        basic, eps, _, _ = constant_case()
+        work = StageWork(assemble_coefficients(basic), eps, rows)
+        plus, minus = ([a for _, _, deriv, plane in work._block_views[side] for a in (deriv, plane)]
+                       for side in (+1, -1))
+        assert not any(np.shares_memory(a, b) for a in plus for b in minus)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_traced_functions_run_on_the_main_thread(self, cpus, monkeypatch):
+        # a benchmark tracer keeps one span stack per process: what it wraps
+        # must not run on the worker; on one CPU step runs no worker at all
+        threaded(monkeypatch, cpus)
+        basic, eps, src, snap = mms_case()
+        threads = {}
+
+        def recorded(owner, name, key=None):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                label = name if key is None else key(*args)
+                threads.setdefault(label, set()).add(threading.current_thread())
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("d1_field", "d2_field", "d2_line", "apply_interface_conditions",
+                     "energy_report", "symmetrizer_energy", "divergence_monitor"):
+            recorded(solver, name)
+        for name in ("f_eval", "g_eval"):
+            recorded(Sources, name)
+        recorded(StageWork, "interior", key=lambda work, side, *a: f"interior {side:+d}")
+        coeffs = assemble_coefficients(basic)
+        for _ in monitored(run(coeffs, eps, sources=src, initial=snap), coeffs, 2):
+            pass
+        main = {threading.main_thread()}
+        assert threads.pop("interior -1").isdisjoint(main) == (cpus > 1)
+        assert threads == {name: main for name in (
+            "d1_field", "d2_field", "d2_line", "apply_interface_conditions", "energy_report",
+            "symmetrizer_energy", "divergence_monitor", "f_eval", "g_eval", "interior +1")}
+
+    def test_an_error_in_the_worker_propagates_and_the_next_step_works(self, monkeypatch):
+        threaded(monkeypatch)
+        basic, eps, src, snap = constant_case()
+        work = StageWork(assemble_coefficients(basic), eps)
+        want = step(snap, work, src)
+        interior = StageWork.interior
+
+        def failing(self, side, *args):
+            if side == -1:
+                raise RuntimeError("side - failed")
+            return interior(self, side, *args)
+
+        monkeypatch.setattr(StageWork, "interior", failing)
+        with pytest.raises(RuntimeError, match="side - failed"):
+            step(snap, work, src)
+        monkeypatch.setattr(StageWork, "interior", interior)
+        assert np.array_equal(step(snap, work, src).data, want.data)
+
+    def test_an_error_on_the_main_thread_waits_for_the_worker(self, monkeypatch):
+        threaded(monkeypatch)
+        basic, eps, src, snap = constant_case()
+        work = StageWork(assemble_coefficients(basic), eps)
+        interior, finished = StageWork.interior, []
+
+        def slow_minus_failing_plus(self, side, *args):
+            if side == +1:
+                raise RuntimeError("side + failed")
+            time.sleep(0.05)
+            interior(self, side, *args)
+            finished.append(side)
+
+        monkeypatch.setattr(StageWork, "interior", slow_minus_failing_plus)
+        with pytest.raises(RuntimeError, match="side \\+ failed"):
+            step(snap, work, src)
+        assert finished == [-1]   # no buffer is written after step has raised
