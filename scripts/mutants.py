@@ -96,8 +96,8 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     # both sides' block differences and planes taken from side +'s scratch, so the
     # worker's side - writes into the buffers side + reads
     "shared-side-scratch": [
-        (SOLVER, "deriv = self.deriv[k].reshape(-1)", "deriv = self.deriv[0].reshape(-1)"),
-        (SOLVER, "plane = self.plane[k].reshape(-1)", "plane = self.plane[0].reshape(-1)"),
+        (SOLVER, "cols, scratch = self.entries[s][0].shape[1], k * self.apart",
+         "cols, scratch = self.entries[s][0].shape[1], 0"),
     ],
     # the rows a stage differences stop one short of the last row its operator reads
     "drop-last-derivative-row": [

@@ -28,7 +28,7 @@ from .geometry import AdmissibilityError
 from .linearization import GeometryError
 from .mhd import InadmissibleStateError
 from .scenarios import RUNNERS, ScenarioResult
-from .solver import BlowUpError, Snapshot
+from .solver import CPUS, BlowUpError, Snapshot
 
 try:
     from threadpoolctl import threadpool_limits
@@ -119,7 +119,7 @@ def write_artifacts(outdir: Path, cfg, result: ScenarioResult,
         f"threads = {threads}",
         f"threads_applied = {'no' if threadpool_limits is None else 'yes'}",
         *(f"{var} = {os.environ.get(var, 'unset')}" for var in _THREAD_VARIABLES),
-        f"cpus = {len(os.sched_getaffinity(0))}",   # a step runs its two sides on two threads
+        f"cpus = {CPUS}",   # a step runs its two sides on two threads
         f"python = {platform.python_version()}",
         f"numpy = {np.__version__}",
         f"exit_code = {result.exit_code}",

@@ -32,6 +32,7 @@ either steps rows 0-5 alone and keeps it zero.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -342,11 +343,10 @@ def _side_operator(sc: SideCoefficients, epsilon: float, grid: Grid, rows: int):
 # about 28 (block,) planes for seven rows: 7 of Y and its halo, the 14
 # differences and 7 of out; 24 for rows 0-5.  At this size 28 are 1.4 MB,
 # which stays in a 2 MB per-core L2 with room for BLAS's packed copy of the
-# differences; each side has its own scratch, so while step runs the two
-# sides on two threads each thread's block stays in its own core's L2.  A
-# grid of N points splits into N // _BLOCK_POINTS blocks of whole rows, so
-# grids under 2 _BLOCK_POINTS points are one block, and step runs them on
-# one thread.
+# differences, and, as step's two threads get a side's scratch each, in each
+# core's own.  A grid of N points splits into N // _BLOCK_POINTS blocks of
+# whole rows, so grids under 2 _BLOCK_POINTS points are one block, which step
+# runs on one thread: with the worker, rt's 96x96 runs took 9% longer.
 _BLOCK_POINTS = 6144
 
 
@@ -369,12 +369,13 @@ class StageWork:
     for rows 0-5 and (7, 14) for all seven where every row's d2 is read,
     (7, 11) for all seven on the RT background, whose d2 reads rows 0-3
     only.  interior works through blocks, the (r0, r1) ranges of x1 rows
-    that tile the grid; a block writes its differences at the head of its
-    side's deriv, (2, 2 rows, block rows, N2) in the order (+, -), as an
-    (M columns, r1 - r0, N2) array, and a field entry's product into its
-    side's plane, (2, block rows, N2), block rows being the largest block's,
-    so that a large grid's block stays in cache and the two sides, which
-    step may run at once, share no scratch.  interior and forced_terms take
+    that tile the grid; a block writes its differences at the head of a
+    deriv, (2 rows, block rows, N2), as an (M columns, r1 - r0, N2) array,
+    and a field entry's product into a plane, (block rows, N2), block rows
+    being the largest block's, so that a large grid's block stays in cache.
+    The two sides share one deriv and plane, unless apart: then step runs
+    them at once (several blocks, more than one CPU), and deriv and plane
+    stack one for each, in the order (+, -).  interior and forced_terms take
     the stage's RK4 weight w and write w times the stage derivatives.
     forced_terms fills one (2, ROWS, N1, N2) term buffer, both sides at
     once, once per stage time, weight and source, with two (N1, N2) scratch
@@ -391,19 +392,20 @@ class StageWork:
         for s in (+1, -1):
             self.spans[s], self.entries[s] = _side_operator(coeffs.side(s), epsilon, grid, rows)
         self.blocks = _row_blocks(grid.N1, grid.N2)
+        self.apart = CPUS > 1 and len(self.blocks) > 1   # step runs the sides at once
         block_rows = max(r1 - r0 for r0, r1 in self.blocks)
-        self.deriv = np.empty((2, 2 * rows, block_rows, grid.N2))
-        self.plane = np.empty((2, block_rows, grid.N2))
+        self.deriv = np.empty((1 + self.apart, 2 * rows, block_rows, grid.N2))
+        self.plane = np.empty((1 + self.apart, block_rows, grid.N2))
         # per side and block: its rows, and its differences and plane at the
         # head of the side's own deriv and plane
         self._block_views = {}
         for k, s in enumerate((+1, -1)):
-            cols = self.entries[s][0].shape[1]
+            cols, scratch = self.entries[s][0].shape[1], k * self.apart
             self._block_views[s] = views = []
             for r0, r1 in self.blocks:
                 n = (r1 - r0) * grid.N2
-                deriv = self.deriv[k].reshape(-1)[:cols * n].reshape(cols, r1 - r0, grid.N2)
-                plane = self.plane[k].reshape(-1)[:n].reshape(r1 - r0, grid.N2)
+                deriv = self.deriv[scratch].reshape(-1)[:cols * n].reshape(cols, r1 - r0, grid.N2)
+                plane = self.plane[scratch].reshape(-1)[:n].reshape(r1 - r0, grid.N2)
                 views.append((r0, r1, deriv, plane))
         self._held = None   # the (t, w, f callback) that _terms holds
 
@@ -470,16 +472,18 @@ class StageWork:
             out[i] *= a0_inv
 
 
-# CPUs this process may run on; on one, step's worker thread made the 200x200
-# energy run 14% slower, so step then runs both sides on the calling thread
-_CPUS = len(os.sched_getaffinity(0))
+# CPUs this process may run on (the machine's, where the platform cannot say); on
+# one, step's worker made the 200x200 energy run 14% slower, so step stays inline
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @cache
 def _side_worker():
-    """The one thread that runs side -'s part of each stage of a step on a
-    grid of several blocks, started on the first such step."""
+    """The one thread that runs side -'s part of the stages of an apart step,
+    started on the first; a forked child starts one of its own."""
     from concurrent.futures import ThreadPoolExecutor   # imported on first use
+    if hasattr(os, "register_at_fork"):
+        os.register_at_fork(after_in_child=_side_worker.cache_clear)
     return ThreadPoolExecutor(1, thread_name_prefix="contact-stab-side")
 
 
@@ -510,12 +514,10 @@ def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
     three stages the same buffer is turned in place into the next stage's
     state, snapshot plus c times the slope, and closed.  The stages run in
     the workspace work, on its rows of each side and phi; only the returned
-    Snapshot is newly allocated, and snapshot is left unchanged.
-
-    Side -'s slope and passes touch its rows alone: on a grid of several
-    blocks, given two CPUs, they run on _side_worker's thread while this one
-    runs side + and phi, joining before the closure and before step returns
-    or raises.  The forced terms, the closure and the finite check stay here.
+    Snapshot is newly allocated, and snapshot is left unchanged.  Where
+    work.apart, side -'s slope and passes run on _side_worker's thread in
+    the caller's context (its np.errstate), while this one runs side + and
+    phi; the two join before each closure, and before step returns or raises.
     """
     coeffs, buffers, rows = work.coeffs, work.rk4, work.rows
     if snapshot.sides.shape != buffers[0].sides.shape:
@@ -534,24 +536,23 @@ def step(snapshot: Snapshot, work: StageWork, sources: Sources) -> Snapshot:
     out.t = t + dt
     out.sides[:, rows:] = 0.0
 
-    def side_stage(k, y, z, term, w, c, first):   # side k, 0 for + and 1 for -
-        work.interior((+1, -1)[k], y.sides[k], term, z.sides[k], w)
-        _rk4_pass(out.sides[k, :rows], snapshot.sides[k, :rows], z.sides[k, :rows], first, c, w)
+    def side_stage(k):   # side k, 0 for + and 1 for -, of the loop's stage s
+        work.interior((+1, -1)[k], y.sides[k], terms[k], z.sides[k], w)
+        _rk4_pass(out.sides[k, :rows], snapshot.sides[k, :rows], z.sides[k, :rows], s == 0, c, w)
 
-    worker = _side_worker() if len(work.blocks) > 1 and _CPUS > 1 else None
+    worker = _side_worker() if work.apart else None
     y = snapshot
     for s, (t_s, w, c) in enumerate(tableau):
         z = buffers[s % 2]
         terms = (None, None) if sources.f is None else work.forced_terms(t_s, w, sources)
-        minus = (y, z, terms[1], w, c, s == 0)
-        job = worker.submit(side_stage, 1, *minus) if worker else None
+        job = worker and worker.submit(contextvars.copy_context().run, side_stage, 1)
         try:
-            side_stage(0, y, z, terms[0], w, c, s == 0)
+            side_stage(0)
             np.multiply(_front_rhs(y.phi, y.U.plus[:, 0, :], coeffs, sources.g_eval(t_s),
                                    work.grid), w, out=z.phi)
             _rk4_pass(out.phi, snapshot.phi, z.phi, s == 0, c, w)
             if job is None:
-                side_stage(1, *minus)
+                side_stage(1)
         finally:
             if job is not None:
                 job.result()

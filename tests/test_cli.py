@@ -29,14 +29,14 @@ def run_cli_warned(kind, config, out, overrides):
 
 # _BLOCK_POINTS of the runs: the shipped value, under which the tests' small grids
 # are one block and step runs both sides on this thread, and one that splits them
-# into several blocks, so that step runs side - on its worker thread (given two CPUs)
+# into several blocks, where step, told of two CPUs, runs side - on its worker thread
 BLOCKING = {"inline": None, "threaded": 64}
 
 
 def set_blocking(monkeypatch, blocking):
     if BLOCKING[blocking] is not None:
         monkeypatch.setattr(solver, "_BLOCK_POINTS", BLOCKING[blocking])
-        monkeypatch.setattr(solver, "_CPUS", 2)
+        monkeypatch.setattr(solver, "CPUS", 2)
 
 
 def expressions_config(tmp_path, p="1", phi="0"):
@@ -309,7 +309,7 @@ class TestEndToEnd:
         openblas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
         assert {"OMP_NUM_THREADS = 3", f"OPENBLAS_NUM_THREADS = {openblas}",
                 "MKL_NUM_THREADS = unset",
-                f"cpus = {len(os.sched_getaffinity(0))}"} <= set(manifest.splitlines())
+                f"cpus = {solver.CPUS}"} <= set(manifest.splitlines())
 
     def test_spectrum_artifacts_and_dat_copies(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"

@@ -4,6 +4,8 @@ contracted densely, the companion formula written out, snap + dt k and
 (k1 + 2 k2 + 2 k3 + k4) / 6."""
 
 import itertools
+import os
+import signal
 import sys
 import threading
 import time
@@ -290,10 +292,10 @@ THREADED_BLOCK_POINTS = N1 * N2 // 4   # four blocks of five rows
 
 
 def threaded(monkeypatch, cpus=2):
-    """Split the tests' grid into four blocks, on which step runs side - on
-    its worker thread when the process may run on more than one CPU."""
+    """Split the tests' grid into four blocks and tell step of cpus CPUs:
+    with more than one it runs side - on its worker thread."""
     monkeypatch.setattr(solver, "_BLOCK_POINTS", THREADED_BLOCK_POINTS)
-    monkeypatch.setattr(solver, "_CPUS", cpus)
+    monkeypatch.setattr(solver, "CPUS", cpus)
 
 
 def _drive(case, drive, rng):
@@ -323,7 +325,7 @@ class TestThreadedStep:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)   # the threads trade the interpreter as often as it allows
         try:
-            monkeypatch.setattr(solver, "_CPUS", 2)
+            monkeypatch.setattr(solver, "CPUS", 2)
             for points, n_blocks in ((N1 * N2, 1), (THREADED_BLOCK_POINTS, 4)):
                 monkeypatch.setattr(solver, "_BLOCK_POINTS", points)
                 work = StageWork(coeffs, eps, rows)
@@ -346,6 +348,14 @@ class TestThreadedStep:
         plus, minus = ([a for _, _, deriv, plane in work._block_views[side] for a in (deriv, plane)]
                        for side in (+1, -1))
         assert not any(np.shares_memory(a, b) for a in plus for b in minus)
+
+    @pytest.mark.parametrize("cpus, block_points", [(1, THREADED_BLOCK_POINTS), (2, N1 * N2)])
+    def test_sides_stepped_in_turn_share_one_scratch(self, cpus, block_points, monkeypatch):
+        monkeypatch.setattr(solver, "_BLOCK_POINTS", block_points)
+        monkeypatch.setattr(solver, "CPUS", cpus)
+        basic, eps, _, _ = constant_case()
+        work = StageWork(assemble_coefficients(basic), eps)
+        assert not work.apart and len(work.deriv) == len(work.plane) == 1
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_traced_functions_run_on_the_main_thread(self, cpus, monkeypatch):
@@ -414,3 +424,36 @@ class TestThreadedStep:
         with pytest.raises(RuntimeError, match="side \\+ failed"):
             step(snap, work, src)
         assert finished == [-1]   # no buffer is written after step has raised
+
+    def test_the_worker_keeps_the_callers_errstate(self, monkeypatch):
+        threaded(monkeypatch)
+        basic, eps, src, snap = constant_case()
+        work = StageWork(assemble_coefficients(basic), eps)
+        interior, seen = StageWork.interior, {}
+
+        def recording(self, side, *args):
+            seen.setdefault(side, []).append((np.geterr(), threading.current_thread()))
+            return interior(self, side, *args)
+
+        monkeypatch.setattr(StageWork, "interior", recording)
+        with np.errstate(all="raise"):
+            step(snap, work, src)
+        raised = dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+        assert all(err == raised for err, _ in seen[+1] + seen[-1])
+        assert all(thread is not threading.main_thread() for _, thread in seen[-1])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_steps_on_a_worker_of_its_own(self, monkeypatch):
+        threaded(monkeypatch)
+        basic, eps, src, snap = constant_case()
+        work = StageWork(assemble_coefficients(basic), eps)
+        want = step(snap, work, src)   # the parent's worker is running
+        pid = os.fork()
+        if pid == 0:   # the child: SIGALRM ends it if the step waits on a dead worker
+            code = 1
+            try:
+                signal.alarm(30)
+                code = 0 if np.array_equal(step(snap, work, src).data, want.data) else 2
+            finally:
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
