@@ -834,77 +834,6 @@ def source_h1_norm(levels, grid: Grid, times: np.ndarray) -> float:
     return float(np.sqrt(total))
 
 
-# --- epsilon sweep ----------------------------------------------------------
-
-
-@dataclass
-class EpsSweepResult:
-    eps_list: list
-    diffs: list            # ||U^{e_k} - U^{e_{k+1}}||_{L2(space-time)}
-    ratios: list
-    J_max: list
-    trace_bound: list      # max_t ||eps * f7^+|_0||_{L2(x2)}
-    truncated: bool = False
-
-    def table_lines(self) -> list[str]:
-        lines = ["eps,J_max,trace_bound,diff_to_next,ratio"]
-        for i, eps in enumerate(self.eps_list):
-            d = self.diffs[i] if i < len(self.diffs) else float("nan")
-            r = self.ratios[i - 1] if 0 < i <= len(self.ratios) else float("nan")
-            lines.append(
-                f"{eps:.6e},{self.J_max[i]:.6e},{self.trace_bound[i]:.6e},{d:.6e},{r:.6e}"
-            )
-        return lines
-
-
-EPS_SWEEP_STORE_EVERY = 4   # steps between the stored levels the differences use
-
-
-def eps_sweep(coeffs: Coefficients, eps_list, sources: Sources | None = None) -> EpsSweepResult:
-    """Run the same problem, from rest, over decreasing eps with a shared
-    time grid and the one operator coeffs.  Of the sampled levels it holds
-    the running eps's and the previous eps's, whose diff_to_next it sums
-    when the running eps finishes; a run cut by a blow-up adds none."""
-    eps_list = list(eps_list)
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-    grid = coeffs.grid
-    report_every = max(grid.n_steps // 50, 1)
-    held = None
-    diffs, J_max, trace_bound = [], [], []
-    truncated = False
-    for eps in eps_list:
-        levels, jm, tb = [], 0.0, 0.0
-        try:
-            for n, snap, _, report in monitored(run(coeffs, eps, sources=sources),
-                                                coeffs, report_every):
-                if report is not None:
-                    jm = max(jm, report.J)
-                if sampled(n, EPS_SWEEP_STORE_EVERY, grid):
-                    levels.append(snap)
-                    tb = max(tb, eps * _line_l2(snap.a_plus[0] * coeffs.plus.d1phi[0], grid))
-        except BlowUpError:
-            truncated = True
-            break
-        if held is not None:
-            acc = 0.0
-            dt_eff = (held[1].t - held[0].t) if len(held) > 1 else 1.0
-            for a, b in zip(held, levels):
-                acc += (
-                    _weighted_l2(a.U.plus - b.U.plus, grid) ** 2
-                    + _weighted_l2(a.U.minus - b.U.minus, grid) ** 2
-                ) * dt_eff
-            diffs.append(float(np.sqrt(acc)))
-        held = levels
-        J_max.append(jm)
-        trace_bound.append(tb)
-    ratios = [d2 / d1 if d1 > 0 else float("inf") for d1, d2 in zip(diffs, diffs[1:])]
-    return EpsSweepResult(
-        eps_list=eps_list[: len(J_max)], diffs=diffs, ratios=ratios,
-        J_max=J_max, trace_bound=trace_bound, truncated=truncated,
-    )
-
-
 # --- discrete adjoint check -------------------------------------------------
 
 

@@ -188,9 +188,9 @@ class TestCriterion08DivergenceControl:
         assert mms_result.data["div_slope"] >= 0.9
 
     def test_trace_bound_stays_bounded_in_the_sweep(self, sweep_result):
-        result = sweep_result.data["result"]
-        assert np.all(np.isfinite(result.trace_bound))
-        assert max(result.trace_bound) <= max(result.trace_bound[0], 1.0) * 10.0
+        data = sweep_result.data
+        assert np.all(np.isfinite(data["trace_bound"]))
+        assert max(data["trace_bound"]) <= max(data["trace_bound"][0], 1.0) * 10.0
 
 
 class TestCriterion09ManufacturedConvergence:
@@ -202,10 +202,10 @@ class TestCriterion09ManufacturedConvergence:
 class TestCriterion10EpsilonSweep:
     def test_cauchy_ratios_and_bounded_energy(self, sweep_result):
         assert sweep_result.exit_code == 0, "\n".join(sweep_result.report)
-        result = sweep_result.data["result"]
-        assert not result.truncated
-        assert all(r <= 0.9 for r in result.ratios)
-        assert np.all(np.isfinite(result.J_max))
+        data = sweep_result.data
+        assert not data["truncated"]
+        assert all(r <= 0.9 for r in data["ratios"])
+        assert np.all(np.isfinite(data["J_max"]))
 
 
 class TestCriterion11DiscreteDuality:

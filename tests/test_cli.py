@@ -170,7 +170,7 @@ class TestExitCodes:
         assert report[-2:] == ["truncated by blow-up: yes", "overall: FAIL"]
         assert "exit_code = 3" in (out / "manifest.txt").read_text()
 
-    @pytest.mark.parametrize("eps_list", ["0.1,0.2", ",", "0.1,-0.05", "0.1"])
+    @pytest.mark.parametrize("eps_list", ["0.1,0.2", "0.1,0.1", ",", "0.1,-0.05", "0.1"])
     def test_unusable_eps_list_exits_two_without_artifacts(self, tmp_path, capsys, eps_list):
         out = tmp_path / "o"
         overrides = ("grid.N1=16", "grid.N2=16", "run.T_final=0.05", f"sweep.eps_list={eps_list}")
@@ -262,6 +262,15 @@ class TestNonFiniteVerdicts:
         text = (out / "report.txt").read_text()
         assert "not finite: normalized ratio" in text and "not finite: sup_t J" not in text
         assert "overall: FAIL" in text
+
+    def test_eps_sweep_fails_on_a_nan_energy(self, tmp_path, capsys, monkeypatch):
+        report = solver.energy_report
+        monkeypatch.setattr(solver, "energy_report",
+                            lambda *a: dataclasses.replace(report(*a), J=np.nan))
+        out = tmp_path / "o"
+        assert self._run("eps-sweep", "configs/eps_sweep.cfg", out, self.RT) == 1
+        text = (out / "report.txt").read_text()
+        assert "J_max per eps: nan, nan, nan, nan" in text and "overall: FAIL" in text
 
     def test_mms_fails_on_a_nan_divergence_defect(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "divergence_monitor", lambda *a: (np.nan, np.nan))

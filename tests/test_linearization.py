@@ -32,11 +32,11 @@ from contact_stab.solver import (
 from conftest import boundary_traces
 
 
-def curved_background(grid, v2=0.4, H1=1.0, H2=0.3, p=1.2, amp=0.3):
-    """Smooth background with a curved front that satisfies the kinematic
-    condition: the velocity is tangent to the level sets of the lift, so
-    the transport field vanishes identically."""
-    phi_hat = amp * np.cos(grid.x2)
+def curved_background(grid, v2=0.4, H1=1.0, H2=0.3, p=1.2, amp=0.3, k2=1):
+    """Smooth background with the curved front amp cos(k2 x2) that satisfies
+    the kinematic condition: the velocity is tangent to the level sets of
+    the lift, so the transport field vanishes identically."""
+    phi_hat = amp * np.cos(k2 * grid.x2)
     geo = build_lifted_geometry(phi_hat, grid)
     shape = (6, grid.N1, grid.N2)
     up, um = np.zeros(shape), np.zeros(shape)

@@ -3,13 +3,14 @@ import weakref
 import numpy as np
 import pytest
 
-from contact_stab import solver
+from contact_stab import scenarios, solver
 from contact_stab.fields import TwoSidedField
 from contact_stab.grid import Grid, d1_field, d2_field, d2_line
 from contact_stab.linearization import (
     basic_state_from_arrays,
     bc_residual,
     constant_basic_state,
+    side_coefficients,
 )
 from contact_stab.scenarios import rt_basic_state
 from contact_stab.solver import (
@@ -24,7 +25,6 @@ from contact_stab.solver import (
     divergence_free_pulse,
     divergence_monitor,
     energy_report,
-    eps_sweep,
     monitored,
     run,
     source_h1_norm,
@@ -57,6 +57,33 @@ class TestGridBuild:
     def test_epsilon_enters_the_speed_bound(self):
         basic, _ = small_basic()
         assert speed_bound(basic, 0.5) >= speed_bound(basic, 0.0)
+
+    @staticmethod
+    def _largest_speed(basic):
+        """max |eigenvalue| of A0^-1/2 M A0^-1/2, M = At1 and A2, over both
+        sides' grid points: the characteristic speeds the bound covers."""
+        full, top = (basic.grid.N1, basic.grid.N2), 0.0
+        for side in (+1, -1):
+            sc = side_coefficients(basic, side)
+            r = np.broadcast_to(sc.A0_diag, (6,) + full) ** -0.5
+            for M in (sc.At1, sc.A2):
+                S = r[:, None] * np.broadcast_to(M, (6, 6) + full) * r[None, :]
+                top = max(top, float(np.max(np.abs(
+                    np.linalg.eigvalsh(np.moveaxis(S, (0, 1), (-2, -1)))))))
+        return top
+
+    @pytest.mark.parametrize("front", ["moving-flat", "curved"])
+    def test_bound_covers_the_speeds_of_a_moving_or_curved_front(self, front):
+        grid = Grid(24, 16, 4.0, 2.0 * np.pi)
+        if front == "moving-flat":
+            rest = constant_basic_state(grid, p=1.2, v2=0.4, H1=1.0, H2=0.3,
+                                        S_plus=0.1, S_minus=-0.1)
+            basic = basic_state_from_arrays(grid, rest.u.plus, rest.u.minus,
+                                            phi_hat=np.full(grid.N2, 0.2),
+                                            dt_phi=np.full(grid.N2, 1.2))
+        else:
+            basic = curved_background(grid, amp=0.6, k2=2)
+        assert speed_bound(basic) >= self._largest_speed(basic)
 
     def test_impossible_cfl_rejected(self):
         basic = constant_basic_state(Grid(8, 8, 1.0, 1.0))
@@ -690,7 +717,7 @@ class TestSourceNorm:
 
 
 def _sweep_keeping_every_level(coeffs, eps_list, sources):
-    """(diffs, ratios, J_max, trace_bound) of eps_sweep's formulas, from
+    """(diffs, ratios, J_max, trace_bound) of run_eps_sweep's formulas, from
     the sampled levels of every eps kept until all runs are done."""
     grid = coeffs.grid
     sols, J_max, trace_bound = [], [], []
@@ -701,7 +728,7 @@ def _sweep_keeping_every_level(coeffs, eps_list, sources):
                                                 max(grid.n_steps // 50, 1)):
                 if report is not None:
                     jm = max(jm, report.J)
-                if solver.sampled(n, solver.EPS_SWEEP_STORE_EVERY, grid):
+                if solver.sampled(n, scenarios.EPS_SWEEP_STORE_EVERY, grid):
                     levels.append(snap)
                     tb = max(tb, eps * solver._line_l2(snap.a_plus[0] * coeffs.plus.d1phi[0],
                                                        grid))
@@ -722,12 +749,9 @@ def _sweep_keeping_every_level(coeffs, eps_list, sources):
     return diffs, ratios, J_max, trace_bound
 
 
-def _rt_forcing(grid, blow_up_in_run=None):
-    """The seeded RT forcing; its f turns NaN halfway through the given run
-    of a sweep (counted from 1), so that the run blows up."""
-    from contact_stab.scenarios import make_forcing
-
-    forcing = make_forcing(grid, seed=11, amplitude=1.0, t_ramp=0.2, k2=2)
+def _blowing_up_in_run(forcing, grid, blow_up_in_run):
+    """forcing with an f that turns NaN halfway through the given run of a
+    sweep (counted from 1), so that the run blows up."""
     runs = [0]
 
     def f(t):
@@ -740,38 +764,50 @@ def _rt_forcing(grid, blow_up_in_run=None):
     return Sources(f=f, g=forcing.g)
 
 
-class TestEpsSweep:
-    EPS = [0.1, 0.05, 0.025, 0.0125]
+def _sweep_config(*overrides):
+    from contact_stab.config import parse_config
 
+    return parse_config("configs/eps_sweep.cfg", "eps-sweep",
+                        overrides=["grid.N1=16", "grid.N2=12", "grid.X1=4", "run.T_final=0.5",
+                                   *overrides])
+
+
+class TestEpsSweep:
     @pytest.mark.parametrize("blow_up_in_run, completed", [(None, 4), (3, 2)],
                              ids=["complete", "truncated"])
-    def test_streamed_differences_equal_those_from_every_level_kept(self, blow_up_in_run,
-                                                                     completed):
-        grid = build_grid(rt_basic_state(Grid(16, 12, 4.0, 2.0 * np.pi)), 0.5, epsilon=0.1)
-        coeffs = assemble_coefficients(rt_basic_state(grid, rt_jump=0.5))
-        assert grid.n_steps > 2 * solver.EPS_SWEEP_STORE_EVERY
-        res = eps_sweep(coeffs, self.EPS, sources=_rt_forcing(grid, blow_up_in_run))
+    def test_streamed_differences_equal_those_from_every_level_kept(
+            self, monkeypatch, blow_up_in_run, completed):
+        make_forcing, made = scenarios.make_forcing, []
+
+        def forcing(grid, *args):
+            made.append((grid, *args))
+            return _blowing_up_in_run(make_forcing(grid, *args), grid, blow_up_in_run)
+
+        monkeypatch.setattr(scenarios, "make_forcing", forcing)
+        cfg = _sweep_config()
+        res = scenarios.run_eps_sweep(cfg)
+        grid = made[0][0]
+        assert grid.n_steps > 2 * scenarios.EPS_SWEEP_STORE_EVERY
+        eps_list = cfg["sweep.eps_list"]
+        coeffs = scenarios._coefficients(cfg, scenarios.rt_state_from_config, max(eps_list))
         diffs, ratios, J_max, trace_bound = _sweep_keeping_every_level(
-            coeffs, self.EPS, _rt_forcing(grid, blow_up_in_run))
-        assert res.truncated == (blow_up_in_run is not None)
-        assert len(res.J_max) == completed and len(res.diffs) == completed - 1
-        assert min(res.diffs) > 0.0
-        assert res.diffs == diffs
-        assert res.ratios == ratios
-        assert res.J_max == J_max
-        assert res.trace_bound == trace_bound
+            coeffs, eps_list, forcing(*made[0]))
+        data = res.data
+        assert data["truncated"] == (res.exit_code == 3) == (blow_up_in_run is not None)
+        assert len(data["J_max"]) == completed and len(data["diffs"]) == completed - 1
+        assert min(data["diffs"]) > 0.0
+        assert data["diffs"] == diffs
+        assert data["ratios"] == ratios
+        assert data["J_max"] == J_max
+        assert data["trace_bound"] == trace_bound
+        assert len(res.csv["eps_sweep.csv"]) == 1 + completed
 
-    def test_requires_decreasing_list(self):
-        basic, _ = small_basic()
-        with pytest.raises(ValueError):
-            eps_sweep(assemble_coefficients(basic), [0.1, 0.1])
-
-    def test_zero_sources_give_zero_differences(self):
-        basic, grid = small_basic(T=0.1)
-        res = eps_sweep(assemble_coefficients(basic), [0.1, 0.05], sources=None)
-        assert res.diffs == [0.0]
-        assert not res.truncated
-        lines = res.table_lines()
+    def test_zero_sources_give_zero_differences(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "make_forcing", lambda *_: Sources())
+        res = scenarios.run_eps_sweep(_sweep_config("run.T_final=0.1", "sweep.eps_list=0.1,0.05"))
+        assert res.data["diffs"] == [0.0]
+        assert not res.data["truncated"]
+        lines = res.csv["eps_sweep.csv"]
         assert lines[0].startswith("eps,")
         assert len(lines) == 3
 

@@ -10,7 +10,6 @@ from contact_stab.scenarios import ManufacturedProblem, make_forcing, smooth_ram
 
 TIMES = (0.0, 0.13, 0.4)
 GRIDS = ((9, 9), (33, 17))
-ORDERS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))   # (dt, d1, d2)
 
 
 def problem(epsilon=1e-2):
@@ -71,11 +70,7 @@ class TestManufacturedSources:
         pb = problem()
         for t in TIMES:
             for side in (+1, -1):
-                for dt_o, d1_o, d2_o in ORDERS:
-                    assert_close(
-                        pb.exact(side, t, grid, dt_o, d1_o, d2_o),
-                        reference_exact(pb, side, t, grid, dt_o, d1_o, d2_o),
-                    )
+                assert_close(pb.exact(side, t, grid), reference_exact(pb, side, t, grid))
 
     def test_f_matches_the_full_grid_operator(self, N1, N2):
         grid = Grid(N1, N2, 3.0, 2.0 * np.pi)

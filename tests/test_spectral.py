@@ -269,9 +269,6 @@ class TestNeutralMode:
         assert neutral_mode_residual(1.0, make_pair()) == 0.0
         assert neutral_mode_residual(2.0, make_pair(v2=0.0)) == 0.0
 
-    def test_residual_zero_for_any_entropy_amplitudes(self):
-        assert neutral_mode_residual(1.5, make_pair(), S_bar=(2.3, -0.7), phi_bar=5.0) == 0.0
-
 
 class TestPointValidation:
     def test_origin_excluded(self):
