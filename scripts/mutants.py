@@ -334,6 +334,23 @@ MUTANTS: dict[str, Mutant] = {
         [
             (CONFIG, '.replace("^", "**")', ""),
         ]),
+    # a number that float() accepts taken as it is, so inf and nan pass every numeric key
+    "float-accepts-non-finite": Mutant(
+        "tests/test_cli.py::TestExitCodes::"
+        "test_non_finite_or_unusable_number_exits_two_without_artifacts"
+        "[run.T_final=inf-run.T_final]",
+        [
+            (CONFIG, "    if not math.isfinite(v):\n"
+                     "        raise ConfigError(f\"{key} must be finite, got {text!r}\")\n", ""),
+        ]),
+    # adjoint-check accepts grid.cfl_max again, though it takes no time step
+    "dead-schema-key": Mutant(
+        "tests/test_cli.py::TestSchemas::test_each_kind_accepts_only_the_keys_its_run_reads",
+        [
+            (CONFIG, '        "tolerance.adjoint": (_as_posfloat, 1e-10),\n',
+             '        "tolerance.adjoint": (_as_posfloat, 1e-10),\n'
+             '        "grid.cfl_max": (_as_posfloat, 0.4),\n'),
+        ]),
     # number literals kept as Python reads them, so 3^34 is integer arithmetic
     "integer-constants": Mutant(
         "tests/test_cli.py::TestExitCodes::test_variable_free_division_by_zero_exits_two",

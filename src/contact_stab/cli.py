@@ -94,14 +94,8 @@ def read_snapshot(path_base: Path):
 
 def _csv_to_dat(lines: list[str]) -> list[str]:
     """Space-separated copy with a commented header for gnuplot."""
-    out = []
-    for i, line in enumerate(lines):
-        cells = line.split(",")
-        if i == 0:
-            out.append("# " + " ".join(cells))
-        else:
-            out.append(" ".join(cells))
-    return out
+    header, *rows = [line.replace(",", " ") for line in lines]
+    return ["# " + header, *rows]
 
 
 def write_artifacts(outdir: Path, cfg, result: ScenarioResult,

@@ -154,22 +154,11 @@ def apply_overrides(raw: dict[str, str], overrides) -> dict[str, str]:
 
 def _as_float(key, text):
     try:
-        return float(text)
+        v = float(text)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {text!r}") from None
-
-
-def _as_posfloat(key, text):
-    v = _as_float(key, text)
-    if v <= 0:
-        raise ConfigError(f"{key} must be positive")
-    return v
-
-
-def _as_nonneg(key, text):
-    v = _as_float(key, text)
-    if v < 0:
-        raise ConfigError(f"{key} must be nonnegative")
+    if not math.isfinite(v):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
     return v
 
 
@@ -180,18 +169,20 @@ def _as_int(key, text):
         raise ConfigError(f"{key} must be an integer, got {text!r}") from None
 
 
-def _as_posint(key, text):
-    v = _as_int(key, text)
-    if v <= 0:
-        raise ConfigError(f"{key} must be positive")
-    return v
+def _bounded(conv, ok, bound: str):
+    """The converter conv with a ConfigError naming the key for a value that fails ok."""
+    def parse(key, text):
+        v = conv(key, text)
+        if not ok(v):
+            raise ConfigError(f"{key} must be {bound}, got {v}")
+        return v
+    return parse
 
 
-def _as_grid_size(key, text):
-    v = _as_posint(key, text)
-    if v < MIN_NODES:
-        raise ConfigError(f"{key} must be at least {MIN_NODES}, got {v}")
-    return v
+_as_posfloat = _bounded(_as_float, lambda v: v > 0, "positive")
+_as_nonneg = _bounded(_as_float, lambda v: v >= 0, "nonnegative")
+_as_posint = _bounded(_as_int, lambda v: v > 0, "positive")
+_as_grid_size = _bounded(_as_posint, lambda v: v >= MIN_NODES, f"at least {MIN_NODES}")
 
 
 def _as_word(key, text):
@@ -249,20 +240,26 @@ def _as_expr(key, text):
 
 # schemas ---------------------------------------------------------------------
 
+# a convergence study's sizes come from its refinements, so it has the domain alone
+_DOMAIN_SCHEMA = {
+    "grid.X1": (_as_posfloat, 6.0),
+    "grid.X2": (_as_posfloat, 2.0 * math.pi),
+}
+
 _GRID_SCHEMA = {
     "grid.N1": (_as_grid_size, 96),
     "grid.N2": (_as_grid_size, 96),
-    "grid.X1": (_as_posfloat, 6.0),
-    "grid.X2": (_as_posfloat, 2.0 * math.pi),
-    "grid.cfl_max": (_as_posfloat, 0.4),
+    **_DOMAIN_SCHEMA,
 }
 
+# the keys of every run in time; each kind adds run.epsilon and run.seed if it reads them
 _RUN_SCHEMA = {
+    "grid.cfl_max": (_as_posfloat, 0.4),
     "run.T_final": (_as_nonneg, 1.0),
-    "run.epsilon": (_as_nonneg, 1e-3),
-    "run.seed": (_as_int, 0),
     "run.out": (_as_word, "out"),
 }
+_EPSILON_SCHEMA = {"run.epsilon": (_as_nonneg, 1e-3)}
+_SEED_SCHEMA = {"run.seed": (_as_int, 0)}
 
 _PHYSICS_SCHEMA = {
     "physics.gamma": (_as_posfloat, 5.0 / 3.0),
@@ -320,7 +317,8 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "spectral.omega2": (_as_float, 1.0),
     },
     "energy-test": {
-        **_GRID_SCHEMA, **_RUN_SCHEMA, **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
+        **_GRID_SCHEMA, **_RUN_SCHEMA, **_EPSILON_SCHEMA, **_SEED_SCHEMA,
+        **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
         "pulse.center": (_as_posfloat, 2.0),
         "pulse.width": (_as_posfloat, 0.35),
         "pulse.k2": (_as_posint, 2),
@@ -329,34 +327,37 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "tolerance.drift": (_as_posfloat, 0.01),
     },
     "neutral-mode": {
-        **_GRID_SCHEMA, **_RUN_SCHEMA, **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
+        **_DOMAIN_SCHEMA, **_RUN_SCHEMA, **_EPSILON_SCHEMA,
+        **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
         "neutral.omega2": (_as_posint, 2),
         "neutral.refinements": (_as_refinements, [33, 65, 129]),
     },
     "rt-run": {
-        **_GRID_SCHEMA, **_RUN_SCHEMA, **_PHYSICS_SCHEMA, **_RT_STATE_SCHEMA,
+        **_GRID_SCHEMA, **_RUN_SCHEMA, **_EPSILON_SCHEMA, **_SEED_SCHEMA,
+        **_PHYSICS_SCHEMA, **_RT_STATE_SCHEMA,
         "forcing.amplitude": (_as_posfloat, 1.0),
         "forcing.t_ramp": (_as_posfloat, 0.2),
         "forcing.k2": (_as_posint, 2),
         "run.report_every": (_as_posint, 5),
     },
     "eps-sweep": {
-        **_GRID_SCHEMA, **_RUN_SCHEMA, **_PHYSICS_SCHEMA, **_RT_STATE_SCHEMA,
+        **_GRID_SCHEMA, **_RUN_SCHEMA, **_SEED_SCHEMA,
+        **_PHYSICS_SCHEMA, **_RT_STATE_SCHEMA,
         "sweep.eps_list": (_as_eps_list, [1e-1, 5e-2, 2.5e-2, 1.25e-2]),
         "forcing.amplitude": (_as_posfloat, 1.0),
         "forcing.t_ramp": (_as_posfloat, 0.2),
         "forcing.k2": (_as_posint, 2),
     },
     "adjoint-check": {
-        **_GRID_SCHEMA, **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
+        **_GRID_SCHEMA, **_SEED_SCHEMA, **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
         "run.epsilon": (_as_nonneg, 1e-2),
-        "run.seed": (_as_int, 0),
         "run.out": (_as_word, "out"),
         "adjoint.trials": (_as_posint, 20),
         "tolerance.adjoint": (_as_posfloat, 1e-10),
     },
     "mms": {
-        **_GRID_SCHEMA, **_RUN_SCHEMA, **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
+        **_DOMAIN_SCHEMA, **_RUN_SCHEMA, **_EPSILON_SCHEMA,
+        **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
         "run.seed": (_as_int, 7),
         "mms.omega2": (_as_posfloat, 2.0),
         "mms.omega_t": (_as_posfloat, 1.5),

@@ -117,17 +117,24 @@ def contact_pair_from_config(cfg: ScenarioConfig) -> spectral.ContactPair:
         raise ConfigError(f"state: {exc}") from exc
 
 
-def grid_from_config(cfg: ScenarioConfig, basic_builder,
-                     epsilon: float | None = None) -> tuple[Grid, BasicState]:
+def grid_of(cfg: ScenarioConfig, N: int | None = None) -> Grid:
+    """cfg's grid without a time step: grid.N1 x grid.N2 nodes, or N x N for
+    one size of a convergence study, on grid.X1 x grid.X2."""
+    N1, N2 = (cfg["grid.N1"], cfg["grid.N2"]) if N is None else (N, N)
+    return Grid(N1, N2, cfg["grid.X1"], cfg["grid.X2"])
+
+
+def grid_from_config(cfg: ScenarioConfig, basic_builder, epsilon: float | None = None,
+                     N: int | None = None) -> tuple[Grid, BasicState]:
     """The run grid (dt from the background's CFL speed bound) and the
     background on it.  The background does not depend on dt, so it is built
-    once on a proto grid and moved onto the final grid."""
-    proto = Grid(cfg["grid.N1"], cfg["grid.N2"], cfg["grid.X1"], cfg["grid.X2"])
-    if epsilon is None:
-        epsilon = cfg["run.epsilon"]
-    basic = basic_builder(cfg, proto)
-    grid = solver.build_grid(basic, cfg["run.T_final"], epsilon=epsilon,
-                             cfl_max=cfg["grid.cfl_max"])
+    once on grid_of(cfg, N) and moved onto the final grid."""
+    basic = basic_builder(cfg, grid_of(cfg, N))
+    try:
+        grid = solver.build_grid(basic, cfg["run.T_final"], cfl_max=cfg["grid.cfl_max"],
+                                 epsilon=cfg["run.epsilon"] if epsilon is None else epsilon)
+    except solver.CFLError as exc:
+        raise ConfigError(f"grid.cfl_max = {cfg['grid.cfl_max']}: {exc}") from None
     return grid, replace(basic, grid=grid)
 
 
@@ -323,9 +330,7 @@ def _coefficients(cfg: ScenarioConfig, basic_builder=constant_state_from_config,
     """The operator of cfg's background on its run grid, coeffs.grid, which
     is N x N when N is given.  The background is dropped once assembled, so
     that no runner holds it through its time loop."""
-    if N is not None:
-        cfg = ScenarioConfig(kind=cfg.kind, values={**cfg.values, "grid.N1": N, "grid.N2": N})
-    return solver.assemble_coefficients(grid_from_config(cfg, basic_builder, epsilon)[1])
+    return solver.assemble_coefficients(grid_from_config(cfg, basic_builder, epsilon, N)[1])
 
 
 def _fit_order(hs, errs) -> float:
@@ -345,13 +350,13 @@ _STATE_BUILDERS = {   # validate-state's state.kind -> its background builder
 
 
 def run_validate_state(cfg: ScenarioConfig) -> ScenarioResult:
-    grid = Grid(cfg["grid.N1"], cfg["grid.N2"], cfg["grid.X1"], cfg["grid.X2"])
     try:
-        basic = _STATE_BUILDERS[cfg["state.kind"]](cfg, grid)
+        basic = _STATE_BUILDERS[cfg["state.kind"]](cfg, grid_of(cfg))
     except ValueError as exc:   # a ConfigError too
         return ScenarioResult(exit_code=2, report=[f"state construction failed: {exc}"])
     report = validate_basic_state(basic, tol=cfg["tolerance.validate"])
-    return _verdict(report.all_passed, report.lines(), data={"report": report})
+    return _verdict(report.all_passed, report.lines(), data={"all_passed": report.all_passed,
+                    "max_residual": {c.name: c.max_residual for c in report.checks}})
 
 
 SPECTRUM_CSV_HEADER = "eta,xi,omega2,re_delta,im_delta,abs_delta_normalized,conditioning"
@@ -573,8 +578,7 @@ def run_eps_sweep(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def run_adjoint_check(cfg: ScenarioConfig) -> ScenarioResult:
-    grid = Grid(cfg["grid.N1"], cfg["grid.N2"], cfg["grid.X1"], cfg["grid.X2"])
-    basic = constant_state_from_config(cfg, grid)
+    basic = constant_state_from_config(cfg, grid_of(cfg))
     defect = solver.discrete_adjoint_check(
         basic, cfg["run.epsilon"], trials=cfg["adjoint.trials"], seed=cfg["run.seed"],
     )

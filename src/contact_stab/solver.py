@@ -35,7 +35,7 @@ from __future__ import annotations
 import contextvars
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -57,9 +57,14 @@ class BlowUpError(RuntimeError):
         self.t = t
 
 
+class CFLError(ValueError):
+    """No positive time step meets the CFL bound."""
+
+
 # --- grid construction ------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow is build_grid's CFLError
 def speed_bound(basic: BasicState, epsilon: float = 0.0) -> float:
     """Upper bound on characteristic speeds of the straightened system."""
     bound = epsilon
@@ -86,8 +91,8 @@ def build_grid(basic: BasicState, T_final: float, epsilon: float = 0.0,
     grid = basic.grid
     speed = max(speed_bound(basic, epsilon), 1e-10)
     dt_max = cfl_max * min(grid.h1, grid.h2) / speed
-    if dt_max <= 0:
-        raise ValueError("CFL constraint cannot be met")
+    if not dt_max > 0:   # a NaN speed bound fails it too
+        raise CFLError(f"CFL constraint cannot be met: speed bound {speed:.6g}")
     n = max(int(np.ceil(T_final / dt_max)), 1) if T_final > 0 else 0
     dt = T_final / n if n else dt_max
     return replace(grid, dt=dt, T_final=T_final)
@@ -629,15 +634,11 @@ class EnergyReport:
     phi_l2: float
     phi_d2_l2: float
 
-    CSV_HEADER = "t,I_plus,I_minus,J,Q_boundary,div_defect_plus,div_defect_minus,phi_l2,phi_d2_l2"
-
     def csv_row(self) -> str:
-        return ",".join(
-            f"{v:.16e}" for v in (
-                self.t, self.I_plus, self.I_minus, self.J, self.Q_boundary,
-                self.div_defect_plus, self.div_defect_minus, self.phi_l2, self.phi_d2_l2,
-            )
-        )
+        return ",".join(f"{getattr(self, f.name):.16e}" for f in dc_fields(self))
+
+
+EnergyReport.CSV_HEADER = ",".join(f.name for f in dc_fields(EnergyReport))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import os
 import platform
 import warnings
@@ -8,10 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contact_stab import scenarios, solver
+from contact_stab import cli, scenarios, solver
 from contact_stab.cli import main, read_snapshot, write_snapshot
+from contact_stab.config import ScenarioConfig, parse_config
 from contact_stab.grid import Grid
 from contact_stab.solver import Snapshot
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_cli(kind, config, out, extra=()):
@@ -224,6 +229,31 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("override, key", [
+        ("run.T_final=inf", "run.T_final"), ("run.T_final=nan", "run.T_final"),
+        ("run.epsilon=inf", "run.epsilon"), ("grid.X1=inf", "grid.X1"),
+        ("state.p=inf", "state.p"), ("state.v2=nan", "state.v2"),
+        ("grid.cfl_max=inf", "grid.cfl_max"),
+        # finite, but its fast speed overflows, so no time step meets the CFL bound
+        ("state.H1=1e200", "grid.cfl_max"),
+    ])
+    def test_non_finite_or_unusable_number_exits_two_without_artifacts(self, tmp_path, capsys,
+                                                                       override, key):
+        out = tmp_path / "o"
+        code = run_cli("energy-test", "configs/energy_test.cfg", out, extra=[
+            "--override", "grid.N1=12", "--override", "grid.N2=12", "--override", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unmet_cfl_bound_names_the_speed_bound(self, tmp_path, capsys):
+        code, runtime_warnings = run_cli_warned("rt-run", "configs/rt_stable.cfg", tmp_path / "o",
+                                                ("grid.N1=12", "grid.N2=12", "state.H2=1e200"))
+        assert code == 2 and runtime_warnings == []
+        assert capsys.readouterr().err == (
+            "config error: grid.cfl_max = 0.4: CFL constraint cannot be met: speed bound inf\n")
+
     def test_neutral_mode_blow_up_exits_three(self, tmp_path, capsys):
         out = tmp_path / "o"
         overrides = ("grid.cfl_max=3", "run.T_final=400", "neutral.refinements=9,12")
@@ -234,6 +264,80 @@ class TestExitCodes:
         assert "exit_code = 3" in (out / "manifest.txt").read_text()
         assert runtime_warnings == []
         assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+class TestSchemas:
+    """Each scenario kind accepts only the keys its run reads."""
+
+    TINY = ("grid.N1=16", "grid.N2=16", "run.T_final=0.05")
+    RUNS = [   # (kind, config, overrides): every shipped config at a tiny size
+        ("validate-state", "validate_constant", TINY[:2]),
+        ("validate-state", "validate_rt", TINY[:2]),
+        ("spectrum", "spectrum", ("spectral.n_eta=3", "spectral.n_xi=3")),
+        ("energy-test", "energy_test", TINY),
+        ("neutral-mode", "neutral_mode", ("neutral.refinements=9,17", "run.T_final=0.05")),
+        ("rt-run", "rt_stable", TINY),
+        ("rt-run", "rt_violated", TINY),
+        ("eps-sweep", "eps_sweep", TINY),
+        ("adjoint-check", "adjoint_check", ("adjoint.trials=2",)),
+        ("mms", "mms", ("mms.refinements=9,17", "run.T_final=0.05")),
+    ]
+    REMOVED = [   # (kind, config, key=value) of keys no run of the kind read
+        ("mms", "mms", "grid.N1=17"), ("mms", "mms", "grid.N2=17"),
+        ("neutral-mode", "neutral_mode", "grid.N1=17"),
+        ("neutral-mode", "neutral_mode", "grid.N2=17"),
+        ("neutral-mode", "neutral_mode", "run.seed=3"),
+        ("eps-sweep", "eps_sweep", "run.epsilon=0.01"),
+        ("validate-state", "validate_constant", "grid.cfl_max=0.4"),
+        ("adjoint-check", "adjoint_check", "grid.cfl_max=0.4"),
+    ]
+
+    def test_each_kind_accepts_only_the_keys_its_run_reads(self, tmp_path, capsys,
+                                                            monkeypatch):
+        parsed, reads = [], []   # each run's parsed config, and (key, value) of its reads
+        parse, getitem = cli.parse_config, ScenarioConfig.__getitem__
+
+        def parse_and_keep(*args, **kwargs):
+            parsed.append(parse(*args, **kwargs))
+            return parsed[-1]
+
+        def recorded_getitem(cfg, key):
+            reads.append((key, getitem(cfg, key)))
+            return reads[-1][1]
+
+        monkeypatch.setattr(cli, "parse_config", parse_and_keep)
+        monkeypatch.setattr(ScenarioConfig, "__getitem__", recorded_getitem)
+        monkeypatch.chdir(tmp_path)   # main reads run.out when no --out is given
+        runs = [(kind, str(CONFIGS / f"{name}.cfg"), overrides)
+                for kind, name, overrides in self.RUNS]
+        runs.append(("validate-state", expressions_config(tmp_path), ()))
+        unread = set()
+        for kind, config, overrides in runs:
+            reads.clear()
+            code = main([kind, config, *(a for ov in overrides for a in ("--override", ov))])
+            assert code in (0, 1), (config, capsys.readouterr().err)
+            values = parsed[-1].values
+            # a key is read when its parsed value is, not a value a runner set in its place
+            read = {key for key, value in reads if value is values[key]}
+            unread |= {(kind, key) for key in values if key not in read}
+        assert not unread, f"accepted but never read: {sorted(unread)}"
+
+    @pytest.mark.parametrize("kind, name, override", REMOVED)
+    def test_removed_key_is_unknown(self, tmp_path, capsys, kind, name, override):
+        out = tmp_path / "out"
+        assert main([kind, str(CONFIGS / f"{name}.cfg"), "--out", str(out),
+                     "--override", override]) == 2
+        key = override.split("=")[0]
+        assert f"unknown key '{key}' for scenario {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["validate_constant", "validate_rt"])
+    def test_validate_state_data_holds_plain_values(self, name):
+        result = scenarios.run_validate_state(
+            parse_config(str(CONFIGS / f"{name}.cfg"), "validate-state"))
+        data = json.loads(json.dumps(result.data))
+        assert data["all_passed"] is True
+        assert set(data["max_residual"]) == {line.split()[0] for line in result.report[:-1]}
 
 
 class TestNonFiniteVerdicts:

@@ -294,7 +294,7 @@ class TestParseConfig:
 
     def test_echo_lines_round_trip_readable(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("grid.N1 = 24\n")
+        p.write_text("grid.X1 = 3\n")
         cfg = parse_config(str(p), "mms")
         lines = cfg.echo_lines()
         assert lines[0] == "scenario = mms"

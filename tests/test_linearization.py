@@ -413,11 +413,10 @@ class TestStageInterior:
         from contact_stab import scenarios
         from contact_stab.config import parse_config
 
-        cfg = parse_config(str(CONFIGS / f"{name}.cfg"), kind,
-                           overrides=["grid.N1=17", "grid.N2=17"])
+        cfg = parse_config(str(CONFIGS / f"{name}.cfg"), kind)
         builder = (scenarios.rt_state_from_config if name == "rt_stable"
                    else scenarios.constant_state_from_config)
-        _, basic = scenarios.grid_from_config(cfg, builder)
+        _, basic = scenarios.grid_from_config(cfg, builder, N=17)   # as mms's refinements do
         work = StageWork(assemble_coefficients(basic), cfg["run.epsilon"])
         for side in (+1, -1):
             assert work.spans[side] == [slice(0, ROWS), slice(0, d2_rows)]
