@@ -39,6 +39,7 @@ SPECTRAL = "src/contact_stab/spectral.py"
 GRID = "src/contact_stab/grid.py"
 LINEARIZATION = "src/contact_stab/linearization.py"
 CONFIG = "src/contact_stab/config.py"
+MHD = "src/contact_stab/mhd.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIMEOUT_S = 1800
@@ -350,6 +351,27 @@ MUTANTS: dict[str, Mutant] = {
             (CONFIG, '        "tolerance.adjoint": (_as_posfloat, 1e-10),\n',
              '        "tolerance.adjoint": (_as_posfloat, 1e-10),\n'
              '        "grid.cfl_max": (_as_posfloat, 0.4),\n'),
+        ]),
+    # the symbol's transport part without the time component n0, so A0 = 0 on the diagonal
+    "drop-n0-in-symbol": Mutant(
+        "tests/test_mhd.py::TestCoefficientMatrices::test_a0_positive_definite",
+        [
+            (MHD, "    vn = n0 + n1 * v1 + n2 * v2\n    return",
+             "    vn = n1 * v1 + n2 * v2\n    return"),
+        ]),
+    # the symbol's n2 H1 coupling of v2 to H1 with the wrong sign
+    "flip-n2-H1-coupling": Mutant(
+        "tests/test_mhd.py::TestMatrixDerivatives::"
+        "test_directional_derivatives_match_finite_differences",
+        [
+            (MHD, "(2, 3): n2 * H1,", "(2, 3): -n2 * H1,"),
+        ]),
+    # the state derivative of the momentum entries without the transport symbol's derivative
+    "drop-dvn-in-dsymbol-momentum": Mutant(
+        "tests/test_mhd.py::TestMatrixDerivatives::"
+        "test_directional_derivatives_match_finite_differences",
+        [
+            (MHD, "dmom = drho * vn + rho * dvn", "dmom = drho * vn"),
         ]),
     # number literals kept as Python reads them, so 3^34 is integer arithmetic
     "integer-constants": Mutant(

@@ -11,10 +11,11 @@ yields the production operator
 
 with the effective normal matrix
 
-    A1_tilde = (A1 - A0 dtPsi_hat - A2 d2Psi_hat) / d1Phi_hat
+    A1_tilde = (A1 - A0 dtPsi_hat - A2 d2Psi_hat) / d1Phi_hat,
 
-and the pointwise zero-order matrix C built from directional derivatives of
-the coefficient matrices contracted with the background gradients.  This
+the symbol at the front's space-time normal (-dtPsi_hat, 1, -d2Psi_hat) over
+d1Phi_hat, and the pointwise zero-order matrix C built from the symbols'
+state derivatives contracted with the background gradients.  This
 module also houses the boundary algebra on the interface x1 = 0: the exact
 sparse form of A1_tilde under the interface-continuity conditions, the
 congruence to secondary variables W = (q, v_N, v2, H_N, H2, S) whose
@@ -430,10 +431,10 @@ def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:
     inputs, each compacted once to its smallest broadcast shape, which every
     stored field, A0_diag included, then has.
 
-    At1 is the effective normal matrix (A1 - A0 dtPsi - A2 d2Psi) / d1Phi.
-    Column k of the zero-order matrix C is the directional derivative of the
-    coefficient matrices in the k-th unit state direction, contracted with
-    the gradients of the static background: dA1_tilde d1U_hat + dA2 d2U_hat.
+    At1 = (A1 - A0 dtPsi - A2 d2Psi) / d1Phi is the symbol at the front's
+    normal (-dtPsi, 1, -d2Psi) over d1Phi, and A2 the symbol at (0, 0, 1).
+    Column k of C is their derivative in the k-th unit state direction,
+    contracted with the background gradients: dA1_tilde d1U_hat + dA2 d2U_hat.
     """
     g = basic.grid
     gamma = basic.gamma
@@ -444,15 +445,14 @@ def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:
     if float(np.min(np.abs(d1phi))) < MIN_D1PHI:
         raise GeometryError("|d1 Phi_hat| dropped below 1/4; lift not usable")
     rho = mhd.eos_density(p, S, gamma)
-    A2 = mhd.a2_matrix(p, v2, H1, H2, rho, gamma)
-    At1 = (mhd.a1_matrix(p, v1, H1, H2, rho, gamma) - mhd.a0_matrix(p, rho, gamma) * dtpsi
-           - A2 * d2psi) / d1phi
+    normal, tangent = (-dtpsi, 1, -d2psi), (0, 0, 1)
+    At1 = mhd.symbol(p, v1, v2, H1, H2, rho, normal, gamma) / d1phi
+    A2 = mhd.symbol(p, v1, v2, H1, H2, rho, tangent, gamma)
     columns = []
     for Y in np.eye(6):
-        dA0 = mhd.da0_matrix(p, rho, Y, gamma)
-        dA2 = mhd.da2_matrix(p, v2, rho, Y, gamma)
-        dA1t = (mhd.da1_matrix(p, v1, rho, Y, gamma) - dA0 * dtpsi - dA2 * d2psi) / d1phi
-        columns.append(np.einsum("ij...,j...->i...", dA1t, d1U)
+        dAt1 = mhd.dsymbol(p, v1, v2, rho, Y, normal, gamma) / d1phi
+        dA2 = mhd.dsymbol(p, v1, v2, rho, Y, tangent, gamma)
+        columns.append(np.einsum("ij...,j...->i...", dAt1, d1U)
                        + np.einsum("ij...,j...->i...", dA2, d2U))
     A0 = np.stack([1.0 / (gamma * p), rho, rho] + [np.ones_like(rho)] * 3)
     u1, u2 = normal_component(v1, v2, d2psi), v2 * d1phi

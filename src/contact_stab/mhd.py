@@ -6,18 +6,19 @@ in-plane velocity, in-plane magnetic field, entropy.  The gas is polytropic,
     rho(p, S) = A_EOS * p**(1/gamma) * exp(-S/gamma),      c^2 = gamma*p/rho,
 
 and the system is hyperbolic whenever p > 0 and rho > 0.  This module builds
-the symmetric coefficient matrices A0, A1, A2 of the quasilinear form
+the symbol n0 A0 + n1 A1 + n2 A2 of the quasilinear form
 
-    A0(U) dU/dt + A1(U) dU/dx1 + A2(U) dU/dx2 = 0,
+    A0(U) dU/dt + A1(U) dU/dx1 + A2(U) dU/dx2 = 0
 
-their directional derivatives with respect to the state (needed by the
+at a space-time direction n (A0, A1, A2 are the symbol at the unit
+directions) and its derivative along a state direction (needed by the
 zero-order operator of the linearization), characteristic speeds, and the
 jump-condition report for a contact interface (zero mass flux, nonzero
 normal magnetic field, continuous p, v, H; rho and S free to jump).
 
 All quantities are nondimensional.  Functions accept scalars or numpy arrays
-for the state components; matrix builders return arrays of shape
-(6, 6) + field_shape so grid-wise assembly shares the pointwise code path.
+for the state components and the direction; the symbol builders return arrays
+of shape (6, 6) + field_shape so grid-wise assembly shares the pointwise code.
 """
 
 from __future__ import annotations
@@ -90,116 +91,56 @@ class MatrixTriple:
     A2: np.ndarray
 
 
-def a0_matrix(p, rho, gamma=GAMMA_DEFAULT):
-    """A0 = diag(1/(gamma p), rho, rho, 1, 1, 1), shape (6, 6) + field_shape."""
-    p = np.asarray(p, dtype=float)
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), p.shape)
-    A = np.zeros((N_COMP, N_COMP) + p.shape)
-    A[0, 0] = 1.0 / (gamma * p)
-    A[1, 1] = rho
-    A[2, 2] = rho
-    A[3, 3] = 1.0
-    A[4, 4] = 1.0
-    A[5, 5] = 1.0
+def _symmetric(upper: dict) -> np.ndarray:
+    """The symmetric (6, 6) + broadcast-shape array whose upper triangle
+    holds the given (i, j) -> value entries and zeros elsewhere."""
+    A = np.zeros((N_COMP, N_COMP) + np.broadcast(*upper.values()).shape)
+    for (i, j), value in upper.items():
+        A[i, j] = A[j, i] = value
     return A
 
 
-def a1_matrix(p, v1, H1, H2, rho, gamma=GAMMA_DEFAULT):
-    """x1-flux matrix; symmetric by construction."""
-    p = np.asarray(p, dtype=float)
-    shape = np.broadcast_shapes(p.shape, np.shape(v1), np.shape(H1), np.shape(H2))
-    A = np.zeros((N_COMP, N_COMP) + shape)
-    A[0, 0] = v1 / (gamma * p)
-    A[0, 1] = A[1, 0] = 1.0
-    A[1, 1] = rho * np.asarray(v1, dtype=float)
-    A[1, 4] = A[4, 1] = H2
-    A[2, 2] = rho * np.asarray(v1, dtype=float)
-    A[2, 4] = A[4, 2] = -np.asarray(H1, dtype=float)
-    A[3, 3] = v1
-    A[4, 4] = v1
-    A[5, 5] = v1
-    return A
+def symbol(p, v1, v2, H1, H2, rho, n, gamma=GAMMA_DEFAULT):
+    """The symbol n0 A0 + n1 A1 + n2 A2 at the space-time direction
+    n = (n0, n1, n2), whose entries may be fields; symmetric by construction.
+
+    The diagonal carries the transport symbol vn = n0 + n1 v1 + n2 v2, the
+    acoustic row couples p to the velocity through (n1, n2), and the field
+    couples to the velocity through n1 H2, n2 H1 and their negatives.
+    """
+    n0, n1, n2 = n
+    vn = n0 + n1 * v1 + n2 * v2
+    return _symmetric({
+        (0, 0): vn / (gamma * p), (0, 1): n1, (0, 2): n2,
+        (1, 1): rho * vn, (1, 3): -n2 * H2, (1, 4): n1 * H2,
+        (2, 2): rho * vn, (2, 3): n2 * H1, (2, 4): -n1 * H1,
+        (3, 3): vn, (4, 4): vn, (5, 5): vn,
+    })
 
 
-def a2_matrix(p, v2, H1, H2, rho, gamma=GAMMA_DEFAULT):
-    """x2-flux matrix; symmetric by construction."""
-    p = np.asarray(p, dtype=float)
-    shape = np.broadcast_shapes(p.shape, np.shape(v2), np.shape(H1), np.shape(H2))
-    A = np.zeros((N_COMP, N_COMP) + shape)
-    A[0, 0] = v2 / (gamma * p)
-    A[0, 2] = A[2, 0] = 1.0
-    A[1, 1] = rho * np.asarray(v2, dtype=float)
-    A[1, 3] = A[3, 1] = -np.asarray(H2, dtype=float)
-    A[2, 2] = rho * np.asarray(v2, dtype=float)
-    A[2, 3] = A[3, 2] = H1
-    A[3, 3] = v2
-    A[4, 4] = v2
-    A[5, 5] = v2
-    return A
+def dsymbol(p, v1, v2, rho, Y, n, gamma=GAMMA_DEFAULT):
+    """The derivative of symbol(U, n) along the state direction Y = (y0..y5):
+    sum_i y_i d symbol / dU_i at U.  Density enters through
+    rho_p = rho/(gamma p) and rho_S = -rho/gamma."""
+    n0, n1, n2 = n
+    vn = n0 + n1 * v1 + n2 * v2
+    dvn = n1 * Y[1] + n2 * Y[2]
+    drho = rho / (gamma * p) * Y[0] - rho / gamma * Y[5]
+    dmom = drho * vn + rho * dvn
+    return _symmetric({
+        (0, 0): dvn / (gamma * p) - vn * Y[0] / (gamma * p ** 2),
+        (1, 1): dmom, (1, 3): -n2 * Y[4], (1, 4): n1 * Y[4],
+        (2, 2): dmom, (2, 3): n2 * Y[3], (2, 4): -n1 * Y[3],
+        (3, 3): dvn, (4, 4): dvn, (5, 5): dvn,
+    })
 
 
 def assemble_matrices(state: PlasmaState) -> MatrixTriple:
-    """Build (A0, A1, A2) at a point; requires an admissible state."""
+    """Build (A0, A1, A2), the symbol at the unit directions, at a point;
+    requires an admissible state."""
     state.require_admissible()
-    rho = state.rho
-    g = state.gamma
-    return MatrixTriple(
-        A0=a0_matrix(state.p, rho, g),
-        A1=a1_matrix(state.p, state.v1, state.H1, state.H2, rho, g),
-        A2=a2_matrix(state.p, state.v2, state.H1, state.H2, rho, g),
-    )
-
-
-# Directional state-derivatives of the coefficient matrices: for a direction
-# Y = (y0..y5) in state space, dA(U; Y) = sum_i y_i dA/dU_i evaluated at U.
-# Density enters through rho_p = rho/(gamma p) and rho_S = -rho/gamma.
-
-
-def da0_matrix(p, rho, Y, gamma=GAMMA_DEFAULT):
-    p = np.asarray(p, dtype=float)
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), p.shape)
-    drho = rho / (gamma * p) * Y[0] - rho / gamma * Y[5]
-    A = np.zeros((N_COMP, N_COMP) + p.shape)
-    A[0, 0] = -Y[0] / (gamma * p ** 2)
-    A[1, 1] = drho
-    A[2, 2] = drho
-    return A
-
-
-def da1_matrix(p, v1, rho, Y, gamma=GAMMA_DEFAULT):
-    p = np.asarray(p, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), p.shape)
-    drho = rho / (gamma * p) * Y[0] - rho / gamma * Y[5]
-    dmom = drho * v1 + rho * Y[1]
-    A = np.zeros((N_COMP, N_COMP) + np.broadcast_shapes(p.shape, v1.shape))
-    A[0, 0] = Y[1] / (gamma * p) - v1 * Y[0] / (gamma * p ** 2)
-    A[1, 1] = dmom
-    A[1, 4] = A[4, 1] = Y[4]
-    A[2, 2] = dmom
-    A[2, 4] = A[4, 2] = -Y[3]
-    A[3, 3] = Y[1]
-    A[4, 4] = Y[1]
-    A[5, 5] = Y[1]
-    return A
-
-
-def da2_matrix(p, v2, rho, Y, gamma=GAMMA_DEFAULT):
-    p = np.asarray(p, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), p.shape)
-    drho = rho / (gamma * p) * Y[0] - rho / gamma * Y[5]
-    dmom = drho * v2 + rho * Y[2]
-    A = np.zeros((N_COMP, N_COMP) + np.broadcast_shapes(p.shape, v2.shape))
-    A[0, 0] = Y[2] / (gamma * p) - v2 * Y[0] / (gamma * p ** 2)
-    A[1, 1] = dmom
-    A[1, 3] = A[3, 1] = -Y[4]
-    A[2, 2] = dmom
-    A[2, 3] = A[3, 2] = Y[3]
-    A[3, 3] = Y[2]
-    A[4, 4] = Y[2]
-    A[5, 5] = Y[2]
-    return A
+    U = (state.p, state.v1, state.v2, state.H1, state.H2, state.rho)
+    return MatrixTriple(*(symbol(*U, n, state.gamma) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
 
 
 def characteristic_speeds(state: PlasmaState, n1: float, n2: float) -> np.ndarray:
@@ -212,9 +153,9 @@ def characteristic_speeds(state: PlasmaState, n1: float, n2: float) -> np.ndarra
     nrm = float(np.hypot(n1, n2))
     if not np.isclose(nrm, 1.0, atol=1e-10):
         raise ValueError("(n1, n2) must be a unit direction")
-    tri = assemble_matrices(state)
-    B = n1 * tri.A1 + n2 * tri.A2
-    d = np.sqrt(np.diag(tri.A0))
+    U = (state.p, state.v1, state.v2, state.H1, state.H2, state.rho)
+    B = symbol(*U, (0, n1, n2), state.gamma)
+    d = np.sqrt(np.diag(symbol(*U, (1, 0, 0), state.gamma)))
     sym = B / d[:, None] / d[None, :]
     # An entry below sqrt(tiny) |sym| cannot move an eigenvalue by a
     # representable amount, but eigvalsh mishandles entries whose products
@@ -232,7 +173,6 @@ class ContactJumpReport:
     jump_v2: float
     jump_H1: float
     jump_H2: float
-    front_kinematic_residual: float
     mass_flux: float
     HN_magnitude: float
 
@@ -260,7 +200,6 @@ def contact_jump_report(
         jump_v2=state_plus.v2 - state_minus.v2,
         jump_H1=state_plus.H1 - state_minus.H1,
         jump_H2=state_plus.H2 - state_minus.H2,
-        front_kinematic_residual=front_speed - vN_plus,
         mass_flux=state_plus.rho * (vN_plus - front_speed),
         HN_magnitude=min(abs(HN_plus), abs(HN_minus)),
     )

@@ -121,7 +121,11 @@ def grid_of(cfg: ScenarioConfig, N: int | None = None) -> Grid:
     """cfg's grid without a time step: grid.N1 x grid.N2 nodes, or N x N for
     one size of a convergence study, on grid.X1 x grid.X2."""
     N1, N2 = (cfg["grid.N1"], cfg["grid.N2"]) if N is None else (N, N)
-    return Grid(N1, N2, cfg["grid.X1"], cfg["grid.X2"])
+    grid = Grid(N1, N2, cfg["grid.X1"], cfg["grid.X2"])
+    for key, h in (("grid.X1", grid.h1), ("grid.X2", grid.h2)):
+        if h * h < np.finfo(float).tiny:   # source_h1_norm divides by (2 h)^2
+            raise ConfigError(f"{key} = {cfg[key]}: grid spacing {h:.6g} squared underflows")
+    return grid
 
 
 def grid_from_config(cfg: ScenarioConfig, basic_builder, epsilon: float | None = None,

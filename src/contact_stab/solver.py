@@ -95,6 +95,8 @@ def build_grid(basic: BasicState, T_final: float, epsilon: float = 0.0,
         raise CFLError(f"CFL constraint cannot be met: speed bound {speed:.6g}")
     n = max(int(np.ceil(T_final / dt_max)), 1) if T_final > 0 else 0
     dt = T_final / n if n else dt_max
+    if dt * dt < np.finfo(float).tiny:   # energy_report divides by dt^2
+        raise CFLError(f"time step {dt:.6g} is too small: its square underflows")
     return replace(grid, dt=dt, T_final=T_final)
 
 

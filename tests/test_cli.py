@@ -100,6 +100,17 @@ class TestExitCodes:
         assert "grid.N1 must be at least 4" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_spacing_whose_square_underflows_exits_two_without_artifacts(self, tmp_path,
+                                                                          capsys):
+        out = tmp_path / "o"
+        code = run_cli("energy-test", "configs/energy_test.cfg", out,
+                       extra=["--override", "grid.N1=12", "--override", "grid.N2=12",
+                              "--override", "grid.X1=1e-300"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "grid.X1" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_key_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nosuch.key = 1\n")

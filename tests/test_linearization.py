@@ -87,9 +87,7 @@ def nonlinear_interior_residual(u_field, front, grid, side, gamma=mhd.GAMMA_DEFA
     """Static interior residual of the straightened quasilinear system."""
     geo = build_lifted_geometry(front, grid, skip_admissibility=True)
     rho = mhd.eos_density(u_field[0], u_field[5], gamma)
-    A0 = mhd.a0_matrix(u_field[0], rho, gamma)
-    A1 = mhd.a1_matrix(u_field[0], u_field[1], u_field[3], u_field[4], rho, gamma)
-    A2 = mhd.a2_matrix(u_field[0], u_field[2], u_field[3], u_field[4], rho, gamma)
+    A1, A2 = (mhd.symbol(*u_field[:5], rho, n, gamma) for n in ((0, 1, 0), (0, 0, 1)))
     d1phi = geo.side("d1_phi", side)
     At1 = (A1 - A2 * geo.side("d2_psi", side)) / d1phi
     return (
@@ -580,14 +578,13 @@ class TestZeroOrderMatrix:
         for side in (+1, -1):
             U = basic.u.side(side)
             rho = basic.rho(side)
-            d1phi = basic.d1phi_map(side)
+            normal = (-basic.dtpsi(side), 1, -basic.d2psi(side))
             full = np.zeros((6, 6) + U.shape[1:])
             for k in range(6):
                 Y = np.eye(6)[k]
-                dA0 = mhd.da0_matrix(U[0], rho, Y, basic.gamma)
-                dA1 = mhd.da1_matrix(U[0], U[1], rho, Y, basic.gamma)
-                dA2 = mhd.da2_matrix(U[0], U[2], rho, Y, basic.gamma)
-                dA1t = (dA1 - dA0 * basic.dtpsi(side) - dA2 * basic.d2psi(side)) / d1phi
+                dA1t = mhd.dsymbol(U[0], U[1], U[2], rho, Y, normal,
+                                   basic.gamma) / basic.d1phi_map(side)
+                dA2 = mhd.dsymbol(U[0], U[1], U[2], rho, Y, (0, 0, 1), basic.gamma)
                 full[:, k] = (
                     np.einsum("ij...,j...->i...", dA1t, basic.d1_u.side(side))
                     + np.einsum("ij...,j...->i...", dA2, basic.d2_u.side(side))

@@ -63,7 +63,7 @@ class TestCoefficientMatrices:
 
     def test_gridded_shape(self):
         p = np.ones((4, 5))
-        A = mhd.a1_matrix(p, 0.1, 1.0, 0.3, np.ones_like(p))
+        A = mhd.symbol(p, 0.1, 0.0, 1.0, 0.3, np.ones_like(p), (0, 1, 0))
         assert A.shape == (6, 6, 4, 5)
         assert np.allclose(A[0, 1], 1.0)
 
@@ -82,6 +82,26 @@ class TestCoefficientMatrices:
             mhd.characteristic_speeds(mhd.PlasmaState(1, 0, 0, 1, 0, 0), 1.0, 1.0)
 
 
+class TestSymbol:
+    @given(admissible_states(), st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+           st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    @settings(max_examples=200)
+    def test_symmetric_and_linear_in_the_direction(self, state, n, Y):
+        """symbol(n) and dsymbol(n) are exactly symmetric and equal
+        sum_k n_k symbol(e_k) and sum_k n_k dsymbol(e_k), to 1e-13 of the
+        largest summand; the tiny floor absorbs subnormal roundoff."""
+        U = (state.p, state.v1, state.v2, state.H1, state.H2, state.rho)
+        Y = np.array(Y)
+        for build in (lambda n: mhd.symbol(*U, n, state.gamma),
+                      lambda n: mhd.dsymbol(state.p, state.v1, state.v2, state.rho, Y, n,
+                                            state.gamma)):
+            got = build(n)
+            assert np.array_equal(got, got.T)
+            parts = [n_k * build(e_k) for n_k, e_k in zip(n, np.eye(3))]
+            scale = max(np.max(np.abs(P)) for P in parts)
+            assert np.max(np.abs(got - sum(parts))) <= 1e-13 * scale + np.finfo(float).tiny
+
+
 class TestMatrixDerivatives:
     @given(admissible_states(), st.integers(0, 5))
     @settings(max_examples=40)
@@ -96,12 +116,8 @@ class TestMatrixDerivatives:
 
         tp = tri_at(u + h * Y)
         tm = tri_at(u - h * Y)
-        rho = state.rho
-        got = (
-            mhd.da0_matrix(state.p, rho, Y, state.gamma),
-            mhd.da1_matrix(state.p, state.v1, rho, Y, state.gamma),
-            mhd.da2_matrix(state.p, state.v2, rho, Y, state.gamma),
-        )
+        got = [mhd.dsymbol(state.p, state.v1, state.v2, state.rho, Y, n, state.gamma)
+               for n in np.eye(3)]
         fd = (
             (tp.A0 - tm.A0) / (2 * h),
             (tp.A1 - tm.A1) / (2 * h),

@@ -90,6 +90,11 @@ class TestGridBuild:
         with pytest.raises(ValueError):
             solver.build_grid(basic, 1.0, cfl_max=-0.4)
 
+    def test_time_step_whose_square_underflows_rejected(self):
+        basic = constant_basic_state(Grid(8, 8, 1.0, 1.0))
+        with pytest.raises(solver.CFLError, match="underflows"):
+            solver.build_grid(basic, 1e-200)
+
 
 def _layouts(U):
     """U, and copies of it that are not C-contiguous."""
