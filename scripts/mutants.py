@@ -40,8 +40,11 @@ GRID = "src/contact_stab/grid.py"
 LINEARIZATION = "src/contact_stab/linearization.py"
 CONFIG = "src/contact_stab/config.py"
 MHD = "src/contact_stab/mhd.py"
+GEOMETRY = "src/contact_stab/geometry.py"
+# tests/test_mutants.py checks that each edit applies to the unmutated tree, which
+# a mutated copy never passes, so it could kill every mutant; it runs only in tier-1
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider"]
+         "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py"]
 TIMEOUT_S = 1800
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench-*", "out")
 
@@ -178,15 +181,28 @@ MUTANTS: dict[str, Mutant] = {
         "tests/test_solver.py::TestGridBuild::"
         "test_bound_covers_the_speeds_of_a_moving_or_curved_front[moving-flat]",
         [
-            (SOLVER, "np.abs(U[1]) + np.abs(basic.dtpsi(side))",
-             "np.abs(U[1]) - np.abs(basic.dtpsi(side))"),
+            (SOLVER, "np.abs(U[1]) + np.abs(geo.dt_psi)", "np.abs(U[1]) - np.abs(geo.dt_psi)"),
         ]),
     # speed_bound's normal speed with the front slope's |d2 psi| s2 subtracted
     "flip-d2psi-in-speed-bound": Mutant(
         "tests/test_solver.py::TestGridBuild::"
         "test_bound_covers_the_speeds_of_a_moving_or_curved_front[curved]",
         [
-            (SOLVER, "+ np.abs(basic.d2psi(side)) * s2", "- np.abs(basic.d2psi(side)) * s2"),
+            (SOLVER, "+ np.abs(geo.d2_psi) * s2", "- np.abs(geo.d2_psi) * s2"),
+        ]),
+    # the straightening map's slope d1 Phi_pm = pm 1 - d1 Psi, the lift's slope subtracted
+    "flip-lift-slope": Mutant(
+        "tests/test_geometry.py::TestLiftedGeometry::"
+        "test_map_slope_is_the_derivative_of_the_map[1]",
+        [
+            (GEOMETRY, "return side + self.d1_psi", "return side - self.d1_psi"),
+        ]),
+    # a constant contact whose tangential velocity jumps accepted as a contact
+    "drop-v2-from-contact-check": Mutant(
+        "tests/test_spectral.py::TestContactPair::test_jump_of_a_shared_component_rejected[v2]",
+        [
+            (SPECTRAL, 'for c in ("p", "v1", "v2", "H1", "H2")',
+             'for c in ("p", "v1", "H1", "H2")'),
         ]),
     # the sides of a snapshot's U can be rebound, detaching them from data
     "unfreeze-two-sided-field": Mutant(

@@ -8,6 +8,8 @@ the half-plane {x1 >= 0} through
 where chi is a C-infinity cutoff equal to 1 on [-1, 1], supported in
 [-4, 4], with max |chi'| < 1/2.  When ||phi||_inf < 1 this forces
 d1 Phi^+ >= 1/2 and d1 Phi^- <= -1/2, so the map is invertible on each side.
+chi is even, so on x1 >= 0 both sides share one lift Psi = chi(x1) phi and
+d1 Phi_pm = pm 1 + d1 Psi; LiftedGeometry stores Psi's derivatives once.
 
 The cutoff is built from a plateau-shaped transition density: chi' on [1, 4]
 is a constant-height C-infinity bump (height 1/2.4 < 1/2), and chi itself is
@@ -158,30 +160,28 @@ CHI_SLOPE_BOUND = _DENSITY_HEIGHT  # < 1/2 by construction
 
 @dataclass(frozen=True)
 class LiftedGeometry:
-    """The derivatives of Psi_pm and Phi_pm on the (N1, N2) grid."""
+    """The derivatives of the lift Psi, shared by both sides, on the (N1, N2)
+    grid, and the front's slope on the interface line."""
 
-    d1_phi_plus: np.ndarray     # d/dx1 of Phi^+
-    d1_phi_minus: np.ndarray
-    d2_psi_plus: np.ndarray
-    d2_psi_minus: np.ndarray
-    dt_psi_plus: np.ndarray
-    dt_psi_minus: np.ndarray
-    d11_phi_plus: np.ndarray    # d^2/dx1^2 of Phi^+ (= Psi^+ curvature)
-    d11_phi_minus: np.ndarray
+    d1_psi: np.ndarray
+    d2_psi: np.ndarray
+    dt_psi: np.ndarray
+    d11_psi: np.ndarray         # = d^2/dx1^2 of Phi_pm
     d2_phi_boundary: np.ndarray
 
-    def side(self, name: str, side: int) -> np.ndarray:
-        return getattr(self, f"{name}_{'plus' if side == +1 else 'minus'}")
+    def d1_phi(self, side: int) -> np.ndarray:
+        """d/dx1 of Phi_pm = pm x1 + Psi."""
+        return side + self.d1_psi
 
 
 def build_lifted_geometry(
     phi, grid: Grid, dt_phi=None, skip_admissibility: bool = False
 ) -> LiftedGeometry:
-    """Lift the front perturbation phi, an (N2,) array, to both
-    straightened half-planes.
+    """Lift the front perturbation phi, an (N2,) array, to the straightened
+    half-plane.
 
     dt_phi, if given, is the time derivative of phi on the boundary grid;
-    it propagates into dt_Psi_pm = chi(pm x1) dt_phi.  skip_admissibility
+    it propagates into dt_Psi = chi(x1) dt_phi.  skip_admissibility
     is for lifting perturbation directions, which need not obey the
     sup-norm bound of an actual front.
     """
@@ -193,28 +193,15 @@ def build_lifted_geometry(
         raise AdmissibilityError(
             f"front sup-norm {sup:.3g} >= 1: straightening map degenerates"
         )
-    x1 = grid.x1
-    chi_p = cutoff_chi(x1)[:, None]
-    chi_m = cutoff_chi(-x1)[:, None]
-    dchi_p = cutoff_chi_d(x1)[:, None]
-    dchi_m = cutoff_chi_d(-x1)[:, None]
-    ddchi_p = cutoff_chi_dd(x1)[:, None]
-    ddchi_m = cutoff_chi_dd(-x1)[:, None]
+    chi = cutoff_chi(grid.x1)[:, None]
     d2phi = d2_line(phi, grid.h2)
     if dt_phi is None:
         dt_phi = np.zeros_like(phi)
-
-    ones = np.ones((grid.N1, grid.N2))
     return LiftedGeometry(
-        # d/dx1 [chi(-x1) phi] = -chi'(-x1) phi
-        d1_phi_plus=ones + dchi_p * phi[None, :],
-        d1_phi_minus=-ones - dchi_m * phi[None, :],
-        d2_psi_plus=chi_p * d2phi[None, :],
-        d2_psi_minus=chi_m * d2phi[None, :],
-        dt_psi_plus=chi_p * np.asarray(dt_phi, dtype=float)[None, :],
-        dt_psi_minus=chi_m * np.asarray(dt_phi, dtype=float)[None, :],
-        d11_phi_plus=ddchi_p * phi[None, :],
-        d11_phi_minus=ddchi_m * phi[None, :],
+        d1_psi=cutoff_chi_d(grid.x1)[:, None] * phi[None, :],
+        d2_psi=chi * d2phi[None, :],
+        dt_psi=chi * np.asarray(dt_phi, dtype=float)[None, :],
+        d11_psi=cutoff_chi_dd(grid.x1)[:, None] * phi[None, :],
         d2_phi_boundary=d2phi,
     )
 

@@ -169,25 +169,19 @@ class BasicState:
         return mhd.eos_density(U[0], U[5], self.gamma)
 
     def d1phi_map(self, side: int) -> np.ndarray:
-        return self.geometry.side("d1_phi", side)
-
-    def d2psi(self, side: int) -> np.ndarray:
-        return self.geometry.side("d2_psi", side)
-
-    def dtpsi(self, side: int) -> np.ndarray:
-        return self.geometry.side("dt_psi", side)
+        return self.geometry.d1_phi(side)
 
     def vN(self, side: int) -> np.ndarray:
         U = self.u.side(side)
-        return normal_component(U[1], U[2], self.d2psi(side))
+        return normal_component(U[1], U[2], self.geometry.d2_psi)
 
     def HN(self, side: int) -> np.ndarray:
         U = self.u.side(side)
-        return normal_component(U[3], U[4], self.d2psi(side))
+        return normal_component(U[3], U[4], self.geometry.d2_psi)
 
     def Htau(self, side: int) -> np.ndarray:
         U = self.u.side(side)
-        return tangential_component(U[3], U[4], self.d2psi(side))
+        return tangential_component(U[3], U[4], self.geometry.d2_psi)
 
     def u_vec(self, side: int) -> tuple[np.ndarray, np.ndarray]:
         """Straightened transport field u_hat = (v_N, v2 d1Phi)."""
@@ -198,7 +192,7 @@ class BasicState:
         """u_hat minus the front motion (dtPsi, 0); its first component
         vanishes on x1 = 0 for a valid background."""
         u1, u2 = self.u_vec(side)
-        return u1 - self.dtpsi(side), u2
+        return u1 - self.geometry.dt_psi, u2
 
     def h_vec(self, side: int) -> tuple[np.ndarray, np.ndarray]:
         """Straightened magnetic field h_hat = (H_N, H2 d1Phi)."""
@@ -440,8 +434,9 @@ def side_coefficients(basic: BasicState, side: int) -> SideCoefficients:
     gamma = basic.gamma
     p, v1, v2, H1, H2, S = _compact(basic.u.side(side))
     d1U, d2U = _compact(basic.d1_u.side(side)), _compact(basic.d2_u.side(side))
-    d1phi, d2psi, dtpsi, d11phi = (_compact(basic.geometry.side(name, side))
-                                   for name in ("d1_phi", "d2_psi", "dt_psi", "d11_phi"))
+    geo = basic.geometry
+    d1phi, d2psi, dtpsi, d11phi = (_compact(a) for a in (geo.d1_phi(side), geo.d2_psi,
+                                                          geo.dt_psi, geo.d11_psi))
     if float(np.min(np.abs(d1phi))) < MIN_D1PHI:
         raise GeometryError("|d1 Phi_hat| dropped below 1/4; lift not usable")
     rho = mhd.eos_density(p, S, gamma)
@@ -498,13 +493,10 @@ def first_variation(
     g = basic.grid
     sc = side_coefficients(basic, side)
     dgeo = build_lifted_geometry(dphi, g, skip_admissibility=True)
-    sgn = 1.0 if side == +1 else -1.0
-    d1psi = dgeo.side("d1_phi", side) - sgn  # d1 of the lift alone
-    d2psi = dgeo.side("d2_psi", side)
     transport = basic.d1_u.side(side) / sc.d1phi
     return sum(np.einsum("ij...,j...->i...", M, X) for M, X in (
-        (sc.At1, d1_field(dU, g.h1) - d1psi * transport),
-        (sc.A2, d2_field(dU, g.h2) - d2psi * transport),
+        (sc.At1, d1_field(dU, g.h1) - dgeo.d1_psi * transport),
+        (sc.A2, d2_field(dU, g.h2) - dgeo.d2_psi * transport),
         (sc.C, dU)))
 
 

@@ -12,9 +12,10 @@ the symbol n0 A0 + n1 A1 + n2 A2 of the quasilinear form
 
 at a space-time direction n (A0, A1, A2 are the symbol at the unit
 directions) and its derivative along a state direction (needed by the
-zero-order operator of the linearization), characteristic speeds, and the
-jump-condition report for a contact interface (zero mass flux, nonzero
-normal magnetic field, continuous p, v, H; rho and S free to jump).
+zero-order operator of the linearization) and characteristic speeds.  The
+contact conditions on a constant state pair (continuous p, v, H, nonzero
+normal field, rest frame; rho and S free to jump) are checked where such a
+pair is built, by spectral.ContactPair.
 
 All quantities are nondimensional.  Functions accept scalars or numpy arrays
 for the state components and the direction; the symbol builders return arrays
@@ -75,11 +76,6 @@ class PlasmaState:
             raise InadmissibleStateError(
                 f"state p={self.p}, S={self.S} violates p, rho > {ADMISSIBLE_FLOOR}"
             )
-
-    @staticmethod
-    def from_vector(u, gamma=GAMMA_DEFAULT) -> "PlasmaState":
-        u = np.asarray(u, dtype=float)
-        return PlasmaState(*[float(c) for c in u[:6]], gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -162,44 +158,3 @@ def characteristic_speeds(state: PlasmaState, n1: float, n2: float) -> np.ndarra
     # are subnormal (a fast speed off by 4e-3 with v1 ~ 1e-183, H2 ~ 1e-161).
     sym[np.abs(sym) < np.sqrt(np.finfo(float).tiny) * np.max(np.abs(sym))] = 0.0
     return np.sort(np.linalg.eigvalsh(sym))
-
-
-@dataclass(frozen=True)
-class ContactJumpReport:
-    """Residuals of the contact jump conditions for a state pair and front."""
-
-    jump_p: float
-    jump_v1: float
-    jump_v2: float
-    jump_H1: float
-    jump_H2: float
-    mass_flux: float
-    HN_magnitude: float
-
-
-def contact_jump_report(
-    state_plus: PlasmaState,
-    state_minus: PlasmaState,
-    front_slope: float = 0.0,
-    front_speed: float = 0.0,
-) -> ContactJumpReport:
-    """Jump residuals at the interface with normal N = (1, -front_slope).
-
-    front_slope is d(phi)/dx2 and front_speed is d(phi)/dt.  The mass flux
-    is rho^+ (v_N^+ - front_speed); for a contact it vanishes while the
-    normal magnetic field stays bounded away from zero.
-    """
-    state_plus.require_admissible()
-    state_minus.require_admissible()
-    vN_plus = state_plus.v1 - state_plus.v2 * front_slope
-    HN_plus = state_plus.H1 - state_plus.H2 * front_slope
-    HN_minus = state_minus.H1 - state_minus.H2 * front_slope
-    return ContactJumpReport(
-        jump_p=state_plus.p - state_minus.p,
-        jump_v1=state_plus.v1 - state_minus.v1,
-        jump_v2=state_plus.v2 - state_minus.v2,
-        jump_H1=state_plus.H1 - state_minus.H1,
-        jump_H2=state_plus.H2 - state_minus.H2,
-        mass_flux=state_plus.rho * (vN_plus - front_speed),
-        HN_magnitude=min(abs(HN_plus), abs(HN_minus)),
-    )

@@ -138,7 +138,8 @@ def grid_from_config(cfg: ScenarioConfig, basic_builder, epsilon: float | None =
         grid = solver.build_grid(basic, cfg["run.T_final"], cfl_max=cfg["grid.cfl_max"],
                                  epsilon=cfg["run.epsilon"] if epsilon is None else epsilon)
     except solver.CFLError as exc:
-        raise ConfigError(f"grid.cfl_max = {cfg['grid.cfl_max']}: {exc}") from None
+        key = "run.T_final" if isinstance(exc, solver.StepCountError) else "grid.cfl_max"
+        raise ConfigError(f"{key} = {cfg[key]}: {exc}") from None
     return grid, replace(basic, grid=grid)
 
 
@@ -582,9 +583,9 @@ def run_eps_sweep(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def run_adjoint_check(cfg: ScenarioConfig) -> ScenarioResult:
-    basic = constant_state_from_config(cfg, grid_of(cfg))
     defect = solver.discrete_adjoint_check(
-        basic, cfg["run.epsilon"], trials=cfg["adjoint.trials"], seed=cfg["run.seed"],
+        contact_pair_from_config(cfg), grid_of(cfg), cfg["run.epsilon"],
+        trials=cfg["adjoint.trials"], seed=cfg["run.seed"],
     )
     tol = cfg["tolerance.adjoint"]
     ok = defect <= tol

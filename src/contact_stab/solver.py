@@ -49,6 +49,7 @@ from .linearization import (
     boundary_A1_exact,
     side_coefficients,
 )
+from .spectral import ContactPair
 
 
 class BlowUpError(RuntimeError):
@@ -61,6 +62,14 @@ class CFLError(ValueError):
     """No positive time step meets the CFL bound."""
 
 
+class StepCountError(CFLError):
+    """The CFL time step needs more than MAX_STEPS steps to reach T_final."""
+
+
+#: the most RK4 steps build_grid gives a run; a longer one is a config error
+MAX_STEPS = 10 ** 6
+
+
 # --- grid construction ------------------------------------------------------
 
 
@@ -68,6 +77,7 @@ class CFLError(ValueError):
 def speed_bound(basic: BasicState, epsilon: float = 0.0) -> float:
     """Upper bound on characteristic speeds of the straightened system."""
     bound = epsilon
+    geo = basic.geometry   # the lift Psi, shared by both sides
     for side in (+1, -1):
         U = basic.u.side(side)
         rho = basic.rho(side)
@@ -77,7 +87,7 @@ def speed_bound(basic: BasicState, epsilon: float = 0.0) -> float:
         d1phi = np.abs(basic.d1phi_map(side))
         s2 = np.max(np.abs(U[2]) + cf)
         s1 = np.max(
-            (np.abs(U[1]) + np.abs(basic.dtpsi(side)) + np.abs(basic.d2psi(side)) * s2 + cf)
+            (np.abs(U[1]) + np.abs(geo.dt_psi) + np.abs(geo.d2_psi) * s2 + cf)
             / d1phi
         ) + epsilon
         bound = max(bound, float(s1), float(s2))
@@ -87,12 +97,15 @@ def speed_bound(basic: BasicState, epsilon: float = 0.0) -> float:
 def build_grid(basic: BasicState, T_final: float, epsilon: float = 0.0,
                cfl_max: float = 0.4) -> Grid:
     """The background's grid with a CFL-satisfying dt that divides T_final
-    evenly."""
+    evenly in at most MAX_STEPS steps."""
     grid = basic.grid
     speed = max(speed_bound(basic, epsilon), 1e-10)
     dt_max = cfl_max * min(grid.h1, grid.h2) / speed
     if not dt_max > 0:   # a NaN speed bound fails it too
         raise CFLError(f"CFL constraint cannot be met: speed bound {speed:.6g}")
+    if T_final / dt_max > MAX_STEPS:
+        raise StepCountError(f"{T_final / dt_max:.3g} time steps of at most {dt_max:.3g} "
+                             f"exceed MAX_STEPS = {MAX_STEPS}")
     n = max(int(np.ceil(T_final / dt_max)), 1) if T_final > 0 else 0
     dt = T_final / n if n else dt_max
     if dt * dt < np.finfo(float).tiny:   # energy_report divides by dt^2
@@ -857,7 +870,7 @@ def _random_spacetime_field(rng, Nt, N1, N2, boundary_supported: bool):
     return f
 
 
-def discrete_adjoint_check(basic_const: BasicState, epsilon: float,
+def discrete_adjoint_check(pair: ContactPair, grid: Grid, epsilon: float,
                            trials: int = 20, seed: int = 0) -> float:
     """Max relative defect of the discrete duality identity.
 
@@ -867,13 +880,10 @@ def discrete_adjoint_check(basic_const: BasicState, epsilon: float,
     -[(A1 U, V)] + eps * sum_pm <U_pm, V_pm> exactly (far-wall-vanishing
     fields), since each difference operator satisfies summation by parts.
     """
-    g = basic_const.grid
-    tri = {side: mhd.assemble_matrices(mhd.PlasmaState.from_vector(U[:, 0, 0],
-                                                                    gamma=basic_const.gamma))
-           for side, U in ((+1, basic_const.u.plus), (-1, basic_const.u.minus))}
+    tri = {side: mhd.assemble_matrices(pair.side(side)) for side in (+1, -1)}
     B = {side: side * tri[side].A1 - epsilon * np.eye(6) for side in (+1, -1)}
     Nt, dt = 12, 0.05   # time levels and step of the random space-time fields
-    w1 = g.p_weights1
+    w1 = grid.p_weights1
 
     def dt_central(F):
         out = np.zeros_like(F)
@@ -884,12 +894,12 @@ def discrete_adjoint_check(basic_const: BasicState, epsilon: float,
 
     def apply_L(F, side):
         out = np.einsum("ij,tjkl->tikl", tri[side].A0, dt_central(F))
-        out += np.einsum("ij,tjkl->tikl", B[side], d1_field(F, g.h1))
-        out += np.einsum("ij,tjkl->tikl", tri[side].A2, d2_field(F, g.h2))
+        out += np.einsum("ij,tjkl->tikl", B[side], d1_field(F, grid.h1))
+        out += np.einsum("ij,tjkl->tikl", tri[side].A2, d2_field(F, grid.h2))
         return out
 
     def inner(F, G):
-        return float(np.sum(F * G * w1[None, None, :, None]) * dt * g.h2)
+        return float(np.sum(F * G * w1[None, None, :, None]) * dt * grid.h2)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -899,12 +909,12 @@ def discrete_adjoint_check(basic_const: BasicState, epsilon: float,
         btotal = 0.0
         scale = 0.0
         for side in (+1, -1):
-            U = _random_spacetime_field(rng, Nt, g.N1, g.N2, boundary)
-            V = _random_spacetime_field(rng, Nt, g.N1, g.N2, boundary)
+            U = _random_spacetime_field(rng, Nt, grid.N1, grid.N2, boundary)
+            V = _random_spacetime_field(rng, Nt, grid.N1, grid.N2, boundary)
             LU = apply_L(U, side)
             LV = apply_L(V, side)
             defect_terms += inner(LU, V) + inner(U, LV)
-            bt = -np.einsum("tik,ij,tjk->", U[:, :, 0, :], B[side], V[:, :, 0, :]) * dt * g.h2
+            bt = -np.einsum("tik,ij,tjk->", U[:, :, 0, :], B[side], V[:, :, 0, :]) * dt * grid.h2
             btotal += float(bt)
             scale += abs(inner(LU, V)) + abs(inner(U, LV))
         scale = max(scale, 1e-30)

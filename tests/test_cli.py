@@ -119,11 +119,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind, config", [("spectrum", "configs/spectrum.cfg"),
                                               ("neutral-mode", "configs/neutral_mode.cfg"),
-                                              ("mms", "configs/mms.cfg")])
+                                              ("mms", "configs/mms.cfg"),
+                                              ("adjoint-check", "configs/adjoint_check.cfg")])
     def test_zero_normal_field_is_a_config_error(self, tmp_path, capsys, kind, config):
         code = run_cli(kind, config, tmp_path / "o", extra=["--override", "state.H1=0"])
         assert code == 2
         assert "nonzero normal magnetic field" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_error_in_a_runner_removes_only_the_directories_it_made(self, tmp_path,
                                                                            capsys):
@@ -247,6 +249,8 @@ class TestExitCodes:
         ("grid.cfl_max=inf", "grid.cfl_max"),
         # finite, but its fast speed overflows, so no time step meets the CFL bound
         ("state.H1=1e200", "grid.cfl_max"),
+        # finite, but its time step 1.85e-102 needs 5.4e101 steps, more than MAX_STEPS
+        ("grid.X1=1e-100", "run.T_final = 1.0: 5.4e+101 time steps"),
     ])
     def test_non_finite_or_unusable_number_exits_two_without_artifacts(self, tmp_path, capsys,
                                                                        override, key):

@@ -26,8 +26,11 @@ class TestCutoff:
         assert 0.0 < cutoff_chi(2.5) < 1.0
 
     def test_even_symmetry(self):
+        # exactly, as the one lift Psi shared by both sides needs
         x = np.linspace(-5, 5, 301)
         assert np.array_equal(cutoff_chi(x), cutoff_chi(-x))
+        assert np.array_equal(cutoff_chi_d(-x), -cutoff_chi_d(x))
+        assert np.array_equal(cutoff_chi_dd(-x), cutoff_chi_dd(x))
 
     def test_slope_bound_strictly_below_half(self):
         x = np.linspace(-4.5, 4.5, 20001)
@@ -57,27 +60,39 @@ class TestLiftedGeometry:
 
     def test_map_slope_bounded_away_from_zero(self):
         geo = build_lifted_geometry(self._front(0.9), self.grid)
-        assert np.min(geo.d1_phi_plus) >= 0.5
-        assert np.max(geo.d1_phi_minus) <= -0.5
+        assert np.min(geo.d1_phi(+1)) >= 0.5
+        assert np.max(geo.d1_phi(-1)) <= -0.5
 
-    # dt_Psi_pm = chi(pm x1) dt_phi, so with dt_phi = phi it is Psi_pm = chi(pm x1) phi
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_map_slope_is_the_derivative_of_the_map(self, side):
+        front = self._front(0.9)
+        geo = build_lifted_geometry(front, self.grid)
+        x1, h = self.grid.x1[:, None], 1e-5
+
+        def Phi(x):   # Phi_pm = pm x1 + chi(x1) phi
+            return side * x + cutoff_chi(x) * front[None, :]
+
+        fd = (Phi(x1 + h) - Phi(x1 - h)) / (2 * h)
+        assert np.max(np.abs(fd - geo.d1_phi(side))) <= 1e-6
+
+    # dt_Psi = chi(x1) dt_phi, so with dt_phi = phi it is Psi = chi(x1) phi
 
     def test_boundary_values(self):
         front = self._front()
         geo = build_lifted_geometry(front, self.grid, dt_phi=front)
         # chi = 1 near the interface: Psi restricted to x1 = 0 is phi itself,
-        # and Phi_pm = pm x1 + Psi_pm has the straight map's slope there
-        assert np.allclose(geo.dt_psi_plus[0], front)
-        assert np.allclose(geo.dt_psi_minus[0], front)
-        assert np.allclose(geo.d1_phi_plus[0], 1.0)
-        assert np.allclose(geo.d1_phi_minus[0], -1.0)
+        # and Phi_pm = pm x1 + Psi has the straight map's slope there
+        assert np.allclose(geo.dt_psi[0], front)
+        assert np.allclose(geo.d1_phi(+1)[0], 1.0)
+        assert np.allclose(geo.d1_phi(-1)[0], -1.0)
 
     def test_support_of_lift(self):
         front = self._front()
         geo = build_lifted_geometry(front, self.grid, dt_phi=front)
         far = self.grid.x1 >= 4.0
-        assert np.all(geo.dt_psi_plus[far] == 0.0)
-        assert np.all(geo.d1_phi_plus[far] == 1.0)
+        assert np.all(geo.dt_psi[far] == 0.0)
+        assert np.all(geo.d1_phi(+1)[far] == 1.0)
+        assert np.all(geo.d1_phi(-1)[far] == -1.0)
 
     def test_inadmissible_front_rejected(self):
         with pytest.raises(AdmissibilityError):
@@ -100,17 +115,16 @@ class TestLiftedGeometry:
             return
         ga, gb, gc = (build_lifted_geometry(p, g, dt_phi=p, skip_admissibility=True)
                       for p in (pa, pb, combo))
-        for got, want in ((gc.dt_psi_plus, c1 * ga.dt_psi_plus + c2 * gb.dt_psi_plus),
-                          (gc.d1_phi_plus - 1.0,
-                           c1 * (ga.d1_phi_plus - 1.0) + c2 * (gb.d1_phi_plus - 1.0))):
+        for got, want in ((gc.dt_psi, c1 * ga.dt_psi + c2 * gb.dt_psi),
+                          (gc.d1_psi, c1 * ga.d1_psi + c2 * gb.d1_psi)):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_time_derivative_propagates_through_cutoff(self):
         front = self._front()
         dt_phi = 0.3 * np.sin(self.grid.x2)
         geo = build_lifted_geometry(front, self.grid, dt_phi=dt_phi)
-        assert np.allclose(geo.dt_psi_plus[0], dt_phi)
-        assert np.all(geo.dt_psi_plus[self.grid.x1 >= 4.0] == 0.0)
+        assert np.allclose(geo.dt_psi[0], dt_phi)
+        assert np.all(geo.dt_psi[self.grid.x1 >= 4.0] == 0.0)
 
 
 class TestNormalJump:

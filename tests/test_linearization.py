@@ -41,9 +41,8 @@ def curved_background(grid, v2=0.4, H1=1.0, H2=0.3, p=1.2, amp=0.3, k2=1):
     shape = (6, grid.N1, grid.N2)
     up, um = np.zeros(shape), np.zeros(shape)
     for arr, side in ((up, +1), (um, -1)):
-        d2psi = geo.side("d2_psi", side)
         arr[0] = p
-        arr[1] = v2 * d2psi
+        arr[1] = v2 * geo.d2_psi
         arr[2] = v2
         arr[3] = H1
         arr[4] = H2
@@ -88,8 +87,7 @@ def nonlinear_interior_residual(u_field, front, grid, side, gamma=mhd.GAMMA_DEFA
     geo = build_lifted_geometry(front, grid, skip_admissibility=True)
     rho = mhd.eos_density(u_field[0], u_field[5], gamma)
     A1, A2 = (mhd.symbol(*u_field[:5], rho, n, gamma) for n in ((0, 1, 0), (0, 0, 1)))
-    d1phi = geo.side("d1_phi", side)
-    At1 = (A1 - A2 * geo.side("d2_psi", side)) / d1phi
+    At1 = (A1 - A2 * geo.d2_psi) / geo.d1_phi(side)
     return (
         np.einsum("ij...,j...->i...", At1, d1_field(u_field, grid.h1))
         + np.einsum("ij...,j...->i...", A2, d2_field(u_field, grid.h2))
@@ -578,7 +576,7 @@ class TestZeroOrderMatrix:
         for side in (+1, -1):
             U = basic.u.side(side)
             rho = basic.rho(side)
-            normal = (-basic.dtpsi(side), 1, -basic.d2psi(side))
+            normal = (-basic.geometry.dt_psi, 1, -basic.geometry.d2_psi)
             full = np.zeros((6, 6) + U.shape[1:])
             for k in range(6):
                 Y = np.eye(6)[k]

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from contact_stab import scenarios, solver
+from contact_stab import mhd, scenarios, solver
 from contact_stab.fields import TwoSidedField
 from contact_stab.grid import Grid, d1_field, d2_field, d2_line
 from contact_stab.linearization import (
@@ -13,6 +13,7 @@ from contact_stab.linearization import (
     side_coefficients,
 )
 from contact_stab.scenarios import rt_basic_state
+from contact_stab.spectral import ContactPair
 from contact_stab.solver import (
     BlowUpError,
     BoundaryLift,
@@ -94,6 +95,14 @@ class TestGridBuild:
         basic = constant_basic_state(Grid(8, 8, 1.0, 1.0))
         with pytest.raises(solver.CFLError, match="underflows"):
             solver.build_grid(basic, 1e-200)
+
+    def test_step_count_is_capped_at_max_steps(self, monkeypatch):
+        basic = constant_basic_state(Grid(8, 8, 1.0, 1.0))
+        n = solver.build_grid(basic, 1.0).n_steps
+        monkeypatch.setattr(solver, "MAX_STEPS", n)
+        assert solver.build_grid(basic, 1.0).n_steps == n
+        with pytest.raises(solver.StepCountError, match=f"exceed MAX_STEPS = {n}"):
+            solver.build_grid(basic, 2.0)
 
 
 def _layouts(U):
@@ -507,9 +516,10 @@ class TestEnergyDecay:
 
 class TestAdjoint:
     def test_defect_at_machine_precision(self):
-        basic, _ = small_basic(N1=16, N2=12)
+        pair = ContactPair(*(mhd.PlasmaState(1.0, 0.0, 0.2, 1.0, 0.3, S) for S in (0.2, -0.1)))
+        grid = Grid(16, 12, 4.0, 2.0 * np.pi)
         for eps in (0.0, 1e-2, 0.1):
-            assert discrete_adjoint_check(basic, eps, trials=4, seed=2) <= 1e-12
+            assert discrete_adjoint_check(pair, grid, eps, trials=4, seed=2) <= 1e-12
 
 
 class TestLift:

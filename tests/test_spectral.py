@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,11 @@ class TestContactPair:
     def test_entropy_jump_allowed(self):
         make_pair()
 
-    def test_pressure_jump_rejected(self):
-        a = mhd.PlasmaState(1.2, 0.0, 0.0, 1.0, 0.0, 0.0)
-        b = mhd.PlasmaState(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("component", ["p", "v1", "v2", "H1", "H2"])
+    def test_jump_of_a_shared_component_rejected(self, component):
+        a = mhd.PlasmaState(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+        b = dataclasses.replace(a, **{component: getattr(a, component) + 0.2})
+        with pytest.raises(ValueError, match="must share p, v, H"):
             ContactPair(a, b)
 
     def test_zero_normal_field_rejected(self):
