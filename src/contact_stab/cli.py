@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("subcommand", choices=sorted(SCENARIO_KINDS))
     p.add_argument("config", help="path to a section.key = value config file")
-    p.add_argument("--out", default=None, help="output directory (overrides run.out)")
+    p.add_argument("--out", default="out", help="output directory (default: out)")
     p.add_argument("--threads", type=int, default=1,
                    help="BLAS thread cap, applied when threadpoolctl is installed "
                         "(the manifest records whether it was)")
@@ -126,12 +126,15 @@ def write_artifacts(outdir: Path, cfg, result: ScenarioResult,
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if not args.out:   # say, an unset shell variable; `--out .` names the working directory
+        print("config error: --out is empty", file=sys.stderr)
+        return 2
     try:
         cfg = parse_config(args.config, args.subcommand, overrides=args.override)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.out) if args.out else Path(cfg["run.out"])
+    outdir = Path(args.out)
     # the directories mkdir makes, deepest first, removed again on a config error
     made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     try:   # before the run, so that an unusable --out costs no computation

@@ -256,7 +256,6 @@ _GRID_SCHEMA = {
 _RUN_SCHEMA = {
     "grid.cfl_max": (_as_posfloat, 0.4),
     "run.T_final": (_as_nonneg, 1.0),
-    "run.out": (_as_word, "out"),
 }
 _EPSILON_SCHEMA = {"run.epsilon": (_as_nonneg, 1e-3)}
 _SEED_SCHEMA = {"run.seed": (_as_int, 0)}
@@ -265,8 +264,8 @@ _PHYSICS_SCHEMA = {
     "physics.gamma": (_as_posfloat, 5.0 / 3.0),
 }
 
-_CONSTANT_STATE_SCHEMA = {
-    "state.p": (_as_posfloat, 1.0),
+# the keys a constant and an RT background share: the contact's velocity, field and entropies
+_CONTACT_SCHEMA = {
     "state.v2": (_as_float, 0.0),
     "state.H1": (_as_float, 1.0),
     "state.H2": (_as_float, 0.3),
@@ -274,14 +273,12 @@ _CONSTANT_STATE_SCHEMA = {
     "state.S_minus": (_as_float, -0.1),
 }
 
+_CONSTANT_STATE_SCHEMA = {"state.p": (_as_posfloat, 1.0), **_CONTACT_SCHEMA}
+
 _RT_STATE_SCHEMA = {
     "state.p0": (_as_posfloat, 1.0),
     "state.rt_jump": (_as_float, 0.5),
-    "state.v2": (_as_float, 0.0),
-    "state.H1": (_as_float, 1.0),
-    "state.H2": (_as_float, 0.3),
-    "state.S_plus": (_as_float, 0.2),
-    "state.S_minus": (_as_float, -0.1),
+    **_CONTACT_SCHEMA,
 }
 
 _EXPR_STATE_SCHEMA = {
@@ -302,12 +299,10 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
     "validate-state": {
         **_GRID_SCHEMA, **_PHYSICS_SCHEMA,
         "state.kind": (_as_word, "constant"),
-        "run.out": (_as_word, "out"),
         "tolerance.validate": (_as_posfloat, 1e-8),
     },
     "spectrum": {
         **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
-        "run.out": (_as_word, "out"),
         "spectral.eta_min": (_as_posfloat, 0.05),
         "spectral.eta_max": (_as_posfloat, 2.0),
         "spectral.xi_min": (_as_float, -2.0),
@@ -324,7 +319,6 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "pulse.k2": (_as_posint, 2),
         "pulse.amplitude": (_as_posfloat, 1.0),
         "run.report_every": (_as_posint, 5),
-        "tolerance.drift": (_as_posfloat, 0.01),
     },
     "neutral-mode": {
         **_DOMAIN_SCHEMA, **_RUN_SCHEMA, **_EPSILON_SCHEMA,
@@ -351,9 +345,7 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
     "adjoint-check": {
         **_GRID_SCHEMA, **_SEED_SCHEMA, **_PHYSICS_SCHEMA, **_CONSTANT_STATE_SCHEMA,
         "run.epsilon": (_as_nonneg, 1e-2),
-        "run.out": (_as_word, "out"),
         "adjoint.trials": (_as_posint, 20),
-        "tolerance.adjoint": (_as_posfloat, 1e-10),
     },
     "mms": {
         **_DOMAIN_SCHEMA, **_RUN_SCHEMA, **_EPSILON_SCHEMA,

@@ -122,8 +122,6 @@ def cutoff_chi(x1):
     out[x <= 1.0] = 1.0
     mid = (x > 1.0) & (x < 4.0)
     out[mid] = 1.0 - _transition((x[mid] - 1.0) / _SPAN)
-    if np.ndim(x1) == 0:
-        return float(out)
     return out
 
 
@@ -134,10 +132,7 @@ def cutoff_chi_d(x1):
     out = np.zeros_like(x)
     mid = (x > 1.0) & (x < 4.0)
     out[mid] = -_DENSITY_HEIGHT * _plateau_bump((x[mid] - 1.0) / _SPAN)
-    out = out * np.sign(x1)
-    if np.ndim(x1) == 0:
-        return float(out)
-    return out
+    return out * np.sign(x1)
 
 
 def cutoff_chi_dd(x1):
@@ -147,8 +142,6 @@ def cutoff_chi_dd(x1):
     out = np.zeros_like(x)
     mid = (x > 1.0) & (x < 4.0)
     out[mid] = -_DENSITY_HEIGHT * _plateau_bump_d((x[mid] - 1.0) / _SPAN) / _SPAN
-    if np.ndim(x1) == 0:
-        return float(out)
     return out
 
 

@@ -134,10 +134,8 @@ def d2_field(U: np.ndarray, h2: float, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def d2_line(phi: np.ndarray, h2: float, order: int = 4) -> np.ndarray:
-    """Periodic x2-derivative of a boundary line (4th-order by default)."""
-    if order == 2:
-        return (np.roll(phi, -1) - np.roll(phi, 1)) / (2.0 * h2)
+def d2_line(phi: np.ndarray, h2: float) -> np.ndarray:
+    """Fourth-order periodic x2-derivative of a boundary line."""
     return (
         -np.roll(phi, -2) + 8.0 * np.roll(phi, -1) - 8.0 * np.roll(phi, 1) + np.roll(phi, 2)
     ) / (12.0 * h2)

@@ -39,7 +39,7 @@ from .geometry import (
     normal_jump,
     tangential_component,
 )
-from .grid import Grid, d1_field, d2_field, d2_line, one_sided_d1_at_wall
+from .grid import Grid, d1_field, d2_field, one_sided_d1_at_wall
 
 ZERO_EIG_REL_TOL = 1e-9
 MIN_D1PHI = 0.25
@@ -287,7 +287,6 @@ class CheckResult:
 @dataclass
 class ValidationReport:
     checks: list[CheckResult]
-    tolerance: float
 
     @property
     def all_passed(self) -> bool:
@@ -381,7 +380,7 @@ def validate_basic_state(basic: BasicState, tol: float = 1e-8) -> ValidationRepo
     checks = [_judge(name, fields, tol) for name, fields in residuals.items()]
     sup = _peak(np.abs(basic.phi_hat))
     checks.append(CheckResult("front_bound", sup < 1.0, sup))
-    return ValidationReport(checks=checks, tolerance=tol)
+    return ValidationReport(checks=checks)
 
 
 # --- the interior operator of one side --------------------------------------
@@ -531,7 +530,8 @@ def bc_residual(
     res[3] = htau_p - htau_m + phi * basic.jump_d1_Htau()
     vN_p = normal_component(trace_plus[1], trace_plus[2], d2phi_hat)
     v2_hat = basic.u.plus[2, 0, :]
-    res[4] = dt_phi + v2_hat * d2_line(phi, gr.h2, order=2) - vN_p - phi * basic.d1_vN_plus_wall()
+    res[4] = (dt_phi + v2_hat * d2_field(phi[None], gr.h2)[0] - vN_p
+              - phi * basic.d1_vN_plus_wall())
     if g_rows is not None:
         res = res - g_rows
     return res

@@ -40,9 +40,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from . import mhd
 from .fields import TwoSidedField
-from .grid import Grid, d1_diff, d1_field, d2_diff, d2_field, d2_line
+from .grid import Grid, d1_diff, d1_field, d2_diff, d2_field
 from .linearization import (
     BasicState,
     SideCoefficients,
@@ -675,7 +674,7 @@ def energy_report(snapshot: Snapshot, coeffs: Coefficients,
         q -= side * 0.5 * np.einsum("ik,ijk,jk->k", U[:, 0, :], coeffs.A1_exact, U[:, 0, :])
     phi = snapshot.phi
     phi_l2 = _line_l2(phi, g)
-    phi_d2 = _line_l2(d2_line(phi, g.h2, order=2), g)
+    phi_d2 = _line_l2(d2_field(phi[None], g.h2)[0], g)
     J = I[+1] + I[-1] + phi_l2 ** 2 + phi_d2 ** 2
     return EnergyReport(
         t=snapshot.t, I_plus=I[+1], I_minus=I[-1], J=J,
@@ -880,7 +879,7 @@ def discrete_adjoint_check(pair: ContactPair, grid: Grid, epsilon: float,
     -[(A1 U, V)] + eps * sum_pm <U_pm, V_pm> exactly (far-wall-vanishing
     fields), since each difference operator satisfies summation by parts.
     """
-    tri = {side: mhd.assemble_matrices(pair.side(side)) for side in (+1, -1)}
+    tri = pair.matrices
     B = {side: side * tri[side].A1 - epsilon * np.eye(6) for side in (+1, -1)}
     Nt, dt = 12, 0.05   # time levels and step of the random space-time fields
     w1 = grid.p_weights1

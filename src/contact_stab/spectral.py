@@ -71,6 +71,15 @@ class ContactPair:
         return self.plus if side == +1 else self.minus
 
     @cached_property
+    def matrices(self) -> dict[int, mhd.MatrixTriple]:
+        """side (+1, -1) -> the side's (A0, A1, A2), built once and read-only."""
+        out = {side: mhd.assemble_matrices(self.side(side)) for side in (+1, -1)}
+        for tri in out.values():
+            for m in (tri.A0, tri.A1, tri.A2):
+                m.flags.writeable = False
+        return out
+
+    @cached_property
     def _pencil(self):
         """(P0, P2, Pc, c3), stacked over the sides (+1, -1), built once.
 
@@ -84,7 +93,7 @@ class ContactPair:
         idx = np.ix_(REDUCED, REDUCED)
         P, c3 = [], []
         for side, st in ((+1, self.plus), (-1, self.minus)):
-            tri = mhd.assemble_matrices(st)
+            tri = self.matrices[side]
             inv = np.linalg.inv(tri.A1[idx])
             c = np.array([0.0, -st.H2, st.H1, 0.0])
             blocks = (inv @ tri.A0[idx], inv @ tri.A2[idx], np.outer(inv @ c, c))
@@ -180,8 +189,7 @@ def neutral_mode_residual(omega2: float, pair: ContactPair) -> float:
     """
     s = -1j * omega2 * pair.plus.v2
     res = 0.0
-    for side in (+1, -1):
-        tri = mhd.assemble_matrices(pair.side(side))
+    for tri in pair.matrices.values():
         X = np.zeros(6, dtype=complex)
         X[5] = 1.0
         interior = s * tri.A0 @ X + 1j * omega2 * tri.A2 @ X  # no x1 dependence

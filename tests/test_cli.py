@@ -142,14 +142,40 @@ class TestExitCodes:
         assert tmp_path.is_dir()
 
     def test_failed_check_exits_one(self, tmp_path, capsys):
-        cfg = tmp_path / "adj.cfg"
-        cfg.write_text(
-            "grid.N1 = 12\ngrid.N2 = 8\nadjoint.trials = 3\n"
-            "tolerance.adjoint = 1e-30\n"  # unreachably tight
-        )
-        code = run_cli("adjoint-check", str(cfg), tmp_path / "o")
+        # a coarse grid at a large CFL number loses 6% of the symmetrizer energy,
+        # more than the drift gate's fixed 1% allows
+        out = tmp_path / "o"
+        overrides = ("grid.N1=16", "grid.N2=16", "grid.cfl_max=1.5", "run.T_final=2")
+        code = run_cli("energy-test", "configs/energy_test.cfg", out,
+                       extra=[a for ov in overrides for a in ("--override", ov)])
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
+        assert ("relative drift of the symmetrizer energy: 5.960e-02 (tolerance 0.01)"
+                in (out / "report.txt").read_text().splitlines())
+
+    def test_degenerate_neutral_point_fails_the_spectrum_without_traceback(self, tmp_path,
+                                                                            capsys):
+        # at |w2 v2| = 2e12 the neutral family's |s + i w2 v2| = eta is below 1e-14 |s|
+        out = tmp_path / "o"
+        overrides = ("state.v2=2e12", "spectral.n_eta=3", "spectral.n_xi=3")
+        code = run_cli("spectrum", "configs/spectrum.cfg", out,
+                       extra=[a for ov in overrides for a in ("--override", ov)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = (out / "report.txt").read_text().splitlines()
+        assert report[1].endswith(", nan") and report[2:] == [
+            "monotone decay toward eta=0: no", "overall: FAIL"]
+
+    def test_mms_amplitude_whose_square_underflows_exits_two_without_artifacts(self, tmp_path,
+                                                                               capsys):
+        out = tmp_path / "o"
+        overrides = ("mms.refinements=8,9", "run.T_final=0.01", "mms.amplitude=1e-200")
+        code = run_cli("mms", "configs/mms.cfg", out,
+                       extra=[a for ov in overrides for a in ("--override", ov)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: mms.amplitude = 1e-200") and "Traceback" not in err
+        assert not out.exists()
 
     def test_inadmissible_background_exits_two_with_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -227,8 +253,14 @@ class TestExitCodes:
     def test_empty_override_exits_two_without_artifacts(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config = str(Path(__file__).resolve().parent.parent / "configs" / "adjoint_check.cfg")
-        assert main(["adjoint-check", config, "--override", "run.out="]) == 2
-        assert "empty value for run.out" in capsys.readouterr().err
+        assert main(["adjoint-check", config, "--override", "adjoint.trials="]) == 2
+        assert "empty value for adjoint.trials" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_exits_two_without_artifacts(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("adjoint-check", str(CONFIGS / "adjoint_check.cfg"), "") == 2
+        assert capsys.readouterr().err == "config error: --out is empty\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_out_naming_a_file_exits_two_before_the_run(self, tmp_path, capsys, monkeypatch):
@@ -305,6 +337,10 @@ class TestSchemas:
         ("eps-sweep", "eps_sweep", "run.epsilon=0.01"),
         ("validate-state", "validate_constant", "grid.cfl_max=0.4"),
         ("adjoint-check", "adjoint_check", "grid.cfl_max=0.4"),
+        # the pass thresholds are constants, and --out is the one output directory
+        ("energy-test", "energy_test", "tolerance.drift=1e9"),
+        ("adjoint-check", "adjoint_check", "tolerance.adjoint=1"),
+        *((kind, name, "run.out=elsewhere") for kind, name in {k: n for k, n, _ in RUNS}.items()),
     ]
 
     def test_each_kind_accepts_only_the_keys_its_run_reads(self, tmp_path, capsys,
@@ -322,7 +358,7 @@ class TestSchemas:
 
         monkeypatch.setattr(cli, "parse_config", parse_and_keep)
         monkeypatch.setattr(ScenarioConfig, "__getitem__", recorded_getitem)
-        monkeypatch.chdir(tmp_path)   # main reads run.out when no --out is given
+        monkeypatch.chdir(tmp_path)   # main writes to ./out when no --out is given
         runs = [(kind, str(CONFIGS / f"{name}.cfg"), overrides)
                 for kind, name, overrides in self.RUNS]
         runs.append(("validate-state", expressions_config(tmp_path), ()))

@@ -201,7 +201,7 @@ class TestParseConfig:
         cfg = parse_config(str(p), "energy-test")
         assert cfg["grid.N1"] == 24
         assert cfg["grid.N2"] == 96            # schema default
-        assert cfg["tolerance.drift"] == 0.01
+        assert cfg["run.report_every"] == 5   # schema default
         assert cfg.kind == "energy-test"
 
     def test_unknown_key_rejected(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from contact_stab import mhd
 from contact_stab.grid import Grid
 from contact_stab.scenarios import ManufacturedProblem, make_forcing, smooth_ramp
+from contact_stab.spectral import ContactPair
 
 TIMES = (0.0, 0.13, 0.4)
 GRIDS = ((9, 9), (33, 17))
@@ -16,7 +17,7 @@ def problem(epsilon=1e-2):
     def st(S):
         return mhd.PlasmaState(1.0, 0.0, 0.2, 1.0, 0.3, S)
 
-    return ManufacturedProblem(st(0.2), st(-0.1), epsilon)
+    return ManufacturedProblem(ContactPair(st(0.2), st(-0.1)), epsilon)
 
 
 def reference_exact(pb, side, t, grid, dt_order=0, d1_order=0, d2_order=0):
@@ -35,7 +36,7 @@ def reference_exact(pb, side, t, grid, dt_order=0, d1_order=0, d2_order=0):
 def reference_f(pb, t, grid):
     out = []
     for side in (+1, -1):
-        tri = pb.tri[side]
+        tri = pb.pair.matrices[side]
         B = side * tri.A1 - pb.epsilon * np.eye(6)
         out.append(
             np.einsum("ij,jkl->ikl", tri.A0, reference_exact(pb, side, t, grid, dt_order=1))
@@ -54,7 +55,7 @@ def reference_g(pb, t, grid):
         trp[1] - trm[1],
         trp[2] - trm[2],
         trp[4] - trm[4],
-        pb.front(t, x2, dt_order=1) + pb.state_plus.v2 * pb.front(t, x2, d2_order=1) - trp[1],
+        pb.front(t, x2, dt_order=1) + pb.pair.plus.v2 * pb.front(t, x2, d2_order=1) - trp[1],
     ])
 
 

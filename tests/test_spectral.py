@@ -203,6 +203,20 @@ class TestStatePencil:
         for m in pair._pencil:
             assert not m.flags.writeable
 
+    def test_matrices_are_built_once_read_only(self, monkeypatch):
+        pair = make_pair()
+        built = []
+        assemble = mhd.assemble_matrices
+        monkeypatch.setattr(mhd, "assemble_matrices", lambda st: built.append(st) or assemble(st))
+        lopatinski_determinant(LaplaceFourierPoint(0.7 - 0.4j, 1.2), pair)
+        neutral_mode_residual(1.0, pair)
+        assert built == [pair.plus, pair.minus]
+        for side in (+1, -1):
+            want = assemble(pair.side(side))
+            for name in ("A0", "A1", "A2"):
+                got = getattr(pair.matrices[side], name)
+                assert np.array_equal(got, getattr(want, name)) and not got.flags.writeable
+
 
 class TestAgainstThePerSideReference:
     """The stacked point against the side-by-side computation it replaces."""

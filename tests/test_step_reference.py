@@ -17,6 +17,7 @@ from contact_stab import mhd, solver
 from contact_stab.grid import Grid, d1_field, d2_field
 from contact_stab.linearization import constant_basic_state
 from contact_stab.scenarios import ManufacturedProblem, rt_basic_state
+from contact_stab.spectral import ContactPair
 from contact_stab.solver import (
     ROWS,
     Snapshot,
@@ -135,7 +136,7 @@ def mms_case():
         return mhd.PlasmaState(1.0, 0.0, 0.2, 1.0, 0.3, S)
 
     eps = 1e-2
-    problem = ManufacturedProblem(st(0.2), st(-0.1), eps)
+    problem = ManufacturedProblem(ContactPair(st(0.2), st(-0.1)), eps)
     grid = build_grid(constant_basic_state(Grid(N1, N2, X1, X2), v2=0.2), 0.2, epsilon=eps)
     basic = constant_basic_state(grid, v2=0.2, H1=1.0, H2=0.3, S_plus=0.2, S_minus=-0.1)
     return basic, eps, problem.sources(grid), problem.initial(grid)
@@ -374,7 +375,7 @@ class TestThreadedStep:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("d1_field", "d2_field", "d2_line", "apply_interface_conditions",
+        for name in ("d1_field", "d2_field", "apply_interface_conditions",
                      "energy_report", "symmetrizer_energy", "divergence_monitor"):
             recorded(solver, name)
         for name in ("f_eval", "g_eval"):
@@ -386,7 +387,7 @@ class TestThreadedStep:
         main = {threading.main_thread()}
         assert threads.pop("interior -1").isdisjoint(main) == (cpus > 1)
         assert threads == {name: main for name in (
-            "d1_field", "d2_field", "d2_line", "apply_interface_conditions", "energy_report",
+            "d1_field", "d2_field", "apply_interface_conditions", "energy_report",
             "symmetrizer_energy", "divergence_monitor", "f_eval", "g_eval", "interior +1")}
 
     def test_an_error_in_the_worker_propagates_and_the_next_step_works(self, monkeypatch):
