@@ -96,7 +96,18 @@ MUTANTS: dict[str, Mutant] = {
         "tests/test_acceptance.py::TestCriterion08DivergenceControl::"
         "test_divergence_defect_converges_in_mms",
         [
-            (SOLVER, "                div *= w / sc.d1phi\n", "                div[...] = 0.0\n"),
+            (SOLVER, '            np.einsum("ksq,ksqij->sij", c[..., 3:5], '
+                     'self._row6_basis(sources.f),\n'
+                     '                      out=terms[:, 6])\n',
+             "            terms[:, 6] = 0.0\n"),
+        ]),
+    # the row-6 basis of a Forcing's row 4 without its d2 (d1Phi f_4) part
+    "forcing-row6-drops-d2": Mutant(
+        "tests/test_linearization.py::TestForcedTerms::"
+        "test_matches_the_stencils_on_the_full_source[constant-1]",
+        [
+            (SOLVER, "                d2_field(sc.d1phi * shape[4], g.h2, out=D[k, i, 1])\n",
+             "                D[k, i, 1] = 0.0\n"),
         ]),
     # run steps rows 0-5 alone from a nonzero companion row when no source drives it
     "companion-rows-ignore-initial": Mutant(

@@ -154,8 +154,9 @@ def make_forcing(grid: Grid, seed: int, amplitude: float, t_ramp: float,
     """Deterministic smooth forcing: interior f on both sides plus interface
     data g, all ramped from zero so the data vanish for t <= 0.
 
-    Each datum is a fixed spatial shape times cos(wt t + ph); the shapes are
-    tabulated here, so a call evaluates only the time factors."""
+    Each datum is a fixed spatial shape times r(t) cos(wt t + ph), r the
+    ramp; the shapes are tabulated here, so a call evaluates only the time
+    factors.  f is a Forcing of one shape per side and row (K = 1)."""
     rng = np.random.default_rng(seed)
     X1g, X2g = grid.mesh()
     bump = np.exp(-((X1g - 1.5) / 0.5) ** 2)
@@ -166,24 +167,22 @@ def make_forcing(grid: Grid, seed: int, amplitude: float, t_ramp: float,
     g_ph = rng.uniform(0, 2 * np.pi, size=5)
     g_wt = rng.uniform(0.5, 1.5, size=5)
 
-    f_shape = {
-        s: f_amp[s][:, None, None] * bump[None] * np.cos(k2 * X2g[None] + f_ph[s][:, None, None])
-        for s in (+1, -1)
-    }
+    f_shape = np.empty((1, 2, 6, grid.N1, grid.N2))
+    for shape, s in zip(f_shape[0], (+1, -1)):
+        np.multiply(f_amp[s][:, None, None] * bump[None],
+                    np.cos(k2 * X2g[None] + f_ph[s][:, None, None]), out=shape)
     g_shape = g_amp[:, None] * np.cos(k2 * grid.x2[None, :] + g_ph[:, None])
+    wt, ph = (np.stack([table[+1], table[-1]]) for table in (f_wt, f_ph))
 
-    def shape_f(side, t):
-        return f_shape[side] * np.cos(f_wt[side] * t + f_ph[side])[:, None, None]
-
-    def f(t):
+    def coef(t):
         r = float(smooth_ramp(t, t_ramp))
-        return (r * shape_f(+1, t), r * shape_f(-1, t))
+        return r * np.cos(wt * t + ph)[None]
 
     def g(t):
         r = float(smooth_ramp(t, t_ramp))
         return r * (g_shape * np.cos(g_wt * t + g_ph)[:, None])
 
-    return Sources(f=f, g=g)
+    return Sources(f=solver.Forcing(f_shape, coef), g=g)
 
 
 # --- manufactured solution --------------------------------------------------
@@ -245,29 +244,35 @@ class ManufacturedProblem:
         """f = A0 dtU + (+-A1 - eps I) d1U + A2 d2U of the exact field, and
         the interface data g of its traces, on the constant background.
 
-        The x1 line and the x2 tables are built here, once per grid; since
-        d1 e^(-2 x1) = -2 e^(-2 x1), each side's f is the x1 line times a
-        (6, N2) x2 line, and g reads the x1 = 0 trace (x1 factor 1)."""
-        fx1 = np.exp(-2.0 * grid.x1)[None, :, None]
+        The x1 line and the x2 tables are built here, once per grid.  Since
+        d1 e^(-2 x1) = -2 e^(-2 x1) and cos(wt t + b) = cos(wt t) cos b -
+        sin(wt t) sin b, each side's f is the x1 line times cos(wt t) Lc +
+        sin(wt t) Ls, Lc and Ls (6, N2) x2 lines: f is a Forcing of the two
+        shapes e^(-2 x1) Lc and e^(-2 x1) Ls (K = 2), written straight into
+        its one array.  g reads the x1 = 0 trace (x1 factor 1)."""
+        fx1 = np.exp(-2.0 * grid.x1)[:, None]
         x2 = grid.x2
         v2h = self.pair.plus.v2
         tri = self.pair.matrices
+        wt = self.omega_t
         # per side, the amplitudes times the x2 table and its x2-derivative
         c2 = {s: self.amps[s][:, None] * self._x2_table(s, x2) for s in (+1, -1)}
         d2c2 = {s: self.amps[s][:, None] * self._x2_table(s, x2, d2_order=1) for s in (+1, -1)}
         B = {s: s * tri[s].A1 - self.epsilon * np.eye(6) for s in (+1, -1)}
 
-        def f(t):
-            out = []
-            for side in (+1, -1):
-                ft = self._t_vector(side, t)[:, None]
-                line = (
-                    tri[side].A0 @ (c2[side] * self._t_vector(side, t, dt_order=1)[:, None])
-                    + B[side] @ (-2.0 * c2[side] * ft)
-                    + tri[side].A2 @ (d2c2[side] * ft)
-                )
-                out.append(fx1 * line[:, None, :])
-            return tuple(out)
+        shapes = np.empty((2, 2, 6, grid.N1, grid.N2))
+        for i, side in enumerate((+1, -1)):
+            cb, sb = np.cos(self.beta[side])[:, None], np.sin(self.beta[side])[:, None]
+            # the factors of cos(wt t) and sin(wt t) in dtU's -wt sin(wt t + b) and
+            # in U's cos(wt t + b), per row
+            for k, (dt_factor, factor) in enumerate(((-wt * sb, cb), (-wt * cb, -sb))):
+                line = (tri[side].A0 @ (dt_factor * c2[side])
+                        + B[side] @ (-2.0 * factor * c2[side])
+                        + tri[side].A2 @ (factor * d2c2[side]))
+                np.multiply(fx1, line[:, None, :], out=shapes[k, i])
+
+        def coef(t):
+            return np.multiply.outer([np.cos(wt * t), np.sin(wt * t)], np.ones((2, 6)))
 
         def g(t):
             trp = c2[+1] * self._t_vector(+1, t)[:, None]
@@ -277,7 +282,7 @@ class ManufacturedProblem:
             rows[4] = self.front(t, x2, dt_order=1) + v2h * self.front(t, x2, d2_order=1) - trp[1]
             return rows
 
-        return Sources(f=f, g=g)
+        return Sources(f=solver.Forcing(shapes, coef), g=g)
 
     def initial(self, grid: Grid) -> Snapshot:
         snap = Snapshot.zeros(grid)

@@ -191,26 +191,48 @@ class Snapshot:
         return Snapshot(self._sides.shape[2:], self.data.copy(), self.t)
 
 
+@dataclass(eq=False)
+class Forcing:
+    """An interior source made of K fixed spatial shapes times time factors,
+    f(t) = sum_k coef(t)[k] shapes[k].
+
+    shapes is a (K, 2, 6, N1, N2) array, the sides in the order (+, -);
+    coef(t) returns a (K, 2, 6) array of factors, one per shape, side and
+    row, and a new one on each call.  A Forcing compares by identity, so
+    the terms StageWork.forced_terms holds are keyed on it without
+    comparing arrays; a StageWork keeps the row-6 basis it built from the
+    shapes, so they must not change once a step has used them.  Called at
+    t it returns f(t) as a new (plus, minus) pair of (6, N1, N2) arrays,
+    for source_h1_norm and the references."""
+
+    shapes: np.ndarray
+    coef: object
+
+    def __call__(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        f = np.einsum("ksr,ksrij->srij", np.asarray(self.coef(t), dtype=float), self.shapes)
+        return f[0], f[1]
+
+
 @dataclass
 class Sources:
     """Interior sources f_pm(t) and interface data g(t).
 
-    f(t) must return a pair of (6, N1, N2) arrays, g(t) a (5, N2) array;
-    either may be None for homogeneous data.  f_eval calls f each time: the
-    forced terms that StageWork.forced_terms fills from it are what a step
-    holds, keyed on the stage time, the stage weight and f itself.  g's
-    last value is kept and returned again for the same t, since a stage
-    and the closure after it read g at one time; callers must not modify
-    it.  A callback returns new arrays on each call: source_h1_norm holds
-    three of f's levels at once.
+    f is a Forcing, g(t) returns a (5, N2) array; either may be None for
+    homogeneous data.  f_eval returns f's time factors coef(t), evaluated
+    at each call: the forced terms that StageWork.forced_terms fills from
+    them are what a step holds, keyed on the stage time, the stage weight
+    and f itself.  g's last value is kept and returned again for the same
+    t, since a stage and the closure after it read g at one time; callers
+    must not modify it.  f(t) and g(t) return new arrays on each call:
+    source_h1_norm holds three of f's levels at once.
     """
 
-    f: object = None
+    f: Forcing | None = None
     g: object = None
     _g_last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def f_eval(self, t: float):
-        return None if self.f is None else self.f(t)
+        return None if self.f is None else np.asarray(self.f.coef(t), dtype=float)
 
     def g_eval(self, t: float):
         if self.g is None:
@@ -397,11 +419,12 @@ class StageWork:
     stack one for each, in the order (+, -).  interior and forced_terms take
     the stage's RK4 weight w and write w times the stage derivatives.
     forced_terms fills one (2, ROWS, N1, N2) term buffer, both sides at
-    once, once per stage time, weight and source, with two (N1, N2) scratch
-    planes; all are allocated on the first forced stage, so an unforced run
-    holds none.  rk4 holds step's two stage buffers, which take turns
-    holding a stage's weighted derivatives and, turned in place, the next
-    stage's state; step allocates them on first use.
+    once, once per stage time, weight and source, from the Forcing's shapes
+    and a (K, 2, 2, N1, N2) basis of row 6 built once per Forcing; both are
+    allocated on the first forced stage, so an unforced run holds neither.
+    rk4 holds step's two stage buffers, which take turns holding a stage's
+    weighted derivatives and, turned in place, the next stage's state; step
+    allocates them on first use.
     """
 
     def __init__(self, coeffs: Coefficients, epsilon: float, rows: int = ROWS):
@@ -426,14 +449,35 @@ class StageWork:
                 deriv = self.deriv[scratch].reshape(-1)[:cols * n].reshape(cols, r1 - r0, grid.N2)
                 plane = self.plane[scratch].reshape(-1)[:n].reshape(r1 - r0, grid.N2)
                 views.append((r0, r1, deriv, plane))
-        self._held = None   # the (t, w, f callback) that _terms holds
+        self._held = None    # the (t, w, Forcing) that _terms holds
+        self._basis = None   # (Forcing, its row-6 basis)
 
     @cached_property
     def rk4(self) -> tuple[Snapshot, Snapshot]:
         return tuple(Snapshot.zeros(self.grid) for _ in range(2))
 
     _terms = cached_property(lambda self: np.empty((2, ROWS, self.grid.N1, self.grid.N2)))
-    _planes = cached_property(lambda self: np.empty((2, self.grid.N1, self.grid.N2)))
+    # the source weight of rows 0-5 per side, (2, 6)
+    _fold = cached_property(lambda self: np.stack([self.entries[s][4].ravel() for s in (+1, -1)]))
+
+    def _row6_basis(self, forcing: Forcing) -> np.ndarray:
+        """Row 6 of the forced terms per shape of forcing, (K, 2, 2, N1, N2):
+        for each shape and side, div f_h / d1Phi of its row 3 alone, then of
+        its row 4 alone, with f_h = (f_N, d1Phi f_H2) and f_N = f_3 - d2Psi f_4.
+        Built once per Forcing; by linearity row 6 of f(t) is these times
+        the factors of rows 3 and 4."""
+        if self._basis is None or self._basis[0] is not forcing:
+            self._basis = None   # the last Forcing's basis is freed before this one is built
+            g = self.grid
+            D = np.empty(forcing.shapes.shape[:2] + (2, g.N1, g.N2))
+            for k, i in np.ndindex(D.shape[:2]):
+                sc, shape = self.coeffs.side((+1, -1)[i]), forcing.shapes[k, i]
+                d1_field(shape[3], g.h1, out=D[k, i, 0])
+                d2_field(sc.d1phi * shape[4], g.h2, out=D[k, i, 1])
+                D[k, i, 1] -= d1_field(sc.d2psi * shape[4], g.h1)
+                D[k, i] /= sc.d1phi
+            self._basis = (forcing, D)
+        return self._basis[1]
 
     def forced_terms(self, t: float, w: float, sources: Sources) -> np.ndarray:
         """The forced part of both sides' stages at t, times the stage
@@ -441,22 +485,19 @@ class StageWork:
         the weighted f, row 6 div f_h / d1Phi.
 
         The terms are filled again, from one call of sources.f_eval(t),
-        only when t, w or the callback sources.f differs from what they
+        only when t, w or the Forcing sources.f differs from what they
         hold, so an RK4 step fills them once per distinct stage time and
-        weight, and holds no array that f returned."""
+        weight, and holds no array that f_eval returned.  A fill is two
+        contractions into the term rows: the shapes with the factors times
+        w and each row's source weight, and the row-6 basis with the
+        factors of rows 3 and 4 times w."""
         key = (t, w, sources.f)
         if self._held != key:
-            for side, f, term in zip((+1, -1), sources.f_eval(t), self._terms):
-                sc, source = self.coeffs.side(side), self.entries[side][4]
-                np.multiply(f, source * w, out=term[:6])
-                # f_h = (f_N, d1Phi * f_H2), differentiated into row 6
-                (fh, d2), div = self._planes, term[6]
-                np.multiply(f[4], sc.d2psi, out=fh)
-                np.subtract(f[3], fh, out=fh)
-                d1_field(fh, self.grid.h1, out=div)
-                np.multiply(sc.d1phi, f[4], out=fh)
-                div += d2_field(fh, self.grid.h2, out=d2)
-                div *= w / sc.d1phi
+            c = sources.f_eval(t) * w
+            terms = self._terms
+            np.einsum("ksr,ksrij->srij", c * self._fold, sources.f.shapes, out=terms[:, :6])
+            np.einsum("ksq,ksqij->sij", c[..., 3:5], self._row6_basis(sources.f),
+                      out=terms[:, 6])
             self._held = key
         return self._terms
 
@@ -826,10 +867,10 @@ def source_h1_norm(levels, grid: Grid, times: np.ndarray) -> float:
     sides.
 
     levels yields the source at each of the times, in order, as a tuple of
-    (6, N1, N2) arrays, one per side: map(Sources.f, times) the (plus, minus)
-    pairs, or map(BoundaryLift.interior_source, times, phi_tildes) the
-    (plus,) of a lift, whose - side is zero.  It is read once, a window of
-    three levels at a time.
+    (6, N1, N2) arrays, one per side: map(sources.f, times) the (plus,
+    minus) pairs of a Forcing, or map(BoundaryLift.interior_source, times,
+    phi_tildes) the (plus,) of a lift, whose - side is zero.  It is read
+    once, a window of three levels at a time.
     """
     levels = ([np.asarray(A, dtype=float) for A in level] for level in levels)
     prev, cur = None, next(levels)

@@ -23,6 +23,7 @@ from contact_stab.linearization import (
 from contact_stab.solver import (
     ROWS,
     BoundaryLift,
+    Forcing,
     Sources,
     StageWork,
     assemble_coefficients,
@@ -374,7 +375,7 @@ class TestStageInterior:
         work = StageWork(assemble_coefficients(background(kind, grid, tmp_path)), 1e-3)
         Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
         f = rng.standard_normal((6, grid.N1, grid.N2))
-        src = Sources(f=lambda t: (f, f))
+        src = Sources(f=Forcing(np.stack([f, f])[None], lambda t: np.ones((1, 2, 6))))
         w = 0.0123
         for k, side in enumerate((+1, -1)):
             unit, weighted = np.empty_like(Y), np.empty_like(Y)
@@ -443,7 +444,7 @@ class TestStageInterior:
         coeffs = assemble_coefficients(background(kind, grid, tmp_path))
         Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
         f = rng.standard_normal((6, grid.N1, grid.N2))
-        src = Sources(f=lambda t: (f, f))
+        src = Sources(f=Forcing(np.stack([f, f])[None], lambda t: np.ones((1, 2, 6))))
         points, rows = BLOCKINGS[blocking]
         for eps in (0.0, 1e-3):
             monkeypatch.setattr(solver, "_BLOCK_POINTS", grid.N1 * grid.N2)
@@ -517,6 +518,62 @@ COEFFICIENT_FIELDS = ("A0_inv_diag", "At1", "A2", "C", "d1phi", "d11phi",
                       "w1", "w2", "div_u", "d2psi")
 
 
+class TestForcedTerms:
+    """StageWork.forced_terms, filled by contracting a Forcing's shapes and
+    its row-6 basis with the factors, against the stencils applied to the
+    full f(t): rows 0-5 w A0^-1 f once the stage's field rows are rescaled,
+    row 6 w div f_h / d1Phi with f_h = (f_3 - d2Psi f_4, d1Phi f_4)."""
+
+    @staticmethod
+    def _forcing(K, grid, rng):
+        shapes = rng.standard_normal((K, 2, 6, grid.N1, grid.N2))
+        phases = rng.uniform(0.0, 2.0 * np.pi, (K, 2, 6))
+        return Forcing(shapes, lambda t: np.cos(t + phases))
+
+    @pytest.mark.parametrize("K", [1, 2])
+    @pytest.mark.parametrize("kind", ["constant", "rt", "expression", "curved"])
+    def test_matches_the_stencils_on_the_full_source(self, kind, K, rng, tmp_path):
+        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
+        coeffs = assemble_coefficients(background(kind, grid, tmp_path))
+        work, forcing = StageWork(coeffs, 1e-3), self._forcing(K, grid, rng)
+        for t, w in ((0.3, 0.0123), (1.1, 1.0 / 3.0)):
+            terms = work.forced_terms(t, w, Sources(f=forcing))
+            for k, (side, f) in enumerate(zip((+1, -1), forcing(t))):
+                sc, rescale = coeffs.side(side), work.entries[side][5]
+                got = terms[k, :6].copy()
+                for i, a0_inv in rescale:
+                    got[i] *= a0_inv
+                want = w * sc.A0_inv_diag * f
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(want)))
+                div = (d1_field(f[3] - f[4] * sc.d2psi, grid.h1)
+                       + d2_field(sc.d1phi * f[4], grid.h2))
+                want = w * div / sc.d1phi
+                np.testing.assert_allclose(terms[k, 6], want, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(want)))
+
+    def test_refills_on_a_new_time_weight_or_forcing_and_on_nothing_else(self, rng):
+        grid = Grid(24, 16, 6.0, 2.0 * np.pi)
+        work = StageWork(assemble_coefficients(rt_background(grid)), 1e-3)
+        forcing, calls = self._forcing(2, grid, rng), []
+        coef = forcing.coef
+        forcing.coef = lambda t: calls.append(t) or coef(t)
+        twin = Forcing(forcing.shapes, forcing.coef)   # equal arrays, another Forcing
+        held = None
+        for t, w, f, g, fills in ((0.2, 0.5, forcing, None, 1),
+                                  (0.2, 0.5, forcing, None, 1),
+                                  (0.2, 0.5, forcing, lambda t: np.zeros((5, grid.N2)), 1),
+                                  (0.3, 0.5, forcing, None, 2),
+                                  (0.3, 0.25, forcing, None, 3),
+                                  (0.3, 0.25, twin, None, 4),
+                                  (0.3, 0.25, twin, None, 4)):
+            terms = work.forced_terms(t, w, Sources(f=f, g=g))   # a new Sources each time
+            assert len(calls) == fills
+            if held is not None and fills == held[0]:
+                assert np.array_equal(terms, held[1])
+            held = (fills, terms.copy())
+
+
 class TestCompactCoefficients:
     """The operator is stored at the background's own broadcast shape."""
 
@@ -554,7 +611,7 @@ class TestCompactCoefficients:
         compact_work, full_work = StageWork(coeffs, eps), StageWork(full, eps)
         Y = rng.standard_normal((ROWS, grid.N1, grid.N2))
         f = rng.standard_normal((6, grid.N1, grid.N2))
-        src = Sources(f=lambda t: (f, f))
+        src = Sources(f=Forcing(np.stack([f, f])[None], lambda t: np.ones((1, 2, 6))))
         for k, side in enumerate((+1, -1)):
             want, got = np.empty_like(Y), np.empty_like(Y)
             for work, res in ((full_work, want), (compact_work, got)):

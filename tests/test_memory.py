@@ -1,6 +1,7 @@
 """What the time-domain runs keep alive: the operator holds no view of its
 background, run drops its initial state, a step holds no array of its
-source, and the 200x200 energy run peaks near its RK4 working set."""
+source's factors and fills its forced terms without a plane's worth of
+allocation, and the 200x200 energy run peaks near its RK4 working set."""
 
 import dataclasses
 import tracemalloc
@@ -15,6 +16,7 @@ from contact_stab.grid import Grid
 from contact_stab.linearization import constant_basic_state
 from contact_stab.scenarios import rt_basic_state, run_energy_test
 from contact_stab.solver import (
+    Forcing,
     Snapshot,
     Sources,
     StageWork,
@@ -68,24 +70,52 @@ def test_run_drops_initial_once_it_has_yielded_level_zero():
     assert snap.data.any()
 
 
-def test_a_step_holds_no_array_that_f_returned():
-    # the forced terms a step fills are all it keeps of f; the arrays of
-    # each f(t) are freed once they are filled in
-    grid = build_grid(constant_basic_state(Grid(20, 16, 4.0, 2.0 * np.pi), v2=0.2), 0.1,
+def _forced_work(grid_shape=(20, 16)):
+    """A seven-row StageWork on a constant background and a Sources whose
+    Forcing records weak references to the factors coef returns."""
+    grid = build_grid(constant_basic_state(Grid(*grid_shape, 4.0, 2.0 * np.pi), v2=0.2), 0.1,
                       epsilon=1e-2)
     coeffs = assemble_coefficients(constant_basic_state(grid, v2=0.2, H2=0.3))
     shape = np.exp(-grid.mesh()[0])
     returned = []
 
-    def f(t):
-        pair = (np.cos(t) * np.stack([shape] * 6), np.sin(t) * np.stack([shape] * 6))
-        returned.extend(map(weakref.ref, pair))
-        return pair
+    def coef(t):
+        factors = np.outer([np.cos(t), np.sin(t)], np.ones(6))[None]
+        returned.append(weakref.ref(factors))
+        return factors
 
-    work, sources = StageWork(coeffs, 1e-2), Sources(f=f)   # both live on, as in run
-    snap = step(divergence_free_pulse(grid, seed=1), work, sources)
+    forcing = Forcing(np.tile(shape, (1, 2, 6, 1, 1)), coef)
+    return grid, StageWork(coeffs, 1e-2), Sources(f=forcing), returned
+
+
+def test_a_step_holds_no_array_that_coef_returned():
+    # the forced terms a step fills are all it keeps of a fill's factors, and
+    # it builds the row-6 basis of its Forcing once
+    grid, work, sources, returned = _forced_work()   # both live on, as in run
+    snap = divergence_free_pulse(grid, seed=1)
+    bases = []
+    for _ in range(3):
+        snap = step(snap, work, sources)
+        bases.append(work._basis[1])
     assert returned and snap.data.any()
     assert [r for r in returned if r() is not None] == []
+    assert all(b is bases[0] for b in bases) and work._basis[0] is sources.f
+
+
+def test_forced_fills_allocate_less_than_a_plane():
+    # a fill contracts into the held terms: 20 of them, after the first has
+    # allocated the terms and the basis, take less than one (N1, N2) plane
+    grid, work, sources, _ = _forced_work((48, 40))
+    work.forced_terms(0.0, 0.5, sources)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for n in range(1, 21):
+            work.forced_terms(0.01 * n, 0.5, sources)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 8 * grid.N1 * grid.N2
 
 
 def test_energy_test_peaks_near_its_rk4_working_set():

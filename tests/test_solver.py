@@ -17,6 +17,7 @@ from contact_stab.spectral import ContactPair
 from contact_stab.solver import (
     BlowUpError,
     BoundaryLift,
+    Forcing,
     Snapshot,
     Sources,
     StageWork,
@@ -766,18 +767,18 @@ def _sweep_keeping_every_level(coeffs, eps_list, sources):
 
 
 def _blowing_up_in_run(forcing, grid, blow_up_in_run):
-    """forcing with an f that turns NaN halfway through the given run of a
-    sweep (counted from 1), so that the run blows up."""
+    """forcing with an f whose factors turn NaN halfway through the given
+    run of a sweep (counted from 1), so that the run blows up."""
     runs = [0]
 
-    def f(t):
+    def coef(t):
         runs[0] += t == 0.0   # each run starts at rest at t = 0
-        pair = forcing.f(t)
+        factors = forcing.f.coef(t)
         if runs[0] == blow_up_in_run and t > 0.5 * grid.T_final:
-            return tuple(np.full_like(a, np.nan) for a in pair)
-        return pair
+            return np.full_like(factors, np.nan)
+        return factors
 
-    return Sources(f=f, g=forcing.g)
+    return Sources(f=Forcing(forcing.f.shapes, coef), g=forcing.g)
 
 
 def _sweep_config(*overrides):
@@ -840,16 +841,15 @@ class TestSourceEvaluation:
         X1, X2 = grid.mesh()
         bump = np.exp(-((X1 - 1.0) / 0.5) ** 2) * np.cos(X2)
 
-        def f(t):
+        def coef(t):
             calls["f"].append(t)
-            return (np.sin(3.0 * t) * np.stack([bump] * 6),
-                    np.cos(2.0 * t) * np.stack([bump] * 6))
+            return np.outer([np.sin(3.0 * t), np.cos(2.0 * t)], np.ones(6))[None]
 
         def g(t):
             calls["g"].append(t)
             return 0.1 * np.sin(t) * np.stack([np.cos(grid.x2)] * 5)
 
-        return f, g
+        return Forcing(np.tile(bump, (1, 2, 6, 1, 1)), coef), g
 
     def test_each_callback_runs_once_per_distinct_stage_time(self):
         basic, grid = small_basic()

@@ -124,12 +124,14 @@ def reference_forcing(grid, seed, amplitude, t_ramp, k2):
     return f, g
 
 
-def test_forcing_is_bit_identical_to_the_full_grid_formula():
+def test_forcing_matches_the_full_grid_formula():
+    # f is the shape S times r cos(wt t + ph) here and r times S cos(wt t + ph) in
+    # the reference: the two differ only in the order of the products, by a few
+    # ulp; g is the same formula
     grid = Grid(24, 20, 6.0, 2.0 * np.pi)
     sources = make_forcing(grid, seed=11, amplitude=1.0, t_ramp=0.2, k2=2)
     f_ref, g_ref = reference_forcing(grid, 11, 1.0, 0.2, 2)
     for t in (0.05, 0.37, 1.0):
         for new, ref in zip(sources.f(t), f_ref(t)):
-            assert np.array_equal(new, ref)
+            np.testing.assert_allclose(new, ref, rtol=1e-15, atol=0.0)
         assert np.array_equal(sources.g(t), g_ref(t))
-

@@ -20,6 +20,7 @@ from contact_stab.scenarios import ManufacturedProblem, rt_basic_state
 from contact_stab.spectral import ContactPair
 from contact_stab.solver import (
     ROWS,
+    Forcing,
     Snapshot,
     Sources,
     StageWork,
@@ -205,23 +206,25 @@ class TestForcedTerm:
         work = StageWork(assemble_coefficients(basic), eps)
         first = step(snap, work, src)
         fills = []
+        f_eval = Sources.f_eval
 
-        def counted(*args, **kwargs):   # one call per side and fill, for div f_h
-            fills.append(None)
-            return d1_field(*args, **kwargs)
+        def counted(self, t):   # one call per fill, for both sides
+            fills.append(t)
+            return f_eval(self, t)
 
-        monkeypatch.setattr(solver, "d1_field", counted)
+        monkeypatch.setattr(Sources, "f_eval", counted)
         step(first, work, src)
         # t + dt/2 (stages 2 and 3) and t + dt (stage 4); stage 1's t is the
         # last step's t + dt
-        assert len(fills) == 4
+        dt = basic.grid.dt
+        assert fills == [first.t + 0.5 * dt, first.t + dt]
 
     def test_another_weight_at_the_held_time_and_source_refills_the_term(self, rng):
         basic, eps, _, _ = mms_case()
         grid = basic.grid
         work = StageWork(assemble_coefficients(basic), eps)
         f = rng.standard_normal((6, grid.N1, grid.N2))
-        src = Sources(f=lambda t: (f, -f))
+        src = Sources(f=Forcing(np.stack([f, -f])[None], lambda t: np.ones((1, 2, 6))))
         held = work.forced_terms(0.5, 1.0 / 6.0, src).copy()
         got = work.forced_terms(0.5, 1.0 / 3.0, src)
         np.testing.assert_allclose(got, 2.0 * held, rtol=1e-15)
@@ -229,7 +232,7 @@ class TestForcedTerm:
     def test_another_source_at_the_held_time_gets_its_own_term(self):
         basic, eps, src, snap = mms_case()
         coeffs = assemble_coefficients(basic)
-        other = Sources(f=lambda t: tuple(0.5 * a for a in src.f(t)), g=src.g)
+        other = Sources(f=Forcing(src.f.shapes, lambda t: 0.5 * src.f.coef(t)), g=src.g)
         work = StageWork(coeffs, eps)
         first = step(snap, work, src)   # holds the terms of src at first.t
         got = step(first, work, other)
@@ -308,8 +311,12 @@ def _drive(case, drive, rng):
         snap.sides[:, 6] = 0.0
         return basic, eps, src, snap, 6
     if drive == "forced":
-        f = rng.standard_normal((2, 6, N1, N2))
-        src = Sources(f=lambda t: (np.sin(1.0 + t) * f[0], np.cos(t) * f[1]))
+        f = rng.standard_normal((1, 2, 6, N1, N2))
+
+        def factors(t):   # sin(1 + t) on side +, cos t on side -
+            return np.outer([np.sin(1.0 + t), np.cos(t)], np.ones(6))[None]
+
+        src = Sources(f=Forcing(f, factors))
     return basic, eps, src, snap, ROWS
 
 
